@@ -26,11 +26,10 @@ from .grid import (
     Grid2D,
     GridFn1D,
     GridFn2D,
-    cumulative_integral,
+    cumulative_integrals,
     lp_norm,
     make_grid,
     mixed_norm,
-    taylor_remainder_integral,
 )
 from .problem import (
     AgreementReport,
@@ -44,7 +43,7 @@ from .problem import (
     check_agreement,
     check_compatibility,
     classical_to_nonclassical,
-    eval_boundary,
+    lower_order,
     nonclassical_to_classical,
 )
 from .representation import (
@@ -52,7 +51,6 @@ from .representation import (
     TraceSet,
     extract_traces,
     reconstruct_field,
-    reconstruct_u,
 )
 from .verify import (
     ConvergenceTable,

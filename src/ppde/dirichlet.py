@@ -146,15 +146,40 @@ def _goursat_at(p: DirichletProblem, theta: np.ndarray) -> GoursatSolution:
     return solve_goursat(gp, tol=p.tol, max_iter=p.max_iter)
 
 
-def _closure_residual_vector(p: DirichletProblem, sol: GoursatSolution) -> np.ndarray:
-    n1, n2 = p.grid.g1.n, p.grid.g2.n
-    d = sol.field.d
-    return np.concatenate([
-        [d[0][1].values[n1, 0] - p.data.z01_h1],
-        [d[1][0].values[0, n2] - p.data.z10_h2],
-        d[2][0].values[:, n2] - p.data.z20_h2.values,
-        d[0][2].values[n1, :] - p.data.z02_h1.values,
-    ])
+def _signed_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
+    """Signed residual of each of the eleven non-classical conditions."""
+    n1 = field.grid.g1.n
+    n2 = field.grid.g2.n
+    d = field.d
+    return {
+        "z00": d[0][0].values[0, 0] - data.z00,
+        "z10": d[1][0].values[0, 0] - data.z10,
+        "z01": d[0][1].values[0, 0] - data.z01,
+        "z20": d[2][0].values[:, 0] - data.z20.values,
+        "z02": d[0][2].values[0, :] - data.z02.values,
+        "z00_h1": d[0][0].values[n1, 0] - data.z00_h1,
+        "z01_h1": d[0][1].values[n1, 0] - data.z01_h1,
+        "z00_h2": d[0][0].values[0, n2] - data.z00_h2,
+        "z10_h2": d[1][0].values[0, n2] - data.z10_h2,
+        "z20_h2": d[2][0].values[:, n2] - data.z20_h2.values,
+        "z02_h1": d[0][2].values[n1, :] - data.z02_h1.values,
+    }
+
+
+# The far-edge conditions that determine theta, in closure row order.
+_CLOSURE_CONDITIONS = ("z01_h1", "z10_h2", "z20_h2", "z02_h1")
+
+
+def _probe(p: DirichletProblem, theta: np.ndarray, label: str) -> np.ndarray:
+    """Closure residual vector at theta; a failed solve is reported with ``label``."""
+    try:
+        sol = _goursat_at(p, theta)
+    except NonConvergenceError as err:
+        raise NonConvergenceError(
+            f"closure {label} failed: {err}", err.last_change, err.iterations
+        ) from err
+    r = _signed_residuals(sol.field, p.data)
+    return np.concatenate([np.atleast_1d(r[name]) for name in _CLOSURE_CONDITIONS])
 
 
 def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
@@ -166,23 +191,12 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     """
     n1, n2 = p.grid.g1.n, p.grid.g2.n
     ncols = 1 + (n1 + 1) + (n2 + 1)
-    try:
-        r0 = _closure_residual_vector(p, _goursat_at(p, np.zeros(ncols)))
-    except NonConvergenceError as err:
-        raise NonConvergenceError(
-            f"closure base probe failed: {err}", err.last_change, err.iterations
-        ) from err
+    r0 = _probe(p, np.zeros(ncols), "base probe")
     matrix = np.empty((r0.size, ncols))
     for k in range(ncols):
         theta = np.zeros(ncols)
         theta[k] = 1.0
-        try:
-            rk = _closure_residual_vector(p, _goursat_at(p, theta))
-        except NonConvergenceError as err:
-            raise NonConvergenceError(
-                f"closure probe {k} failed: {err}", err.last_change, err.iterations
-            ) from err
-        matrix[:, k] = rk - r0
+        matrix[:, k] = _probe(p, theta, f"probe {k}") - r0
     return ClosureSystem(matrix, -r0, n1, n2)
 
 
@@ -193,10 +207,9 @@ def _solve_least_squares(system: ClosureSystem, ridge: float) -> np.ndarray:
         matrix = np.vstack([matrix, np.sqrt(ridge) * np.eye(ncols)])
         offset = np.concatenate([offset, np.zeros(ncols)])
     theta, _, rank, _ = np.linalg.lstsq(matrix, offset, rcond=None)
-    if rank < ncols - 1:
+    if rank < ncols:
         warnings.warn(
-            f"closure system rank {rank} < {ncols - 1}: rank deficiency beyond the "
-            "expected near-dependency; minimum-norm solution returned",
+            f"closure system rank {rank} < {ncols} unknowns: minimum-norm solution returned",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -204,22 +217,7 @@ def _solve_least_squares(system: ClosureSystem, ridge: float) -> np.ndarray:
 
 
 def _condition_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
-    n1 = field.grid.g1.n
-    n2 = field.grid.g2.n
-    d = field.d
-    return {
-        "z00": abs(d[0][0].values[0, 0] - data.z00),
-        "z10": abs(d[1][0].values[0, 0] - data.z10),
-        "z01": abs(d[0][1].values[0, 0] - data.z01),
-        "z20": float(np.max(np.abs(d[2][0].values[:, 0] - data.z20.values))),
-        "z02": float(np.max(np.abs(d[0][2].values[0, :] - data.z02.values))),
-        "z00_h1": abs(d[0][0].values[n1, 0] - data.z00_h1),
-        "z01_h1": abs(d[0][1].values[n1, 0] - data.z01_h1),
-        "z00_h2": abs(d[0][0].values[0, n2] - data.z00_h2),
-        "z10_h2": abs(d[1][0].values[0, n2] - data.z10_h2),
-        "z20_h2": float(np.max(np.abs(d[2][0].values[:, n2] - data.z20_h2.values))),
-        "z02_h1": float(np.max(np.abs(d[0][2].values[n1, :] - data.z02_h1.values))),
-    }
+    return {name: float(np.max(np.abs(r))) for name, r in _signed_residuals(field, data).items()}
 
 
 def _coefficient_norms(coeffs: Coefficients) -> dict:

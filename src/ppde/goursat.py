@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridFn2D
-from .problem import Coefficients, apply_operator
+from .problem import Coefficients, apply_operator, lower_order
 from .representation import DerivativeField, TraceSet, reconstruct_field
 
 __all__ = ["GoursatProblem", "GoursatSolution", "NonConvergenceError", "solve_goursat"]
@@ -61,21 +61,6 @@ class GoursatSolution:
         self.residual = residual
 
 
-def _lower_order(field: DerivativeField, a: Coefficients) -> np.ndarray:
-    """Coefficient-weighted sum of the eight non-principal derivative grids."""
-    d = field.d
-    return (
-        a.a21.values * d[2][1].values
-        + a.a12.values * d[1][2].values
-        + a.a20.values * d[2][0].values
-        + a.a02.values * d[0][2].values
-        + a.a11.values * d[1][1].values
-        + a.a10.values * d[1][0].values
-        + a.a01.values * d[0][1].values
-        + a.a00.values * d[0][0].values
-    )
-
-
 def solve_goursat(gp: GoursatProblem, tol: float = 1e-12, max_iter: int = 200) -> GoursatSolution:
     """Picard iteration for w, starting from the trace-only ("known") part.
 
@@ -94,14 +79,14 @@ def solve_goursat(gp: GoursatProblem, tol: float = 1e-12, max_iter: int = 200) -
     zero_w = GridFn2D.zeros(grid)
 
     trace_field = reconstruct_field(gp.traces, zero_w)
-    known = gp.rhs.values - _lower_order(trace_field, gp.coeffs)
+    known = gp.rhs.values - lower_order(trace_field, gp.coeffs)
 
     w = known.copy()
     change = np.inf
     iterations = 0
     while iterations < max_iter:
         feedback_field = reconstruct_field(zero_traces, GridFn2D(grid, w))
-        w_next = known - _lower_order(feedback_field, gp.coeffs)
+        w_next = known - lower_order(feedback_field, gp.coeffs)
         iterations += 1
         if not np.all(np.isfinite(w_next)):
             raise NonConvergenceError(

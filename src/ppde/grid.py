@@ -20,8 +20,7 @@ __all__ = [
     "GridFn2D",
     "make_grid",
     "cumtrapz",
-    "cumulative_integral",
-    "taylor_remainder_integral",
+    "cumulative_integrals",
     "lp_norm",
     "mixed_norm",
 ]
@@ -139,25 +138,17 @@ def cumtrapz(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return out
 
 
-def cumulative_integral(f: GridFn1D) -> GridFn1D:
-    """Return F with F(x_i) = integral of f from 0 to x_i (trapezoid rule).
+def cumulative_integrals(values: np.ndarray, x: np.ndarray, h: float, axis: int = 0):
+    """Return (C, M, R), the cumulative trapezoid integrals of f along ``axis``.
 
-    F(0) is exactly zero and F is exact for affine f.
+    C(x) = int_0^x f(t) dt, M(x) = int_0^x t f(t) dt and the Taylor
+    remainder R(x) = int_0^x (x - t) f(t) dt = x C(x) - M(x).  ``x`` holds
+    the nodes of that axis, shaped to broadcast against ``values``.  All
+    three start at exactly 0; C is exact for affine f and R for constant f.
     """
-    return GridFn1D(f.grid, cumtrapz(f.values, f.grid.h))
-
-
-def taylor_remainder_integral(f: GridFn1D) -> GridFn1D:
-    """Return R with R(x_i) = integral of (x_i - t) f(t) dt from 0 to x_i.
-
-    Computed as x_i * C0(x_i) - C1(x_i) where C0, C1 are the cumulative
-    trapezoid integrals of f(t) and of t * f(t).  R(0) is exactly zero and
-    R is exact for constant f.
-    """
-    x = f.grid.nodes
-    c0 = cumtrapz(f.values, f.grid.h)
-    c1 = cumtrapz(x * f.values, f.grid.h)
-    return GridFn1D(f.grid, x * c0 - c1)
+    c = cumtrapz(values, h, axis)
+    m = cumtrapz(x * values, h, axis)
+    return c, m, x * c - m
 
 
 def _check_exponent(p) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D, taylor_remainder_integral
+from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D, cumulative_integrals
 from .representation import DerivativeField
 
 __all__ = [
@@ -37,16 +37,22 @@ __all__ = [
     "NonClassicalData",
     "AgreementReport",
     "CompatibilityReport",
-    "eval_boundary",
     "boundary_values",
     "check_agreement",
     "classical_to_nonclassical",
     "nonclassical_to_classical",
     "check_compatibility",
     "apply_operator",
+    "lower_order",
 ]
 
-COEFFICIENT_NAMES = ("a21", "a12", "a20", "a02", "a11", "a10", "a01", "a00")
+# Each coefficient a_ij multiplies D1^i D2^j u; operator terms are summed in
+# this order.
+_TERMS = {
+    "a21": (2, 1), "a12": (1, 2), "a20": (2, 0), "a02": (0, 2),
+    "a11": (1, 1), "a10": (1, 0), "a01": (0, 1), "a00": (0, 0),
+}
+COEFFICIENT_NAMES = tuple(_TERMS)
 
 
 class Coefficients:
@@ -220,27 +226,23 @@ class CompatibilityReport:
 def boundary_values(f: BoundaryFn) -> GridFn1D:
     """Evaluate the Taylor form v0 + x v1 + int_0^x (x - t) v2(t) dt."""
     x = f.v2.grid.nodes
-    rem = taylor_remainder_integral(f.v2).values
+    _, _, rem = cumulative_integrals(f.v2.values, x, f.v2.grid.h)
     return GridFn1D(f.v2.grid, f.v0 + x * f.v1 + rem)
 
 
-def eval_boundary(f: BoundaryFn, at: int) -> float:
-    """Value of the boundary function at grid node index ``at``."""
-    n = f.v2.grid.n
-    if not 0 <= at <= n:
-        raise IndexError(f"node index {at} outside 0..{n}")
-    return float(boundary_values(f).values[at])
+def _far_ends(d: ClassicalData) -> tuple[float, float, float, float]:
+    """phi1(h2), phi2(h2), psi1(h1), psi2(h1); the values at 0 are the v0's."""
+    return tuple(float(boundary_values(f).values[-1]) for f in (d.phi1, d.phi2, d.psi1, d.psi2))
 
 
 def check_agreement(d: ClassicalData) -> AgreementReport:
     """Evaluate the four corner agreement residuals of classical data."""
-    n1 = d.psi1.v2.grid.n
-    n2 = d.phi1.v2.grid.n
+    phi1, phi2, psi1, psi2 = _far_ends(d)
     return AgreementReport(
-        r1=eval_boundary(d.phi1, 0) - eval_boundary(d.psi1, 0),
-        r2=eval_boundary(d.phi2, n2) - eval_boundary(d.psi2, n1),
-        r3=eval_boundary(d.phi1, n2) - eval_boundary(d.psi2, 0),
-        r4=eval_boundary(d.phi2, 0) - eval_boundary(d.psi1, n1),
+        r1=d.phi1.v0 - d.psi1.v0,
+        r2=phi2 - psi2,
+        r3=phi1 - d.psi2.v0,
+        r4=d.phi2.v0 - psi1,
     )
 
 
@@ -284,30 +286,24 @@ def check_compatibility(z: NonClassicalData) -> CompatibilityReport:
     rho3 = [z00_h1 + h2 z01_h1 + int (h2 - t) z02_h1]
          - [z00_h2 + h1 z10_h2 + int (h1 - t) z20_h2].
     """
-    d = nonclassical_to_classical(z)
-    n1 = z.z20.grid.n
-    n2 = z.z02.grid.n
-    return CompatibilityReport(
-        rho1=z.z00_h1 - eval_boundary(d.psi1, n1),
-        rho2=z.z00_h2 - eval_boundary(d.phi1, n2),
-        rho3=eval_boundary(d.phi2, n2) - eval_boundary(d.psi2, n1),
-    )
+    phi1, phi2, psi1, psi2 = _far_ends(nonclassical_to_classical(z))
+    return CompatibilityReport(rho1=z.z00_h1 - psi1, rho2=z.z00_h2 - phi1, rho3=phi2 - psi2)
+
+
+def _terms(field: DerivativeField, a: Coefficients):
+    """The products a_ij * D1^i D2^j u, one grid each, in summation order."""
+    return (getattr(a, name).values * field.d[i][j].values for name, (i, j) in _TERMS.items())
+
+
+def lower_order(field: DerivativeField, a: Coefficients) -> np.ndarray:
+    """Coefficient-weighted sum of the eight non-principal derivative grids."""
+    terms = _terms(field, a)
+    first = next(terms)
+    return sum(terms, first)
 
 
 def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn2D:
     """Pointwise value of (Vu) at every node, from the derivative grids."""
     if a.grid != field.grid:
         raise ValueError("coefficients and field live on different grids")
-    d = field.d
-    values = (
-        d[2][2].values
-        + a.a21.values * d[2][1].values
-        + a.a12.values * d[1][2].values
-        + a.a20.values * d[2][0].values
-        + a.a02.values * d[0][2].values
-        + a.a11.values * d[1][1].values
-        + a.a10.values * d[1][0].values
-        + a.a01.values * d[0][1].values
-        + a.a00.values * d[0][0].values
-    )
-    return GridFn2D(field.grid, values)
+    return GridFn2D(field.grid, sum(_terms(field, a), field.w.values))

@@ -14,8 +14,11 @@ g2 = D1 D2^2 u(0,.).  Differentiating under the integral signs gives the
 remaining eight derivative grids; the formulas appear inline below.
 
 The double integral is expanded through its four separable moments
-(x1-a)(x2-b) = x1*x2 - x1*b - x2*a + a*b, so a full reconstruction costs
-O(n^2) cumulative-trapezoid sweeps.
+(x1-a)(x2-b) = x1*x2 - x1*b - x2*a + a*b.  A full reconstruction takes 18
+cumulative-trapezoid sweeps, O(n1*n2) work in all: two 1D sweeps per trace
+function (8) and ten 2D sweeps over w, namely two per one-variable partial
+integral, one each to finish the moments of w and a*w from their x1
+partial sums, and two each for the moments of b*w and a*b*w.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from __future__ import annotations
 import math
 
 from . import expr as ex
-from .grid import Grid2D, GridFn1D, GridFn2D, cumtrapz
+from .grid import Grid2D, GridFn1D, GridFn2D, cumtrapz, cumulative_integrals
 
-__all__ = ["TraceSet", "DerivativeField", "reconstruct_u", "reconstruct_field", "extract_traces"]
+__all__ = ["TraceSet", "DerivativeField", "reconstruct_field", "extract_traces"]
 
 
 class TraceSet:
@@ -105,30 +108,25 @@ def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
 
     # 1D trace integrals: C* are plain cumulatives, T* are (x - t)-weighted.
     x1n, x2n = grid.g1.nodes, grid.g2.nodes
-    Cp = cumtrapz(t.p.values, h1)
-    Tp = x1n * Cp - cumtrapz(x1n * t.p.values, h1)
-    Cg1 = cumtrapz(t.g1.values, h1)
-    Tg1 = x1n * Cg1 - cumtrapz(x1n * t.g1.values, h1)
-    Cq = cumtrapz(t.q.values, h2)
-    Tq = x2n * Cq - cumtrapz(x2n * t.q.values, h2)
-    Cg2 = cumtrapz(t.g2.values, h2)
-    Tg2 = x2n * Cg2 - cumtrapz(x2n * t.g2.values, h2)
+    Cp, _, Tp = cumulative_integrals(t.p.values, x1n, h1)
+    Cg1, _, Tg1 = cumulative_integrals(t.g1.values, x1n, h1)
+    Cq, _, Tq = cumulative_integrals(t.q.values, x2n, h2)
+    Cg2, _, Tg2 = cumulative_integrals(t.g2.values, x2n, h2)
 
-    # Cumulative 2D moments of w over [0,x1] x [0,x2].
-    def moment(a):
-        return cumtrapz(cumtrapz(a, h1, axis=0), h2, axis=1)
+    # Partial integrals of w in one variable at a time:
+    # C1w = int_0^{x1} w(a, x2) da, T1w = int_0^{x1} (x1-a) w(a, x2) da,
+    # C2w, T2w likewise over b in [0, x2].
+    C1w, S1w, T1w = cumulative_integrals(W, X1, h1, axis=0)
+    C2w, S2w, T2w = cumulative_integrals(W, X2, h2, axis=1)
 
-    M00 = moment(W)
-    M10 = moment(X1 * W)
-    M01 = moment(X2 * W)
-    M11 = moment(X1 * X2 * W)
+    # Cumulative 2D moments of w over [0,x1] x [0,x2]; M00 and M10 finish
+    # the x1 sums of w and a*w taken above.
+    M00 = cumtrapz(C1w, h2, axis=1)
+    M10 = cumtrapz(S1w, h2, axis=1)
+    del S1w, S2w  # two fewer live grids while the outputs are built
+    M01 = cumtrapz(cumtrapz(X2 * W, h1, axis=0), h2, axis=1)
+    M11 = cumtrapz(cumtrapz(X1 * X2 * W, h1, axis=0), h2, axis=1)
     double = X1 * X2 * M00 - X1 * M01 - X2 * M10 + M11
-
-    # Partial integrals of w in one variable at a time.
-    C1w = cumtrapz(W, h1, axis=0)                      # int_0^{x1} w(a, x2) da
-    C2w = cumtrapz(W, h2, axis=1)                      # int_0^{x2} w(x1, b) db
-    T1w = X1 * C1w - cumtrapz(X1 * W, h1, axis=0)      # int_0^{x1} (x1-a) w(a, x2) da
-    T2w = X2 * C2w - cumtrapz(X2 * W, h2, axis=1)      # int_0^{x2} (x2-b) w(x1, b) db
 
     pc = t.p.values[:, None]
     g1c = t.g1.values[:, None]
@@ -158,11 +156,6 @@ def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
     arrays = [[d00, d01, d02], [d10, d11, d12], [d20, d21, W]]
     wrapped = [[GridFn2D(grid, arrays[i][j]) for j in range(3)] for i in range(3)]
     return DerivativeField(grid, wrapped)
-
-
-def reconstruct_u(t: TraceSet, w: GridFn2D) -> GridFn2D:
-    """Evaluate u alone; identical node values to reconstruct_field(...).u."""
-    return reconstruct_field(t, w).u
 
 
 def extract_traces(u: ex.Expr, grid: Grid2D) -> tuple[TraceSet, GridFn2D, DerivativeField]:

@@ -200,6 +200,15 @@ class TestSolveDirichlet:
             theta = _solve_least_squares(system, 0.0)
         np.testing.assert_array_equal(theta, np.zeros(5))
 
+    def test_single_rank_loss_warns(self):
+        # rank ncols - 1: the fifth column repeats the fourth
+        rng = np.random.default_rng(4)
+        matrix = rng.normal(size=(6, 5))
+        matrix[:, 4] = matrix[:, 3]
+        system = ClosureSystem(matrix, rng.normal(size=6), 1, 1)
+        with pytest.warns(RuntimeWarning, match="rank 4 < 5"):
+            _solve_least_squares(system, 0.0)
+
     def test_least_squares_optimality(self):
         # attained residual matches the pseudoinverse optimum
         case = poly_case(8)

@@ -5,11 +5,10 @@ from ppde.grid import (
     Grid2D,
     GridFn1D,
     GridFn2D,
-    cumulative_integral,
+    cumulative_integrals,
     lp_norm,
     make_grid,
     mixed_norm,
-    taylor_remainder_integral,
 )
 
 
@@ -21,6 +20,16 @@ def fn2(grid, f):
     X1 = grid.g1.nodes[:, None]
     X2 = grid.g2.nodes[None, :]
     return GridFn2D(grid, np.broadcast_to(np.asarray(f(X1, X2), dtype=float), grid.shape))
+
+
+def cumulative(f):
+    """Node values of int_0^x f(t) dt for a GridFn1D f."""
+    return cumulative_integrals(f.values, f.grid.nodes, f.grid.h)[0]
+
+
+def remainder(f):
+    """Node values of int_0^x (x - t) f(t) dt for a GridFn1D f."""
+    return cumulative_integrals(f.values, f.grid.nodes, f.grid.h)[2]
 
 
 def unit_square(n):
@@ -68,67 +77,90 @@ class TestGridFnValidation:
 class TestCumulativeIntegral:
     def test_constant_exact(self):
         g = make_grid(1.0, 4)
-        F = cumulative_integral(fn1(g, lambda t: np.ones_like(t)))
-        np.testing.assert_array_equal(F.values, g.nodes)
+        F = cumulative(fn1(g, lambda t: np.ones_like(t)))
+        np.testing.assert_array_equal(F, g.nodes)
 
     def test_linear_exact(self):
         g = make_grid(1.0, 4)
-        F = cumulative_integral(fn1(g, lambda t: t))
-        np.testing.assert_allclose(F.values, g.nodes**2 / 2, atol=1e-16)
-        assert F.values[-1] == 0.5
+        F = cumulative(fn1(g, lambda t: t))
+        np.testing.assert_allclose(F, g.nodes**2 / 2, atol=1e-16)
+        assert F[-1] == 0.5
 
     def test_quadratic_hand_value(self):
         # trapezoid sum over node values 0, 0.375, 1.5, 3.375, 6
         g = make_grid(1.0, 4)
-        F = cumulative_integral(fn1(g, lambda t: 6 * t**2))
+        F = cumulative(fn1(g, lambda t: 6 * t**2))
         np.testing.assert_allclose(
-            F.values, [0.0, 0.046875, 0.28125, 0.890625, 2.0625], atol=1e-15
+            F, [0.0, 0.046875, 0.28125, 0.890625, 2.0625], atol=1e-15
         )
 
     def test_starts_at_zero(self):
         g = make_grid(2.0, 7)
-        F = cumulative_integral(fn1(g, np.sin))
-        assert F.values[0] == 0.0
+        F = cumulative(fn1(g, np.sin))
+        assert F[0] == 0.0
 
 
 class TestTaylorRemainderIntegral:
     def test_zero(self):
         g = make_grid(1.0, 5)
-        R = taylor_remainder_integral(GridFn1D.zeros(g))
-        np.testing.assert_array_equal(R.values, np.zeros(6))
+        R = remainder(GridFn1D.zeros(g))
+        np.testing.assert_array_equal(R, np.zeros(6))
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_constant_exact(self, n):
         g = make_grid(1.0, n)
-        R = taylor_remainder_integral(fn1(g, lambda t: 2 * np.ones_like(t)))
-        np.testing.assert_allclose(R.values, g.nodes**2, atol=1e-15)
+        R = remainder(fn1(g, lambda t: 2 * np.ones_like(t)))
+        np.testing.assert_allclose(R, g.nodes**2, atol=1e-15)
 
     def test_linear_hand_value(self):
         # x*C0 - C1 at x=1 with f = 6t: 3 - 2.0625
         g = make_grid(1.0, 4)
-        R = taylor_remainder_integral(fn1(g, lambda t: 6 * t))
-        assert abs(R.values[-1] - 0.9375) < 1e-15
+        R = remainder(fn1(g, lambda t: 6 * t))
+        assert abs(R[-1] - 0.9375) < 1e-15
 
     def test_matches_double_cumulative(self):
         # both discretize the iterated integral of f; agree to O(h^2)
         g = make_grid(1.0, 32)
         f = fn1(g, np.sin)
-        R = taylor_remainder_integral(f)
-        CC = cumulative_integral(cumulative_integral(f))
-        assert np.max(np.abs(R.values - CC.values)) <= 10 * g.h**2
+        R = remainder(f)
+        CC = cumulative(GridFn1D(g, cumulative(f)))
+        assert np.max(np.abs(R - CC)) <= 10 * g.h**2
+
+
+class TestCumulativeIntegrals2D:
+    def test_each_axis_matches_the_1d_sweeps(self):
+        rng = np.random.default_rng(11)
+        g = Grid2D(make_grid(1.3, 6), make_grid(0.7, 4))
+        values = rng.normal(size=g.shape)
+        X1 = g.g1.nodes[:, None]
+        X2 = g.g2.nodes[None, :]
+        along_x1 = cumulative_integrals(values, X1, g.g1.h, axis=0)
+        along_x2 = cumulative_integrals(values, X2, g.g2.h, axis=1)
+        for j in range(g.shape[1]):
+            for got, want in zip(along_x1, cumulative_integrals(values[:, j], g.g1.nodes, g.g1.h)):
+                np.testing.assert_array_equal(got[:, j], want)
+        for i in range(g.shape[0]):
+            for got, want in zip(along_x2, cumulative_integrals(values[i, :], g.g2.nodes, g.g2.h)):
+                np.testing.assert_array_equal(got[i, :], want)
+
+    def test_first_moment_of_a_constant(self):
+        # int_0^x t dt = x^2 / 2 is exact for the affine integrand t
+        g = make_grid(1.0, 4)
+        _, m, _ = cumulative_integrals(np.ones(5), g.nodes, g.h)
+        np.testing.assert_array_equal(m, g.nodes**2 / 2)
 
 
 class TestLinearity:
     def test_both_operators(self):
         rng = np.random.default_rng(7)
         g = make_grid(1.3, 17)
-        for op in (cumulative_integral, taylor_remainder_integral):
+        for op in (cumulative, remainder):
             f1 = GridFn1D(g, rng.normal(size=18))
             f2 = GridFn1D(g, rng.normal(size=18))
             a, b = 2.5, -1.25
             combo = op(GridFn1D(g, a * f1.values + b * f2.values))
-            split = a * op(f1).values + b * op(f2).values
-            np.testing.assert_allclose(combo.values, split, atol=1e-13)
+            split = a * op(f1) + b * op(f2)
+            np.testing.assert_allclose(combo, split, atol=1e-13)
 
 
 class TestRefinementOrder:
@@ -138,9 +170,9 @@ class TestRefinementOrder:
         for n in (16, 32, 64):
             g = make_grid(1.0, n)
             f = fn1(g, np.sin)
-            ec = np.max(np.abs(cumulative_integral(f).values - (1 - np.cos(g.nodes))))
+            ec = np.max(np.abs(cumulative(f) - (1 - np.cos(g.nodes))))
             et = np.max(
-                np.abs(taylor_remainder_integral(f).values - (g.nodes - np.sin(g.nodes)))
+                np.abs(remainder(f) - (g.nodes - np.sin(g.nodes)))
             )
             errors_c.append(ec)
             errors_t.append(et)

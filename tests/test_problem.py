@@ -4,6 +4,7 @@ import pytest
 from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
 from ppde.problem import (
+    COEFFICIENT_NAMES,
     BoundaryFn,
     ClassicalData,
     Coefficients,
@@ -13,7 +14,7 @@ from ppde.problem import (
     check_agreement,
     check_compatibility,
     classical_to_nonclassical,
-    eval_boundary,
+    lower_order,
     nonclassical_to_classical,
 )
 from ppde.representation import extract_traces
@@ -49,25 +50,19 @@ class TestEvalBoundary:
         g = make_grid(1.0, 4)
         f = BoundaryFn(1.0, 2.0, GridFn1D(g, 6 * g.nodes))
         # hand value: 1 + 2 + (x*C0 - C1)(1) = 3 + 0.9375
-        assert eval_boundary(f, 4) == pytest.approx(3.9375, abs=1e-15)
-        assert eval_boundary(f, 4) == pytest.approx(4.0, abs=0.07)
+        assert boundary_values(f).values[4] == pytest.approx(3.9375, abs=1e-15)
+        assert boundary_values(f).values[4] == pytest.approx(4.0, abs=0.07)
 
     def test_zero(self):
         g = make_grid(1.0, 4)
         f = BoundaryFn(0.0, 0.0, GridFn1D.zeros(g))
         for i in range(5):
-            assert eval_boundary(f, i) == 0.0
+            assert boundary_values(f).values[i] == 0.0
 
     def test_affine_exact(self):
         g = make_grid(1.0, 4)
         f = BoundaryFn(1.0, 1.0, GridFn1D.zeros(g))
-        assert eval_boundary(f, 2) == 1.5
-
-    def test_index_out_of_range(self):
-        g = make_grid(1.0, 4)
-        f = BoundaryFn(0.0, 0.0, GridFn1D.zeros(g))
-        with pytest.raises(IndexError):
-            eval_boundary(f, 5)
+        assert boundary_values(f).values[2] == 1.5
 
     def test_full_curve(self):
         g = make_grid(1.0, 8)
@@ -179,7 +174,7 @@ class TestConverters:
         )
         d = nonclassical_to_classical(z)
         # phi1 = 1 + 2 x2 + x2^3 up to quadrature on the cubic term
-        assert eval_boundary(d.phi1, 4) == pytest.approx(4.0, abs=0.07)
+        assert boundary_values(d.phi1).values[4] == pytest.approx(4.0, abs=0.07)
 
     def test_n2c_zero(self):
         g = unit_square(3)
@@ -284,15 +279,23 @@ class TestCheckCompatibility:
 
 
 class TestApplyOperator:
-    def test_quartic_with_a00(self):
+    @pytest.mark.parametrize("name", COEFFICIENT_NAMES)
+    def test_quartic_with_one_coefficient(self, name):
+        # a_ij = 1 adds D1^i D2^j (x1^2 x2^2) = c_i x1^(2-i) * c_j x2^(2-j)
+        # to the principal part 4, with c_0 = 1, c_1 = 2, c_2 = 2
+        i, j = int(name[1]), int(name[2])
         g = unit_square(4)
         _, _, field = extract_traces(parse("x1^2*x2^2"), g)
-        coeffs = Coefficients.from_exprs(g, {"a00": "1"})
+        coeffs = Coefficients.from_exprs(g, {name: "1"})
         out = apply_operator(field, coeffs)
         X1 = g.g1.nodes[:, None]
         X2 = g.g2.nodes[None, :]
-        np.testing.assert_allclose(out.values, 4 + X1**2 * X2**2, atol=1e-13)
-        assert out.values[-1, -1] == pytest.approx(5.0, abs=1e-13)
+        c = (1.0, 2.0, 2.0)
+        expected = 4 + c[i] * X1 ** (2 - i) * c[j] * X2 ** (2 - j)
+        np.testing.assert_allclose(out.values, expected, atol=1e-13)
+        assert out.values[-1, -1] == pytest.approx(4 + c[i] * c[j], abs=1e-13)
+        np.testing.assert_array_equal(out.values, field.w.values + field.d[i][j].values)
+        np.testing.assert_array_equal(lower_order(field, coeffs), field.d[i][j].values)
 
     def test_zero_field(self):
         g = unit_square(4)

@@ -3,7 +3,7 @@ import pytest
 
 from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
-from ppde.representation import TraceSet, extract_traces, reconstruct_field, reconstruct_u
+from ppde.representation import TraceSet, extract_traces, reconstruct_field
 
 
 def unit_square(n):
@@ -36,14 +36,14 @@ def field_error(a, b):
 class TestReconstructU:
     def test_bilinear_exact(self):
         g = unit_square(5)
-        u = reconstruct_u(bilinear_traces(g), GridFn2D.zeros(g))
+        u = reconstruct_field(bilinear_traces(g), GridFn2D.zeros(g)).u
         X1 = g.g1.nodes[:, None]
         X2 = g.g2.nodes[None, :]
         np.testing.assert_allclose(u.values, 1 + X1 + X2 + X1 * X2, atol=1e-15)
 
     def test_constant_w_gives_quartic(self):
         g = unit_square(6)
-        u = reconstruct_u(TraceSet.zeros(g), GridFn2D(g, 4 * np.ones(g.shape)))
+        u = reconstruct_field(TraceSet.zeros(g), GridFn2D(g, 4 * np.ones(g.shape))).u
         X1 = g.g1.nodes[:, None]
         X2 = g.g2.nodes[None, :]
         np.testing.assert_allclose(u.values, X1**2 * X2**2, atol=1e-14)
@@ -51,15 +51,8 @@ class TestReconstructU:
 
     def test_all_zero(self):
         g = unit_square(4)
-        u = reconstruct_u(TraceSet.zeros(g), GridFn2D.zeros(g))
+        u = reconstruct_field(TraceSet.zeros(g), GridFn2D.zeros(g)).u
         np.testing.assert_array_equal(u.values, np.zeros(g.shape))
-
-    def test_matches_field_u(self):
-        g = unit_square(7)
-        t, w = random_traces_and_w(g, np.random.default_rng(0))
-        np.testing.assert_array_equal(
-            reconstruct_u(t, w).values, reconstruct_field(t, w).u.values
-        )
 
 
 class TestReconstructField:
