@@ -47,7 +47,7 @@ last = (work / "u.csv").read_text().strip().splitlines()[-1]
 print(f"(exit {code})  far corner row of u.csv: {last}")
 diag = json.loads((work / "diag.json").read_text())
 print(f"equation residual {diag['equation_residual']:.1e}, "
-      f"{diag['goursat_iterations']} Goursat sweeps\n")
+      f"{diag['goursat_iterations']} march per Goursat solve\n")
 
 print("$ ppde convert --config problem.ini --direction n2c --out classical.ini")
 code = run(["convert", "--config", str(config), "--direction", "n2c",

@@ -2,11 +2,12 @@
 
 The package reduces the operator D1^2 D2^2 u + lower-order terms to a 2D
 Volterra integral equation through an exact trace representation, solves
-the Goursat problem by Picard iteration, and closes the remaining unknown
-traces against the far-edge boundary data by least squares.  Boundary data
-may be given classically (u on the four edges) or non-classically (corner
-values and second-derivative edge traces); the two formulations convert
-into each other exactly.
+the discretized Goursat problem exactly by marching over the grid rows,
+and closes the remaining unknown traces against the far-edge boundary data
+by least squares; every closure column comes from one multi-right-hand-side
+march.  Boundary data may be given classically (u on the four edges) or
+non-classically (corner values and second-derivative edge traces); the two
+formulations convert into each other exactly.
 """
 
 from .dirichlet import (
@@ -20,7 +21,7 @@ from .dirichlet import (
     solve_dirichlet,
 )
 from .expr import EvalDomainError, ParseError, differentiate, evaluate, parse, to_string
-from .goursat import GoursatProblem, GoursatSolution, NonConvergenceError, solve_goursat
+from .goursat import GoursatProblem, GoursatSolution, MarchingError, solve_goursat
 from .grid import (
     Grid1D,
     Grid2D,

@@ -9,7 +9,7 @@ verify       manufactured-solution error report on a single grid
 convergence  manufactured-solution study over doubling grids
 
 Exit codes: 0 success, 1 check threshold exceeded, 2 config or expression
-parse error, 3 numerical failure (non-convergence, rank collapse),
+parse error, 3 numerical failure (vanishing pivot or overflow in the march),
 4 I/O error.
 
 The config grammar (INI sections, expression values quoted, file values
@@ -31,7 +31,6 @@ import numpy as np
 
 from . import expr as ex
 from .dirichlet import DirichletProblem, solve_classical, solve_dirichlet
-from .goursat import NonConvergenceError
 from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, make_grid
 from .problem import (
     COEFFICIENT_NAMES,
@@ -234,6 +233,8 @@ def load_config(path) -> Config:
             )
         classical = ClassicalData(**fns)
 
+    # tol and max_iter are read, checked and echoed in --diag for old
+    # configs; the solver no longer uses them.
     tol = _get_float(cp, "solver", "tol", "1e-12")
     max_iter = _get_int(cp, "solver", "max_iter", "200")
     ridge = _get_float(cp, "solver", "ridge", "0")
@@ -480,9 +481,6 @@ def run(argv=None) -> int:
     except ex.ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except NonConvergenceError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
     except np.linalg.LinAlgError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

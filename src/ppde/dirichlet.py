@@ -12,9 +12,11 @@ conditions on the far edges:
     D2^2u(h1, x2)   = z02_h1(x2)    (one row per x2 node)
 
 Every left-hand side is an affine function of theta because the Goursat
-solution w depends affinely on the traces; the affine map is assembled by
-probing (one Goursat solve at theta = 0, one per unit basis vector) and
-solved in the least-squares sense with minimum-norm tie-breaking.  Data
+solution w depends affinely on the traces.  The offset of that map comes
+from one Goursat solve at theta = 0; its columns come from one march of
+the homogeneous Goursat problems of the unit traces, one right-hand side
+per unknown, which keeps only the far-edge sums of each row.  The system
+is solved in the least-squares sense with minimum-norm tie-breaking.  Data
 that are the traces of an actual solution make the system consistent up
 to discretization; for arbitrary data the minimized residual is reported
 as a diagnostic.  The classical Dirichlet problem is solved by exact
@@ -30,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .goursat import GoursatProblem, GoursatSolution, NonConvergenceError, solve_goursat
-from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm
+from .goursat import GoursatProblem, GoursatSolution, MarchingError, march, solve_goursat
+from .grid import Grid2D, GridFn1D, GridFn2D, cumulative_integrals, lp_norm, mixed_norm
 from .problem import (
+    COEFFICIENT_NAMES,
     AgreementReport,
     ClassicalData,
     Coefficients,
@@ -58,7 +61,12 @@ __all__ = [
 
 
 class DirichletProblem:
-    """Grid, coefficients, right-hand side and non-classical data."""
+    """Grid, coefficients, right-hand side and non-classical data.
+
+    ``tol`` and ``max_iter`` are validated and kept for compatibility with
+    callers and configs written for the former iterative Goursat solver;
+    they have no effect, because the Goursat problem is solved directly.
+    """
 
     def __init__(self, grid: Grid2D, coeffs: Coefficients, rhs: GridFn2D,
                  data: NonClassicalData, tol: float = 1e-12,
@@ -69,6 +77,8 @@ class DirichletProblem:
             raise ValueError("data edge functions do not match the problem grid")
         if not tol > 0.0:
             raise ValueError(f"tolerance must be positive, got {tol}")
+        if int(max_iter) < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         if ridge < 0.0:
             raise ValueError(f"ridge must be nonnegative, got {ridge}")
         self.grid = grid
@@ -143,7 +153,7 @@ def _traces_at(p: DirichletProblem, theta: np.ndarray) -> TraceSet:
 
 def _goursat_at(p: DirichletProblem, theta: np.ndarray) -> GoursatSolution:
     gp = GoursatProblem(_traces_at(p, theta), p.coeffs, p.rhs)
-    return solve_goursat(gp, tol=p.tol, max_iter=p.max_iter)
+    return solve_goursat(gp)
 
 
 def _signed_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
@@ -166,37 +176,74 @@ def _signed_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
     }
 
 
-# The far-edge conditions that determine theta, in closure row order.
-_CLOSURE_CONDITIONS = ("z01_h1", "z10_h2", "z20_h2", "z02_h1")
+def _unit_forcing_rows(p: DirichletProblem, I1, C1, T1, I2, C2, T2):
+    """Row i of known = -lower_order(trace field) for every unit trace.
 
-
-def _probe(p: DirichletProblem, theta: np.ndarray, label: str) -> np.ndarray:
-    """Closure residual vector at theta; a failed solve is reported with ``label``."""
-    try:
-        sol = _goursat_at(p, theta)
-    except NonConvergenceError as err:
-        raise NonConvergenceError(
-            f"closure {label} failed: {err}", err.last_change, err.iterations
-        ) from err
-    r = _signed_residuals(sol.field, p.data)
-    return np.concatenate([np.atleast_1d(r[name]) for name in _CLOSURE_CONDITIONS])
+    Columns: [c = 1, g1 = e_m for each x1 node m, g2 = e_m for each x2
+    node m], all other traces, w and the right-hand side zero.  By the
+    trace representation c = 1 gives u = x1 x2, D1u = x2, D2u = x1 and
+    D1D2u = 1.  g1 = e_m gives D1^2 D2 u = e_m, D1^2 u = x2 e_m,
+    D1D2u = C1[:, m], D2u = T1[:, m], D1u = x2 C1[:, m] and
+    u = x2 T1[:, m], where C1 and T1 are the cumulative integral and
+    Taylor remainder of the identity along x1; g2 = e_m likewise with the
+    axes swapped.  Each row is thus a sum of outer products.
+    """
+    x2 = p.grid.g2.nodes[:, None]
+    a = {name: getattr(p.coeffs, name).values for name in COEFFICIENT_NAMES}
+    for i, x in enumerate(p.grid.g1.nodes):
+        r = {name: v[i][:, None] for name, v in a.items()}
+        c = r["a11"] + x2 * r["a10"] + x * r["a01"] + x * x2 * r["a00"]
+        g1 = ((r["a21"] + x2 * r["a20"]) * I1[i] + (r["a11"] + x2 * r["a10"]) * C1[i]
+              + (r["a01"] + x2 * r["a00"]) * T1[i])
+        g2 = ((r["a12"] + x * r["a02"]) * I2 + (r["a11"] + x * r["a01"]) * C2
+              + (r["a10"] + x * r["a00"]) * T2)
+        yield -np.hstack([c, g1, g2])
 
 
 def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
-    """Probe the affine far-edge residual map column by column.
+    """Assemble the affine far-edge residual map R(theta) = matrix @ theta - offset.
 
-    The offset comes from one Goursat solve at theta = 0; column k is the
-    residual at the k-th unit basis vector minus the base residual.  Each
-    probe is an independent pure computation.
+    Rows: D2u(h1, 0), D1u(0, h2), D1^2u(., h2), D2^2u(h1, .).  Each is a
+    trace part plus a w part: D1^2u(x1, h2) gains T2w(x1, h2), one dot
+    product per row of w, and D2^2u(h1, x2) gains T1w(h1, x2), a sum over
+    the rows; D2u(h1, 0) and D1u(0, h2) do not depend on w.  The offset
+    takes w from one Goursat solve at theta = 0.  The matrix is linear in
+    the unit traces c, g1 = e_m and g2 = e_m; their homogeneous Goursat
+    problems share one march with one right-hand side per unknown, and
+    only the far-edge sums of its rows are kept.
     """
-    n1, n2 = p.grid.g1.n, p.grid.g2.n
-    ncols = 1 + (n1 + 1) + (n2 + 1)
-    r0 = _probe(p, np.zeros(ncols), "base probe")
-    matrix = np.empty((r0.size, ncols))
-    for k in range(ncols):
-        theta = np.zeros(ncols)
-        theta[k] = 1.0
-        matrix[:, k] = _probe(p, theta, f"probe {k}") - r0
+    g1, g2 = p.grid.g1, p.grid.g2
+    n1, n2 = g1.n, g2.n
+    I1, I2 = np.eye(n1 + 1), np.eye(n2 + 1)
+    C1, _, T1 = cumulative_integrals(I1, g1.nodes[:, None], g1.h)
+    C2, _, T2 = cumulative_integrals(I2, g2.nodes[:, None], g2.h)
+    try:
+        w0 = _goursat_at(p, np.zeros(1 + (n1 + 1) + (n2 + 1))).w.values
+    except MarchingError as err:
+        raise MarchingError(f"closure base solve failed: {err}") from err
+    # At theta = 0: D2u(h1, 0) = z01, D1u(0, h2) = z10, D1^2u(., h2) = z20
+    # plus the w part and D2^2u(h1, .) = z02 plus the w part.
+    d = p.data
+    r0 = np.concatenate([
+        [d.z01 - d.z01_h1, d.z10 - d.z10_h2],
+        d.z20.values + w0 @ T2[-1] - d.z20_h2.values,
+        d.z02.values + T1[-1] @ w0 - d.z02_h1.values,
+    ])
+    z1, z2 = np.zeros(n1 + 1), np.zeros(n2 + 1)
+    matrix = np.vstack([
+        np.concatenate([[g1.length], T1[-1], z2]),
+        np.concatenate([[g2.length], z1, T2[-1]]),
+        np.hstack([z1[:, None], g2.length * I1, np.zeros((n1 + 1, n2 + 1))]),
+        np.hstack([z2[:, None], np.zeros((n2 + 1, n1 + 1)), g1.length * I2]),
+    ])
+    far_x2 = matrix[2:n1 + 3]   # D1^2u(x1, h2) rows, one per x1 node
+    far_x1 = matrix[n1 + 3:]    # D2^2u(h1, x2) rows, one per x2 node
+    try:
+        for i, w in enumerate(march(p.coeffs, _unit_forcing_rows(p, I1, C1, T1, I2, C2, T2))):
+            far_x2[i] += T2[-1] @ w
+            far_x1 += T1[-1, i] * w
+    except MarchingError as err:
+        raise MarchingError(f"closure march failed: {err}") from err
     return ClosureSystem(matrix, -r0, n1, n2)
 
 
@@ -238,10 +285,10 @@ def _coefficient_norms(coeffs: Coefficients) -> dict:
 def solve_dirichlet(p: DirichletProblem) -> Solution:
     """Solve the non-classical Dirichlet problem.
 
-    Steps: compatibility residuals, closure assembly by probing, minimum
-    norm least squares for theta, one final Goursat solve, and a full
-    diagnostic report (all eleven boundary-condition residuals evaluated
-    on the returned field).
+    Steps: compatibility residuals, closure assembly (one Goursat solve
+    and one multi-right-hand-side march), minimum norm least squares for
+    theta, one final Goursat solve, and a full diagnostic report (all
+    eleven boundary-condition residuals evaluated on the returned field).
     """
     compat = check_compatibility(p.data)
     system = assemble_closure_system(p)
@@ -267,6 +314,7 @@ def solve_classical(coeffs: Coefficients, rhs: GridFn2D, d: ClassicalData,
     The boundary triples are repackaged into non-classical data (a
     lossless read-off), the non-classical solver runs unchanged, and the
     agreement residuals of the original data ride along in Diagnostics.
+    ``tol`` and ``max_iter`` are validated but have no effect.
     """
     z = classical_to_nonclassical(d)
     problem = DirichletProblem(grid, coeffs, rhs, z, tol=tol, max_iter=max_iter, ridge=ridge)

@@ -1,6 +1,6 @@
 """Uniform tensor-product grids, trapezoid quadrature and Lp / mixed norms.
 
-Everything downstream (boundary-data conversion, the Volterra sweep, the
+Everything downstream (boundary-data conversion, the Volterra march, the
 verification norms) is built on the composite trapezoid rule over the
 equispaced grids defined here, so the exactness classes of that rule
 (affine integrands for plain integrals, constant integrands for the

@@ -70,7 +70,11 @@ class ConvergenceTable:
 
 def manufactured_problem(u, coeffs: Coefficients, grid: Grid2D,
                          tol: float = 1e-12, max_iter: int = 200) -> ManufacturedCase:
-    """Bundle data, right-hand side and reference for a symbolic u."""
+    """Bundle data, right-hand side and reference for a symbolic u.
+
+    ``tol`` and ``max_iter`` are passed to DirichletProblem, where they are
+    validated but have no effect.
+    """
     if isinstance(u, str):
         u = ex.parse(u)
     traces, _, reference = extract_traces(u, grid)
@@ -102,7 +106,7 @@ def convergence_study(u, coeff_exprs: dict, lengths: tuple, ns, tol: float = 1e-
     coefficients can be resampled per grid; ``lengths`` is the rectangle
     sides (h1, h2); ``ns`` the doubling interval counts.  Errors are
     measured on u itself (max node error and trapezoid L2) against the
-    symbolic reference.
+    symbolic reference.  ``tol`` is validated but has no effect.
     """
     ns = list(ns)
     if len(ns) < 2:

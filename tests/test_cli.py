@@ -120,19 +120,17 @@ class TestSolve:
         missing = tmp_path / "nope" / "u.csv"
         assert run(["solve", "--config", cfg, "--out", str(missing)]) == 4
 
-    def test_non_convergence_exit_3(self, tmp_path):
+    def test_numerical_failure_exit_3(self, tmp_path):
+        # a21 = -2/h2 makes a pivot of the march vanish
         cfg = write(tmp_path / "bad.ini", BASE.format(n=8), """
         [coefficients]
-        a00 = "1e9"
+        a21 = "-16"
 
         [rhs]
         expr = "1"
 
         [data.nonclassical]
         z00 = 0.0
-
-        [solver]
-        max_iter = 5
         """)
         assert run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 3
 

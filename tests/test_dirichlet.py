@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppde.dirichlet import (
     ClosureSystem,
@@ -10,7 +12,7 @@ from ppde.dirichlet import (
     solve_classical,
     solve_dirichlet,
 )
-from ppde.goursat import GoursatProblem, solve_goursat
+from ppde.goursat import GoursatProblem, MarchingError, solve_goursat
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
 from ppde.problem import (
     BoundaryFn,
@@ -31,6 +33,21 @@ def poly_case(n, tol=1e-12):
     g = unit_square(n)
     coeffs = Coefficients.from_exprs(g, {"a00": "1"})
     return manufactured_problem("x1^2*x2^2 + x1*x2", coeffs, g, tol=tol)
+
+
+def far_edge_residual(p, theta):
+    """Residuals of the four far-edge conditions after one Goursat solve at theta."""
+    n1, n2 = p.grid.g1.n, p.grid.g2.n
+    traces = TraceSet(p.data.z00, p.data.z10, p.data.z01, theta[0],
+                      p.data.z20, GridFn1D(p.grid.g1, theta[1:n1 + 2]),
+                      p.data.z02, GridFn1D(p.grid.g2, theta[n1 + 2:]))
+    d = solve_goursat(GoursatProblem(traces, p.coeffs, p.rhs)).field.d
+    return np.concatenate([
+        [d[0][1].values[n1, 0] - p.data.z01_h1],
+        [d[1][0].values[0, n2] - p.data.z10_h2],
+        d[2][0].values[:, n2] - p.data.z20_h2.values,
+        d[0][2].values[n1, :] - p.data.z02_h1.values,
+    ])
 
 
 def replace_scalar(z, **kwargs):
@@ -78,34 +95,39 @@ class TestClosureSystem:
         np.testing.assert_allclose(block_g2, h1 * np.eye(n + 1), atol=1e-14)
 
     def test_probe_failure_annotated(self):
-        from ppde.goursat import NonConvergenceError
+        # the unit-trace march overflows; the error says it came from the closure
         g = unit_square(6)
-        coeffs = Coefficients.from_exprs(g, {"a00": "1e9"})
-        problem = DirichletProblem(g, coeffs, GridFn2D.zeros(g),
-                                   NonClassicalData.zeros(g), max_iter=5)
-        with pytest.raises(NonConvergenceError, match="probe"):
+        coeffs = Coefficients.from_exprs(g, {"a00": "1e200"})
+        problem = DirichletProblem(g, coeffs, GridFn2D.zeros(g), NonClassicalData.zeros(g))
+        with pytest.raises(MarchingError, match="closure.*non-finite"):
             assemble_closure_system(problem)
+
+    def test_matches_dense_probing(self):
+        g = Grid2D(make_grid(1.0, 6), make_grid(0.8, 7))
+        coeffs = Coefficients.from_exprs(g, {
+            "a21": "x1", "a12": "1+x2", "a20": "0.5", "a02": "-x1*x2",
+            "a11": "sin(x1*x2)", "a10": "x2", "a01": "0.3", "a00": "1"})
+        rng = np.random.default_rng(5)
+        data = NonClassicalData(
+            *rng.normal(size=7),
+            z20=GridFn1D(g.g1, rng.normal(size=7)), z02=GridFn1D(g.g2, rng.normal(size=8)),
+            z20_h2=GridFn1D(g.g1, rng.normal(size=7)), z02_h1=GridFn1D(g.g2, rng.normal(size=8)))
+        p = DirichletProblem(g, coeffs, GridFn2D(g, rng.normal(size=g.shape)), data)
+        system = assemble_closure_system(p)
+        ncols = system.matrix.shape[1]
+        r0 = far_edge_residual(p, np.zeros(ncols))
+        dense = np.column_stack([far_edge_residual(p, e) - r0 for e in np.eye(ncols)])
+        assert np.max(np.abs(system.matrix - dense)) <= 1e-13
+        assert np.max(np.abs(system.offset + r0)) <= 1e-13
 
     def test_affine_consistency(self):
         # R(theta) from a direct solve matches matrix @ theta - offset
         case = poly_case(8)
         p = case.problem
         system = assemble_closure_system(p)
-        rng = np.random.default_rng(3)
-        theta = rng.normal(size=system.matrix.shape[1])
-        n1, n2 = p.grid.g1.n, p.grid.g2.n
-        traces = TraceSet(p.data.z00, p.data.z10, p.data.z01, theta[0],
-                          p.data.z20, GridFn1D(p.grid.g1, theta[1:n1 + 2]),
-                          p.data.z02, GridFn1D(p.grid.g2, theta[n1 + 2:]))
-        sol = solve_goursat(GoursatProblem(traces, p.coeffs, p.rhs), tol=p.tol)
-        direct = np.concatenate([
-            [sol.field.d[0][1].values[n1, 0] - p.data.z01_h1],
-            [sol.field.d[1][0].values[0, n2] - p.data.z10_h2],
-            sol.field.d[2][0].values[:, n2] - p.data.z20_h2.values,
-            sol.field.d[0][2].values[n1, :] - p.data.z02_h1.values,
-        ])
+        theta = np.random.default_rng(3).normal(size=system.matrix.shape[1])
         probed = system.matrix @ theta - system.offset
-        assert np.max(np.abs(direct - probed)) <= 1e-9
+        assert np.max(np.abs(far_edge_residual(p, theta) - probed)) <= 1e-9
 
 
 class TestSolveDirichlet:
@@ -176,11 +198,26 @@ class TestSolveDirichlet:
         assert d.goursat_iterations >= 1
         assert d.agreement is None
 
+    @pytest.mark.parametrize("coeff_exprs", [
+        {"a21": "30"}, {"a21": "100"}, {"a00": "1000"}, {"a11": "200"},
+    ])
+    def test_stiff_coefficients_solve_exactly(self, coeff_exprs):
+        # successive substitution diverged or stalled on each of these
+        g = unit_square(16)
+        case = manufactured_problem("x1^2*x2^2", Coefficients.from_exprs(g, coeff_exprs), g)
+        sol = solve_dirichlet(case.problem)
+        assert np.max(np.abs(sol.field.u.values - case.reference.u.values)) <= 1e-10
+        assert sol.diagnostics.equation_residual <= 1e-10
+        assert sol.diagnostics.goursat_iterations == 1
+
     def test_validation(self):
         g = unit_square(4)
         with pytest.raises(ValueError):
             DirichletProblem(g, Coefficients.zeros(g), GridFn2D.zeros(g),
                              NonClassicalData.zeros(g), tol=0.0)
+        with pytest.raises(ValueError):
+            DirichletProblem(g, Coefficients.zeros(g), GridFn2D.zeros(g),
+                             NonClassicalData.zeros(g), max_iter=0)
         with pytest.raises(ValueError):
             DirichletProblem(g, Coefficients.zeros(unit_square(5)),
                              GridFn2D.zeros(g), NonClassicalData.zeros(g))
@@ -328,3 +365,30 @@ class TestResidualReport:
         sol = solve_dirichlet(case.problem)
         with pytest.raises(ValueError):
             residual_report(sol, poly_case(4).problem)
+
+
+class TestSuperposition:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_solution_is_linear_in_rhs_and_data(self, n, seed):
+        g = Grid2D(make_grid(1.0, n), make_grid(0.6, n))
+        coeffs = Coefficients.from_exprs(
+            g, {"a21": "x1", "a12": "1+x2", "a11": "sin(x1*x2)", "a00": "1"})
+        rng = np.random.default_rng(seed)
+
+        def random_data():
+            return (rng.normal(size=g.shape), rng.normal(size=7),
+                    [rng.normal(size=n + 1) for _ in range(4)])
+
+        def solve(rhs, scalars, edges):
+            z20, z02, z20_h2, z02_h1 = edges
+            data = NonClassicalData(
+                *scalars, z20=GridFn1D(g.g1, z20), z02=GridFn1D(g.g2, z02),
+                z20_h2=GridFn1D(g.g1, z20_h2), z02_h1=GridFn1D(g.g2, z02_h1))
+            problem = DirichletProblem(g, coeffs, GridFn2D(g, rhs), data)
+            return solve_dirichlet(problem).field.u.values
+
+        (r1, s1, e1), (r2, s2, e2) = random_data(), random_data()
+        both = solve(r1 + r2, s1 + s2, [a + b for a, b in zip(e1, e2)])
+        each = solve(r1, s1, e1) + solve(r2, s2, e2)
+        assert np.max(np.abs(both - each)) <= 1e-10 * (1.0 + np.max(np.abs(each)))
