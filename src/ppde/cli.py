@@ -112,32 +112,53 @@ def _parse_expr(text: str, where: str) -> ex.Expr:
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _read_rows(path: Path, expected_header: str, where: str) -> list[list[float]]:
+def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
+    """Value column of a CSV file on the nodes of ``grids``.
+
+    One grid: header ``x,value``.  Two grids (x1, x2): header
+    ``x1,x2,value``, row-major with x2 varying fastest.  Each coordinate
+    must be its grid node to within 1e-12 of the axis length.
+    """
+    path = base_dir / raw
+    header = "x,value" if len(grids) == 1 else "x1,x2,value"
     try:
-        lines = path.read_text().splitlines()
+        text = path.read_text().splitlines()
     except OSError as err:
         raise ConfigError(f"{where}: cannot read {path}: {err}") from err
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines or lines[0].strip() != expected_header:
-        raise ConfigError(f"{where}: {path} must start with header {expected_header!r}")
-    rows = []
-    for k, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ConfigError(f"{where}: {path} line {k}: bad numeric row {ln!r}") from None
-    return rows
+    # The nonblank lines and their numbers in the file, for the messages.
+    numbers = [n for n, ln in enumerate(text, start=1) if ln.strip()]
+    lines = [text[n - 1] for n in numbers]
+    if not lines or lines[0].strip() != header:
+        raise ConfigError(f"{where}: {path} must start with header {header!r}")
+    nodes = np.stack(np.meshgrid(*(g.nodes for g in grids), indexing="ij"), -1).reshape(-1, len(grids))
+    if len(lines) - 1 != len(nodes):
+        raise ConfigError(f"{where}: {path} must have {len(nodes)} {header} rows")
+
+    def values():  # streamed, so no per-row Python lists stay alive
+        for k, ln in enumerate(lines[1:], start=1):
+            parts = ln.split(",")
+            if len(parts) != len(grids) + 1:
+                raise ConfigError(f"{where}: {path} must have {len(nodes)} {header} rows")
+            try:
+                yield from map(float, parts)
+            except ValueError:
+                raise ConfigError(
+                    f"{where}: {path} line {numbers[k]}: bad numeric row {ln!r}") from None
+
+    rows = np.fromiter(values(), float).reshape(len(nodes), len(grids) + 1)
+    off = ~(np.abs(rows[:, :-1] - nodes) <= 1e-12 * np.array([g.length for g in grids]))
+    bad = np.flatnonzero(np.any(off, axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigError(f"{where}: {path} line {numbers[k + 1]}: coordinates "
+                          f"{rows[k, :-1].tolist()} are not the grid node {nodes[k].tolist()}")
+    return rows[:, -1]
 
 
 def _edge_fn(raw: str, grid, base_dir: Path, where: str) -> GridFn1D:
     """Edge-function entry: an expression (univariate) or a 1D CSV path."""
     if raw.endswith(".csv"):
-        path = base_dir / raw if not Path(raw).is_absolute() else Path(raw)
-        rows = _read_rows(path, "x,value", where)
-        if len(rows) != grid.n + 1 or any(len(r) != 2 for r in rows):
-            raise ConfigError(f"{where}: {path} must have {grid.n + 1} x,value rows")
-        return GridFn1D(grid, [r[1] for r in rows])
+        return GridFn1D(grid, _read_csv(raw, [grid], base_dir, where))
     e = _parse_expr(raw, where)
     x = grid.nodes
     try:
@@ -149,13 +170,7 @@ def _edge_fn(raw: str, grid, base_dir: Path, where: str) -> GridFn1D:
 
 def _fn2d(raw: str, grid: Grid2D, base_dir: Path, where: str) -> GridFn2D:
     if raw.endswith(".csv"):
-        path = base_dir / raw if not Path(raw).is_absolute() else Path(raw)
-        rows = _read_rows(path, "x1,x2,value", where)
-        n1, n2 = grid.g1.n, grid.g2.n
-        if len(rows) != (n1 + 1) * (n2 + 1) or any(len(r) != 3 for r in rows):
-            raise ConfigError(f"{where}: {path} must have {(n1 + 1) * (n2 + 1)} x1,x2,value rows")
-        values = np.array([r[2] for r in rows]).reshape(n1 + 1, n2 + 1)
-        return GridFn2D(grid, values)
+        return GridFn2D(grid, _read_csv(raw, [grid.g1, grid.g2], base_dir, where).reshape(grid.shape))
     e = _parse_expr(raw, where)
     X1 = grid.g1.nodes[:, None]
     X2 = grid.g2.nodes[None, :]
@@ -312,12 +327,10 @@ def _cmd_solve(args) -> int:
     if cfg.data_kind is None:
         raise ConfigError("solve needs a [data.nonclassical] or [data.classical] block")
     if cfg.data_kind == "classical":
-        sol = solve_classical(cfg.coeffs, cfg.rhs, cfg.classical, cfg.grid,
-                              tol=cfg.tol, max_iter=cfg.max_iter, ridge=cfg.ridge)
+        sol = solve_classical(cfg.coeffs, cfg.rhs, cfg.classical, cfg.grid, ridge=cfg.ridge)
     else:
-        problem = DirichletProblem(cfg.grid, cfg.coeffs, cfg.rhs, cfg.nonclassical,
-                                   tol=cfg.tol, max_iter=cfg.max_iter, ridge=cfg.ridge)
-        sol = solve_dirichlet(problem)
+        sol = solve_dirichlet(DirichletProblem(cfg.grid, cfg.coeffs, cfg.rhs, cfg.nonclassical,
+                                               ridge=cfg.ridge))
 
     out = Path(args.out)
     _write_text(out, _csv_2d(sol.field.u))
@@ -396,8 +409,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    case = manufactured_problem(_parse_expr(args.u, "--u"), cfg.coeffs, cfg.grid,
-                                tol=cfg.tol, max_iter=cfg.max_iter)
+    case = manufactured_problem(_parse_expr(args.u, "--u"), cfg.coeffs, cfg.grid)
     sol = solve_dirichlet(case.problem)
     lines = ["quantity,max_error,l2_error"]
     for i in range(3):
@@ -421,7 +433,7 @@ def _cmd_convergence(args) -> int:
         raise ConfigError(f"--grids must be a comma list of integers, got {args.grids!r}") from None
     table = convergence_study(
         _parse_expr(args.u, "--u"), cfg.coeff_exprs,
-        (cfg.grid.g1.length, cfg.grid.g2.length), ns, tol=cfg.tol,
+        (cfg.grid.g1.length, cfg.grid.g2.length), ns,
     )
     _write_text(args.out, table.as_csv())
     for row in table.rows:

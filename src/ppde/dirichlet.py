@@ -12,11 +12,12 @@ conditions on the far edges:
     D2^2u(h1, x2)   = z02_h1(x2)    (one row per x2 node)
 
 Every left-hand side is an affine function of theta because the Goursat
-solution w depends affinely on the traces.  The offset of that map comes
-from one Goursat solve at theta = 0; its columns come from one march of
-the homogeneous Goursat problems of the unit traces, one right-hand side
-per unknown, which keeps only the far-edge sums of each row.  The system
-is solved in the least-squares sense with minimum-norm tie-breaking.  Data
+solution w depends affinely on the traces.  One march gives the whole map:
+its first right-hand side is the Goursat problem at theta = 0 (the
+offset), and the others are the homogeneous Goursat problems of the unit
+traces (the columns), one per unknown; only the far-edge sums of each row
+are kept.  The system is solved in the least-squares sense with
+minimum-norm tie-breaking.  Data
 that are the traces of an actual solution make the system consistent up
 to discretization; for arbitrary data the minimized residual is reported
 as a diagnostic.  The classical Dirichlet problem is solved by exact
@@ -32,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .goursat import GoursatProblem, GoursatSolution, MarchingError, march, solve_goursat
-from .grid import Grid2D, GridFn1D, GridFn2D, cumulative_integrals, lp_norm, mixed_norm
+from .goursat import GoursatProblem, MarchingError, known_term, march, solve_goursat
+from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm
 from .problem import (
-    COEFFICIENT_NAMES,
     AgreementReport,
     ClassicalData,
     Coefficients,
@@ -45,8 +45,9 @@ from .problem import (
     check_agreement,
     check_compatibility,
     classical_to_nonclassical,
+    live_terms,
 )
-from .representation import DerivativeField, TraceSet
+from .representation import DerivativeField, TraceSet, line, orders
 
 __all__ = [
     "DirichletProblem",
@@ -135,25 +136,15 @@ class Solution:
         self.diagnostics = diagnostics
 
 
-def _split_theta(theta: np.ndarray, n1: int, n2: int):
-    c = float(theta[0])
-    g1 = theta[1:n1 + 2]
-    g2 = theta[n1 + 2:]
-    return c, g1, g2
-
-
-def _traces_at(p: DirichletProblem, theta: np.ndarray) -> TraceSet:
-    c, g1, g2 = _split_theta(theta, p.grid.g1.n, p.grid.g2.n)
-    return TraceSet(
-        u00=p.data.z00, u10=p.data.z10, u01=p.data.z01, c=c,
-        p=p.data.z20, g1=GridFn1D(p.grid.g1, g1),
-        q=p.data.z02, g2=GridFn1D(p.grid.g2, g2),
+def _goursat_problem(p: DirichletProblem, theta: np.ndarray) -> GoursatProblem:
+    """The Goursat problem whose unknown traces [c, g1 nodes, g2 nodes] are theta."""
+    n1 = p.grid.g1.n
+    traces = TraceSet(
+        u00=p.data.z00, u10=p.data.z10, u01=p.data.z01, c=float(theta[0]),
+        p=p.data.z20, g1=GridFn1D(p.grid.g1, theta[1:n1 + 2]),
+        q=p.data.z02, g2=GridFn1D(p.grid.g2, theta[n1 + 2:]),
     )
-
-
-def _goursat_at(p: DirichletProblem, theta: np.ndarray) -> GoursatSolution:
-    gp = GoursatProblem(_traces_at(p, theta), p.coeffs, p.rhs)
-    return solve_goursat(gp)
+    return GoursatProblem(traces, p.coeffs, p.rhs)
 
 
 def _signed_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
@@ -176,75 +167,66 @@ def _signed_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
     }
 
 
-def _unit_forcing_rows(p: DirichletProblem, I1, C1, T1, I2, C2, T2):
-    """Row i of known = -lower_order(trace field) for every unit trace.
-
-    Columns: [c = 1, g1 = e_m for each x1 node m, g2 = e_m for each x2
-    node m], all other traces, w and the right-hand side zero.  By the
-    trace representation c = 1 gives u = x1 x2, D1u = x2, D2u = x1 and
-    D1D2u = 1.  g1 = e_m gives D1^2 D2 u = e_m, D1^2 u = x2 e_m,
-    D1D2u = C1[:, m], D2u = T1[:, m], D1u = x2 C1[:, m] and
-    u = x2 T1[:, m], where C1 and T1 are the cumulative integral and
-    Taylor remainder of the identity along x1; g2 = e_m likewise with the
-    axes swapped.  Each row is thus a sum of outer products.
-    """
-    x2 = p.grid.g2.nodes[:, None]
-    a = {name: getattr(p.coeffs, name).values for name in COEFFICIENT_NAMES}
-    for i, x in enumerate(p.grid.g1.nodes):
-        r = {name: v[i][:, None] for name, v in a.items()}
-        c = r["a11"] + x2 * r["a10"] + x * r["a01"] + x * x2 * r["a00"]
-        g1 = ((r["a21"] + x2 * r["a20"]) * I1[i] + (r["a11"] + x2 * r["a10"]) * C1[i]
-              + (r["a01"] + x2 * r["a00"]) * T1[i])
-        g2 = ((r["a12"] + x * r["a02"]) * I2 + (r["a11"] + x * r["a01"]) * C2
-              + (r["a10"] + x * r["a00"]) * T2)
-        yield -np.hstack([c, g1, g2])
-
-
 def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     """Assemble the affine far-edge residual map R(theta) = matrix @ theta - offset.
 
     Rows: D2u(h1, 0), D1u(0, h2), D1^2u(., h2), D2^2u(h1, .).  Each is a
     trace part plus a w part: D1^2u(x1, h2) gains T2w(x1, h2), one dot
     product per row of w, and D2^2u(h1, x2) gains T1w(h1, x2), a sum over
-    the rows; D2u(h1, 0) and D1u(0, h2) do not depend on w.  The offset
-    takes w from one Goursat solve at theta = 0.  The matrix is linear in
-    the unit traces c, g1 = e_m and g2 = e_m; their homogeneous Goursat
-    problems share one march with one right-hand side per unknown, and
-    only the far-edge sums of its rows are kept.
+    the rows; D2u(h1, 0) and D1u(0, h2) do not depend on w.  Column 0 of
+    one augmented array [R(0) | matrix] is the problem at theta = 0, and
+    the others are linear in the unit traces c = 1, g1 = e_m and g2 = e_m.
+    Their trace parts are the unit-trace fields of the order table at the
+    far edges.  All columns share one march, with one right-hand side per
+    column; its rows are [known at theta = 0 | -lower_order(unit-trace
+    fields)], and only the far-edge sums of the rows of w are kept.
     """
     g1, g2 = p.grid.g1, p.grid.g2
     n1, n2 = g1.n, g2.n
-    I1, I2 = np.eye(n1 + 1), np.eye(n2 + 1)
-    C1, _, T1 = cumulative_integrals(I1, g1.nodes[:, None], g1.h)
-    C2, _, T2 = cumulative_integrals(I2, g2.nodes[:, None], g2.h)
-    try:
-        w0 = _goursat_at(p, np.zeros(1 + (n1 + 1) + (n2 + 1))).w.values
-    except MarchingError as err:
-        raise MarchingError(f"closure base solve failed: {err}") from err
-    # At theta = 0: D2u(h1, 0) = z01, D1u(0, h2) = z10, D1^2u(., h2) = z20
-    # plus the w part and D2^2u(h1, .) = z02 plus the w part.
+    F1 = orders(np.eye(n1 + 1), g1.nodes[:, None], g1.h)
+    F2 = orders(np.eye(n2 + 1), g2.nodes[:, None], g2.h)
+
+    def unit(i, q, r, j=slice(None)):
+        """D1^q D2^r u at x1 node i and x2 nodes j for the unit traces [c | g1 = e_m | g2 = e_m].
+
+        Their fields are line x line, F1[., m] x line and line x F2[., m].
+        """
+        line1, line2 = line(g1.nodes[i]), line(g2.nodes[j, None])
+        row = np.zeros((line2[0].shape[0], n1 + n2 + 3))
+        for block, f1, f2 in ((row[:, :1], line1, line2),
+                              (row[:, 1:n1 + 2], [f[i] for f in F1], line2),
+                              (row[:, n1 + 2:], line1, [f[j] for f in F2])):
+            if q < len(f1) and r < len(f2):
+                block[...] = f1[q] * f2[r]
+        return row
+
     d = p.data
-    r0 = np.concatenate([
-        [d.z01 - d.z01_h1, d.z10 - d.z10_h2],
-        d.z20.values + w0 @ T2[-1] - d.z20_h2.values,
-        d.z02.values + T1[-1] @ w0 - d.z02_h1.values,
+    system = np.column_stack([
+        np.concatenate([[d.z01 - d.z01_h1, d.z10 - d.z10_h2],
+                        d.z20.values - d.z20_h2.values, d.z02.values - d.z02_h1.values]),
+        np.vstack([unit(n1, 0, 1, [0]), unit(0, 1, 0, [n2])]
+                  + [unit(i, 2, 0, [n2]) for i in range(n1 + 1)] + [unit(n1, 0, 2)]),
     ])
-    z1, z2 = np.zeros(n1 + 1), np.zeros(n2 + 1)
-    matrix = np.vstack([
-        np.concatenate([[g1.length], T1[-1], z2]),
-        np.concatenate([[g2.length], z1, T2[-1]]),
-        np.hstack([z1[:, None], g2.length * I1, np.zeros((n1 + 1, n2 + 1))]),
-        np.hstack([z2[:, None], np.zeros((n2 + 1, n1 + 1)), g1.length * I2]),
-    ])
-    far_x2 = matrix[2:n1 + 3]   # D1^2u(x1, h2) rows, one per x1 node
-    far_x1 = matrix[n1 + 3:]    # D2^2u(h1, x2) rows, one per x2 node
+    known0 = known_term(_goursat_problem(p, np.zeros(n1 + n2 + 3)))
+    live = live_terms(p.coeffs)
+
+    def rows():
+        for i in range(n1 + 1):
+            row = np.zeros((n2 + 1, n1 + n2 + 4))
+            row[:, 0] = known0[i]
+            for a, (q, r) in live:
+                row[:, 1:] -= a[i][:, None] * unit(i, q, r)
+            yield row
+
+    far_x2 = system[2:n1 + 3]   # D1^2u(x1, h2) rows, one per x1 node
+    far_x1 = system[n1 + 3:]    # D2^2u(h1, x2) rows, one per x2 node
     try:
-        for i, w in enumerate(march(p.coeffs, _unit_forcing_rows(p, I1, C1, T1, I2, C2, T2))):
-            far_x2[i] += T2[-1] @ w
-            far_x1 += T1[-1, i] * w
+        for i, w in enumerate(march(p.coeffs, rows())):
+            far_x2[i] += F2[0][-1] @ w
+            far_x1 += F1[0][-1, i] * w
     except MarchingError as err:
         raise MarchingError(f"closure march failed: {err}") from err
-    return ClosureSystem(matrix, -r0, n1, n2)
+    return ClosureSystem(system[:, 1:], -system[:, 0], n1, n2)
 
 
 def _solve_least_squares(system: ClosureSystem, ridge: float) -> np.ndarray:
@@ -285,15 +267,15 @@ def _coefficient_norms(coeffs: Coefficients) -> dict:
 def solve_dirichlet(p: DirichletProblem) -> Solution:
     """Solve the non-classical Dirichlet problem.
 
-    Steps: compatibility residuals, closure assembly (one Goursat solve
-    and one multi-right-hand-side march), minimum norm least squares for
+    Steps: compatibility residuals, closure assembly (one
+    multi-right-hand-side march), minimum norm least squares for
     theta, one final Goursat solve, and a full diagnostic report (all
     eleven boundary-condition residuals evaluated on the returned field).
     """
     compat = check_compatibility(p.data)
     system = assemble_closure_system(p)
     theta = _solve_least_squares(system, p.ridge)
-    final = _goursat_at(p, theta)
+    final = solve_goursat(_goursat_problem(p, theta))
     closure_residual = float(np.linalg.norm(system.matrix @ theta - system.offset))
     diagnostics = Diagnostics(
         compat=compat,
@@ -307,17 +289,15 @@ def solve_dirichlet(p: DirichletProblem) -> Solution:
 
 
 def solve_classical(coeffs: Coefficients, rhs: GridFn2D, d: ClassicalData,
-                    grid: Grid2D, tol: float = 1e-12, max_iter: int = 200,
-                    ridge: float = 0.0) -> Solution:
+                    grid: Grid2D, ridge: float = 0.0) -> Solution:
     """Solve the classical Dirichlet problem via exact data conversion.
 
     The boundary triples are repackaged into non-classical data (a
     lossless read-off), the non-classical solver runs unchanged, and the
     agreement residuals of the original data ride along in Diagnostics.
-    ``tol`` and ``max_iter`` are validated but have no effect.
     """
     z = classical_to_nonclassical(d)
-    problem = DirichletProblem(grid, coeffs, rhs, z, tol=tol, max_iter=max_iter, ridge=ridge)
+    problem = DirichletProblem(grid, coeffs, rhs, z, ridge=ridge)
     s = solve_dirichlet(problem)
     diagnostics = dataclasses.replace(s.diagnostics, agreement=check_agreement(d))
     return Solution(s.field, s.theta, diagnostics)

@@ -12,7 +12,8 @@ rule the discrete equation (I + A) w = known is lower-triangular in the
 node order, so it is solved exactly by marching over the x1 rows (Brunner,
 Volterra Integral Equations, CUP 2017): row i is an (n2+1) x (n2+1)
 lower-triangular system whose right-hand side depends on the rows before
-it only through two running x1 sums, of w and of x1 * w.  A vanishing
+it only through two running x1 sums, of w and of x1 * w.  Every kernel
+comes from the order table of ``ppde.representation``.  A vanishing
 diagonal pivot or a non-finite row is reported as a MarchingError naming
 the node or the row, never silently accepted.
 """
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFn2D, cumulative_integrals
-from .problem import COEFFICIENT_NAMES, Coefficients, apply_operator, lower_order
-from .representation import DerivativeField, TraceSet, reconstruct_field
+from .grid import GridFn2D
+from .problem import Coefficients, apply_operator, live_terms, lower_order
+from .representation import DerivativeField, TraceSet, orders, reconstruct_field
 
-__all__ = ["GoursatProblem", "GoursatSolution", "MarchingError", "march", "solve_goursat"]
+__all__ = ["GoursatProblem", "GoursatSolution", "MarchingError", "known_term", "march",
+           "solve_goursat"]
 
 # A diagonal pivot at most this multiple of its row's largest entry counts as
 # zero: the triangular solve would divide by cancellation noise.
@@ -66,6 +68,12 @@ class GoursatSolution:
         self.residual = residual
 
 
+def known_term(gp: GoursatProblem) -> np.ndarray:
+    """known = rhs - lower_order(field of the traces with w = 0), row i per x1 node."""
+    trace_field = reconstruct_field(gp.traces, GridFn2D.zeros(gp.grid))
+    return gp.rhs.values - lower_order(trace_field, gp.coeffs)
+
+
 def march(coeffs: Coefficients, known_rows):
     """Solve (I + A) w = known row by row; yields w[i] for each known[i].
 
@@ -74,36 +82,36 @@ def march(coeffs: Coefficients, known_rows):
     solved together.  With every coefficient zero, w = known and the rows
     pass through untouched.
 
-    Along a row, L and R are the trapezoid matrices of int_0^{x2} and of
-    int_0^{x2} (x2 - b) db.  With zero traces the derivative rows of u are
-    D1^2 D2^q u = K_q w, D1 D2^q u = K_q C and D2^q u = K_q (x1 C - S),
-    where K_2 = I, K_1 = L, K_0 = R and C, S are the trapezoid integrals
-    of w and a * w over a in [0, x1].  C and S take w[i] with weight h1/2
-    and the rows before it through two running sums, so the feedback is
-    G0 @ s0 + G1 @ s1 plus a lower-triangular matrix times w[i], and the
-    march keeps O(n2 * k) state.
+    With zero traces D1^p D2^q u is the w term of the order table: the
+    order-p x1 factor of w, then the order-q x2 factor of that.  Along a
+    row the x2 orders are the trapezoid matrices K = orders(I) = (R, L, I)
+    of int_0^{x2} (x2 - b) db, int_0^{x2} db and the identity.  Along x1,
+    order 2 is the row w[i] itself, order 1 is C = s0 + (h1/2) w[i] and
+    order 0 is R = x1 C - S = x1 s0 - s1, where s0 and s1 are the trapezoid
+    sums of w and a * w over the rows before i.  Summing the live terms
+    a_pq K[q] by p gives the row kernels G[p], so the row system is
+    I + G[2] + (h1/2) G[1] with right-hand side known - G[1] s0 - G[0] R,
+    taken as known - (G[1] + x1 G[0]) s0 + G[0] s1 so that the cancelling
+    difference x1 s0 - s1 is never formed.  The march keeps O(n2 * k) state.
     """
-    a = {name: getattr(coeffs, name).values for name in COEFFICIENT_NAMES}
-    if not any(np.any(v) for v in a.values()):
+    live = live_terms(coeffs)
+    if not live:
         yield from known_rows
         return
     g1, g2 = coeffs.grid.g1, coeffs.grid.g2
-    eye = np.eye(g2.n + 1)
-    L, _, R = cumulative_integrals(eye, g2.nodes[:, None], g2.h)
+    K = orders(np.eye(g2.n + 1), g2.nodes[:, None], g2.h)
     s0 = s1 = 0.0  # the x1 sums of w and a * w without their w[i] terms
     for i, (x, known) in enumerate(zip(g1.nodes, known_rows)):
-        r = {name: v[i][:, None] for name, v in a.items()}
-        G0 = ((r["a12"] + x * r["a02"]) * eye + (r["a11"] + x * r["a01"]) * L
-              + (r["a10"] + x * r["a00"]) * R)
-        G1 = -(r["a02"] * eye + r["a01"] * L + r["a00"] * R)
+        G = np.zeros((3,) + K[0].shape)
+        for a, (p, q) in live:
+            G[p] += a[i][:, None] * K[q]
         # The pivots are 1 + (a21 + a11 h1/2) h2/2 + a12 h1/2 (L and R have
         # an empty first row, and R a zero diagonal).
         half = 0.5 * g1.h if i else 0.0
-        system = (eye + (r["a21"] + half * r["a11"]) * L + (r["a20"] + half * r["a10"]) * R
-                  + (half * r["a12"]) * eye)
+        system = K[2] + G[2] + half * G[1]
         _check_pivots(system, i)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            w = np.linalg.solve(system, known - G0 @ s0 - G1 @ s1 if i else known)
+            w = np.linalg.solve(system, known - (G[1] + x * G[0]) @ s0 + G[0] @ s1 if i else known)
         if not np.all(np.isfinite(w)):
             raise MarchingError(f"the march produced non-finite values in row {i}")
         weight = g1.h if i else 0.5 * g1.h
@@ -128,9 +136,7 @@ def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
     Returns w, the reconstructed field and the sup-norm residual of the
     full operator equation.
     """
-    trace_field = reconstruct_field(gp.traces, GridFn2D.zeros(gp.grid))
-    known = gp.rhs.values - lower_order(trace_field, gp.coeffs)
-    del trace_field
+    known = known_term(gp)
     w_fn = GridFn2D(gp.grid, np.array(list(march(gp.coeffs, known[:, :, None])))[:, :, 0])
     field = reconstruct_field(gp.traces, w_fn)
     residual = float(np.max(np.abs(apply_operator(field, gp.coeffs).values - gp.rhs.values)))

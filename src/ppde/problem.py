@@ -43,6 +43,7 @@ __all__ = [
     "nonclassical_to_classical",
     "check_compatibility",
     "apply_operator",
+    "live_terms",
     "lower_order",
 ]
 
@@ -293,6 +294,12 @@ def check_compatibility(z: NonClassicalData) -> CompatibilityReport:
 def _terms(field: DerivativeField, a: Coefficients):
     """The products a_ij * D1^i D2^j u, one grid each, in summation order."""
     return (getattr(a, name).values * field.d[i][j].values for name, (i, j) in _TERMS.items())
+
+
+def live_terms(a: Coefficients) -> list:
+    """(values, (i, j)) of each coefficient that is not identically zero, in summation order."""
+    return [(v, ij) for v, ij in ((getattr(a, name).values, ij) for name, ij in _TERMS.items())
+            if np.any(v)]
 
 
 def lower_order(field: DerivativeField, a: Coefficients) -> np.ndarray:

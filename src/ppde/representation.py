@@ -1,8 +1,9 @@
 """Reconstruction of a function and all nine mixed derivatives from traces.
 
-A function u with D1^i D2^j u integrable for i, j <= 2 is determined on the
-rectangle by four corner scalars, four edge derivative traces and the
-principal mixed derivative w = D1^2 D2^2 u:
+A function u with D1^i D2^j u integrable for i, j <= 2 (S. L. Sobolev's
+isotropic space) is determined on the rectangle by four corner scalars,
+four edge derivative traces and the principal mixed derivative
+w = D1^2 D2^2 u:
 
     u(x) = u(0,0) + x1*D1u(0,0) + x2*D2u(0,0) + x1*x2*D1D2u(0,0)
          + int_0^{x1} (x1-a) p(a) da   + x2 * int_0^{x1} (x1-a) g1(a) da
@@ -10,15 +11,25 @@ principal mixed derivative w = D1^2 D2^2 u:
          + int_0^{x1} int_0^{x2} (x1-a)(x2-b) w(a,b) da db,
 
 with p = D1^2 u(.,0), g1 = D1^2 D2 u(.,0), q = D2^2 u(0,.),
-g2 = D1 D2^2 u(0,.).  Differentiating under the integral signs gives the
-remaining eight derivative grids; the formulas appear inline below.
+g2 = D1 D2^2 u(0,.).  Every term is a tensor product of one factor per
+axis, and each factor is one of three kinds, listed by its derivatives of
+order 0, 1 and 2 along its axis (the order table):
 
-The double integral is expanded through its four separable moments
-(x1-a)(x2-b) = x1*x2 - x1*b - x2*a + a*b.  A full reconstruction takes 18
-cumulative-trapezoid sweeps, O(n1*n2) work in all: two 1D sweeps per trace
-function (8) and ten 2D sweeps over w, namely two per one-variable partial
-integral, one each to finish the moments of w and a*w from their x1
-partial sums, and two each for the moments of b*w and a*b*w.
+    the constant                          (1, 0, 0)
+    the line                              (x, 1, 0)
+    the part whose second derivative is f (R[f], C[f], f)
+
+where C[f] = int_0^x f(t) dt and R[f] = int_0^x (x - t) f(t) dt.  So
+D1^i D2^j u is the sum over the terms of (order-i x1 factor) times
+(order-j x2 factor); the w term is the third kind applied along x1 and then
+along x2.  A factor lists its orders up to its last nonzero one
+(``_CONSTANT``, ``line``, ``orders``); the missing ones are zero, and their
+products are skipped.  The same table gives ``goursat.march`` its row
+kernels and the closure in ``dirichlet`` its unit-trace right-hand sides.
+
+A full reconstruction takes 16 cumulative-trapezoid sweeps, O(n1*n2) work
+in all: two per trace function (8) and eight 2D sweeps over w, two along x1
+and then two along x2 for each of its three x1 orders.
 """
 
 from __future__ import annotations
@@ -26,9 +37,29 @@ from __future__ import annotations
 import math
 
 from . import expr as ex
-from .grid import Grid2D, GridFn1D, GridFn2D, cumtrapz, cumulative_integrals
 
-__all__ = ["TraceSet", "DerivativeField", "reconstruct_field", "extract_traces"]
+# cumtrapz is bound here, unused, because perfbench/tracing.py wraps the
+# name ppde.representation.cumtrapz and fails if it is missing.
+from .grid import Grid2D, GridFn1D, GridFn2D, cumtrapz, cumulative_integrals  # noqa: F401
+
+__all__ = ["TraceSet", "DerivativeField", "line", "orders", "reconstruct_field", "extract_traces"]
+
+_CONSTANT = (1.0,)
+
+
+def line(x):
+    """Orders 0 and 1 of the line x; its second derivative is zero."""
+    return (x, 1.0)
+
+
+def orders(f, x, h: float, axis: int = 0):
+    """Orders 0, 1 and 2 of the part whose second derivative is f: (R[f], C[f], f).
+
+    ``x`` holds the nodes of ``axis``, shaped to broadcast against ``f``;
+    any other axes of ``f`` are carried along.
+    """
+    c, _, r = cumulative_integrals(f, x, h, axis)
+    return r, c, f
 
 
 class TraceSet:
@@ -104,56 +135,24 @@ def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
         raise ValueError("trace grids do not match the grid of w")
     X1, X2 = _axes(grid)
     h1, h2 = grid.g1.h, grid.g2.h
-    W = w.values
-
-    # 1D trace integrals: C* are plain cumulatives, T* are (x - t)-weighted.
-    x1n, x2n = grid.g1.nodes, grid.g2.nodes
-    Cp, _, Tp = cumulative_integrals(t.p.values, x1n, h1)
-    Cg1, _, Tg1 = cumulative_integrals(t.g1.values, x1n, h1)
-    Cq, _, Tq = cumulative_integrals(t.q.values, x2n, h2)
-    Cg2, _, Tg2 = cumulative_integrals(t.g2.values, x2n, h2)
-
-    # Partial integrals of w in one variable at a time:
-    # C1w = int_0^{x1} w(a, x2) da, T1w = int_0^{x1} (x1-a) w(a, x2) da,
-    # C2w, T2w likewise over b in [0, x2].
-    C1w, S1w, T1w = cumulative_integrals(W, X1, h1, axis=0)
-    C2w, S2w, T2w = cumulative_integrals(W, X2, h2, axis=1)
-
-    # Cumulative 2D moments of w over [0,x1] x [0,x2]; M00 and M10 finish
-    # the x1 sums of w and a*w taken above.
-    M00 = cumtrapz(C1w, h2, axis=1)
-    M10 = cumtrapz(S1w, h2, axis=1)
-    del S1w, S2w  # two fewer live grids while the outputs are built
-    M01 = cumtrapz(cumtrapz(X2 * W, h1, axis=0), h2, axis=1)
-    M11 = cumtrapz(cumtrapz(X1 * X2 * W, h1, axis=0), h2, axis=1)
-    double = X1 * X2 * M00 - X1 * M01 - X2 * M10 + M11
-
-    pc = t.p.values[:, None]
-    g1c = t.g1.values[:, None]
-    qr = t.q.values[None, :]
-    g2r = t.g2.values[None, :]
-
-    # u = u00 + x1 u10 + x2 u01 + x1 x2 c + T[p] + x2 T[g1] + T[q] + x1 T[g2] + double
-    d00 = (t.u00 + X1 * t.u10 + X2 * t.u01 + X1 * X2 * t.c
-           + Tp[:, None] + X2 * Tg1[:, None] + Tq[None, :] + X1 * Tg2[None, :] + double)
-    # D1 u = u10 + x2 c + C[p] + x2 C[g1] + T[g2] + int (x2-b) w over the rectangle
-    d10 = (t.u10 + X2 * t.c + Cp[:, None] + X2 * Cg1[:, None] + Tg2[None, :]
-           + (X2 * M00 - M01))
-    # D2 u = u01 + x1 c + T[g1] + C[q] + x1 C[g2] + int (x1-a) w over the rectangle
-    d01 = (t.u01 + X1 * t.c + Tg1[:, None] + Cq[None, :] + X1 * Cg2[None, :]
-           + (X1 * M00 - M10))
-    # D1 D2 u = c + C[g1] + C[g2] + int int w
-    d11 = t.c + Cg1[:, None] + Cg2[None, :] + M00
-    # D1^2 u = p(x1) + x2 g1(x1) + int_0^{x2} (x2-b) w(x1, b) db
-    d20 = pc + X2 * g1c + T2w
-    # D1^2 D2 u = g1(x1) + int_0^{x2} w(x1, b) db
-    d21 = g1c + C2w
-    # D2^2 u = q(x2) + x1 g2(x2) + int_0^{x1} (x1-a) w(a, x2) da
-    d02 = qr + X1 * g2r + T1w
-    # D1 D2^2 u = g2(x2) + int_0^{x1} w(a, x2) da
-    d12 = g2r + C1w
-
-    arrays = [[d00, d01, d02], [d10, d11, d12], [d20, d21, W]]
+    line1, line2 = line(X1), line(X2)
+    p, g1 = (orders(f.values[:, None], X1, h1) for f in (t.p, t.g1))
+    q, g2 = (orders(f.values[None, :], X2, h2, axis=1) for f in (t.q, t.g2))
+    # (scalar, x1 factor, x2 factor): the eight trace terms of u, in the
+    # order of the module docstring.
+    terms = (
+        (t.u00, _CONSTANT, _CONSTANT), (t.u10, line1, _CONSTANT),
+        (t.u01, _CONSTANT, line2), (t.c, line1, line2),
+        (1.0, p, _CONSTANT), (1.0, g1, line2), (1.0, _CONSTANT, q), (1.0, line1, g2),
+    )
+    w1 = orders(w.values, X1, h1, axis=0)
+    arrays = []
+    for i in range(3):
+        w2 = orders(w1[i], X2, h2, axis=1)
+        arrays.append([
+            sum(s * a[i] * b[j] for s, a, b in terms if i < len(a) and j < len(b)) + w2[j]
+            for j in range(3)
+        ])
     wrapped = [[GridFn2D(grid, arrays[i][j]) for j in range(3)] for i in range(3)]
     return DerivativeField(grid, wrapped)
 

@@ -68,13 +68,8 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def manufactured_problem(u, coeffs: Coefficients, grid: Grid2D,
-                         tol: float = 1e-12, max_iter: int = 200) -> ManufacturedCase:
-    """Bundle data, right-hand side and reference for a symbolic u.
-
-    ``tol`` and ``max_iter`` are passed to DirichletProblem, where they are
-    validated but have no effect.
-    """
+def manufactured_problem(u, coeffs: Coefficients, grid: Grid2D) -> ManufacturedCase:
+    """Bundle data, right-hand side and reference for a symbolic u."""
     if isinstance(u, str):
         u = ex.parse(u)
     traces, _, reference = extract_traces(u, grid)
@@ -89,7 +84,7 @@ def manufactured_problem(u, coeffs: Coefficients, grid: Grid2D,
         z02_h1=GridFn1D(grid.g2, d[0][2].values[n1, :]),
     )
     rhs = apply_operator(reference, coeffs)
-    problem = DirichletProblem(grid, coeffs, rhs, data, tol=tol, max_iter=max_iter)
+    problem = DirichletProblem(grid, coeffs, rhs, data)
     return ManufacturedCase(u=u, coeffs=coeffs, problem=problem, reference=reference)
 
 
@@ -99,14 +94,14 @@ def _order(e_coarse: float, e_fine: float) -> float:
     return math.log2(e_coarse / e_fine) if e_coarse > 0.0 else -math.inf
 
 
-def convergence_study(u, coeff_exprs: dict, lengths: tuple, ns, tol: float = 1e-12) -> ConvergenceTable:
+def convergence_study(u, coeff_exprs: dict, lengths: tuple, ns) -> ConvergenceTable:
     """Solve the manufactured problem for u over doubling grids.
 
     ``coeff_exprs`` maps coefficient names to expressions so the
     coefficients can be resampled per grid; ``lengths`` is the rectangle
     sides (h1, h2); ``ns`` the doubling interval counts.  Errors are
     measured on u itself (max node error and trapezoid L2) against the
-    symbolic reference.  ``tol`` is validated but has no effect.
+    symbolic reference.
     """
     ns = list(ns)
     if len(ns) < 2:
@@ -119,7 +114,7 @@ def convergence_study(u, coeff_exprs: dict, lengths: tuple, ns, tol: float = 1e-
     for n in ns:
         grid = Grid2D(make_grid(h1, n), make_grid(h2, n))
         coeffs = Coefficients.from_exprs(grid, coeff_exprs)
-        case = manufactured_problem(u, coeffs, grid, tol=tol)
+        case = manufactured_problem(u, coeffs, grid)
         sol = solve_dirichlet(case.problem)
         diff = sol.field.u.values - case.reference.u.values
         e_max = float(np.max(np.abs(diff)))

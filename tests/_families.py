@@ -6,6 +6,8 @@ quadrature-error bounds phrased in terms of the data scale hold with room
 to spare.
 """
 
+import numpy as np
+
 from ppde.expr import evaluate
 from ppde.problem import COEFFICIENT_NAMES
 
@@ -37,6 +39,17 @@ def random_coefficient_exprs(rng) -> dict:
             else:
                 out[name] = f"({c:.4f})*x2"
     return out
+
+
+def coefficient_subsets(exprs: dict, seed: int) -> list:
+    """No coefficient, each one alone, one random mix of four, and all.
+
+    Run over these, a test checks each (i, j) term of the operator on its
+    own as well as together.
+    """
+    rng = np.random.default_rng(seed)
+    mix = {name: exprs[name] for name in rng.choice(sorted(exprs), size=4, replace=False)}
+    return [{}] + [{name: e} for name, e in exprs.items()] + [mix, exprs]
 
 
 def random_expr(rng, depth=0) -> str:

@@ -1,12 +1,17 @@
 import json
 import subprocess
 import sys
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppde.cli import load_config, run
+from ppde.problem import COEFFICIENT_NAMES, NonClassicalData
 
 BASE = """
 [domain]
@@ -133,6 +138,39 @@ class TestSolve:
         z00 = 0.0
         """)
         assert run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 3
+
+
+class TestDeterminism:
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(3, 8), names=st.sets(st.sampled_from(COEFFICIENT_NAMES)),
+           classical=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_repeated_solves_write_identical_files(self, n, names, classical, seed):
+        rng = np.random.default_rng(seed)
+
+        def num():
+            return repr(float(rng.normal()))
+
+        coefficients = [f'{name} = "{rng.uniform(-0.5, 0.5):.4f}*(1 + x1*x2)"'
+                        for name in sorted(names)]
+        if classical:
+            data = ["[data.classical]"] + [
+                f'{name}.v0 = {num()}\n{name}.v1 = {num()}\n{name}.v2 = "{num()}*x1"'
+                for name in ("phi1", "phi2", "psi1", "psi2")]
+        else:
+            data = (["[data.nonclassical]"]
+                    + [f"{key} = {num()}" for key in NonClassicalData.SCALARS]
+                    + [f'{key} = "{num()}*x2 + {num()}"' for key in
+                       NonClassicalData.X1_FUNCTIONS + NonClassicalData.X2_FUNCTIONS])
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = write(tmp / "c.ini", BASE.format(n=n), "[coefficients]", *coefficients,
+                        "[rhs]", f'expr = "{num()}*sin(x1) + x2"', *data)
+            outputs = []
+            for k in range(2):
+                out, diag = tmp / f"u{k}.csv", tmp / f"d{k}.json"
+                assert run(["solve", "--config", cfg, "--out", str(out), "--diag", str(diag)]) == 0
+                outputs.append((out.read_bytes(), diag.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestCheck:
@@ -295,6 +333,36 @@ class TestConfigLoading:
         z20 = "edge.csv"
         """)
         assert run(["check", "--config", cfg]) == 2
+
+    def test_csv_rhs_x1_fastest_rejected(self, tmp_path, capsys):
+        n = 4
+        nodes = np.linspace(0, 1, n + 1)
+        lines = ["x1,x2,value"]
+        for x2 in nodes:
+            for x1 in nodes:  # column-major: x1 varying fastest
+                lines.append(f"{x1:.16e},{x2:.16e},{x1 * x2 ** 2:.16e}")
+        (tmp_path / "rhs.csv").write_text("\n".join(lines) + "\n")
+        cfg = write(tmp_path / "c.ini", BASE.format(n=n), """
+        [rhs]
+        csv = "rhs.csv"
+
+        [data.nonclassical]
+        z00 = 0.0
+        """)
+        assert run(["check", "--config", cfg]) == 2
+        assert "rhs.csv line 3" in capsys.readouterr().err
+
+    def test_csv_edge_on_other_interval_rejected(self, tmp_path, capsys):
+        nodes = np.linspace(0, 2, 9)  # [0, 2], but the grid is on [0, 1]
+        lines = ["x,value", ""] + [f"{x:.16e},{np.sin(x):.16e}" for x in nodes]
+        (tmp_path / "edge.csv").write_text("\n".join(lines) + "\n")
+        cfg = write(tmp_path / "c.ini", BASE.format(n=8), """
+        [data.nonclassical]
+        z20 = "edge.csv"
+        """)
+        assert run(["check", "--config", cfg]) == 2
+        # x = 0.25 sits on file line 4: the blank line 2 is counted
+        assert "edge.csv line 4" in capsys.readouterr().err
 
     def test_both_data_blocks_rejected(self, tmp_path):
         cfg = write(tmp_path / "c.ini", BASE.format(n=4), """

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _families import coefficient_subsets
 from ppde.dirichlet import (
     ClosureSystem,
     DirichletProblem,
@@ -15,6 +16,7 @@ from ppde.dirichlet import (
 from ppde.goursat import GoursatProblem, MarchingError, solve_goursat
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
 from ppde.problem import (
+    COEFFICIENT_NAMES,
     BoundaryFn,
     ClassicalData,
     Coefficients,
@@ -29,10 +31,10 @@ def unit_square(n):
     return Grid2D(make_grid(1.0, n), make_grid(1.0, n))
 
 
-def poly_case(n, tol=1e-12):
+def poly_case(n):
     g = unit_square(n)
     coeffs = Coefficients.from_exprs(g, {"a00": "1"})
-    return manufactured_problem("x1^2*x2^2 + x1*x2", coeffs, g, tol=tol)
+    return manufactured_problem("x1^2*x2^2 + x1*x2", coeffs, g)
 
 
 def far_edge_residual(p, theta):
@@ -104,21 +106,22 @@ class TestClosureSystem:
 
     def test_matches_dense_probing(self):
         g = Grid2D(make_grid(1.0, 6), make_grid(0.8, 7))
-        coeffs = Coefficients.from_exprs(g, {
-            "a21": "x1", "a12": "1+x2", "a20": "0.5", "a02": "-x1*x2",
-            "a11": "sin(x1*x2)", "a10": "x2", "a01": "0.3", "a00": "1"})
+        exprs = {"a21": "x1", "a12": "1+x2", "a20": "0.5", "a02": "-x1*x2",
+                 "a11": "sin(x1*x2)", "a10": "x2", "a01": "0.3", "a00": "1"}
         rng = np.random.default_rng(5)
         data = NonClassicalData(
             *rng.normal(size=7),
             z20=GridFn1D(g.g1, rng.normal(size=7)), z02=GridFn1D(g.g2, rng.normal(size=8)),
             z20_h2=GridFn1D(g.g1, rng.normal(size=7)), z02_h1=GridFn1D(g.g2, rng.normal(size=8)))
-        p = DirichletProblem(g, coeffs, GridFn2D(g, rng.normal(size=g.shape)), data)
-        system = assemble_closure_system(p)
-        ncols = system.matrix.shape[1]
-        r0 = far_edge_residual(p, np.zeros(ncols))
-        dense = np.column_stack([far_edge_residual(p, e) - r0 for e in np.eye(ncols)])
-        assert np.max(np.abs(system.matrix - dense)) <= 1e-13
-        assert np.max(np.abs(system.offset + r0)) <= 1e-13
+        rhs = GridFn2D(g, rng.normal(size=g.shape))
+        for subset in coefficient_subsets(exprs, seed=6):
+            p = DirichletProblem(g, Coefficients.from_exprs(g, subset), rhs, data)
+            system = assemble_closure_system(p)
+            ncols = system.matrix.shape[1]
+            r0 = far_edge_residual(p, np.zeros(ncols))
+            dense = np.column_stack([far_edge_residual(p, e) - r0 for e in np.eye(ncols)])
+            assert np.max(np.abs(system.matrix - dense)) <= 1e-13, subset
+            assert np.max(np.abs(system.offset + r0)) <= 1e-13, subset
 
     def test_affine_consistency(self):
         # R(theta) from a direct solve matches matrix @ theta - offset
@@ -308,6 +311,24 @@ class TestEquivalence:
             classical = solve_classical(coeffs, rhs, nonclassical_to_classical(z), g)
             assert_solutions_bit_identical(nonclassical, classical)
             assert classical.diagnostics.agreement is not None
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 8), names=st.sets(st.sampled_from(COEFFICIENT_NAMES)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_classical_path_is_bit_identical(self, n, names, seed):
+        g = Grid2D(make_grid(1.0, n), make_grid(0.6, n))
+        rng = np.random.default_rng(seed)
+        coeffs = Coefficients.from_exprs(
+            g, {name: f"{rng.uniform(-0.5, 0.5):.4f}*(1 + x1*x2)" for name in sorted(names)})
+        z = NonClassicalData(
+            *rng.normal(size=7),
+            z20=GridFn1D(g.g1, rng.normal(size=n + 1)), z02=GridFn1D(g.g2, rng.normal(size=n + 1)),
+            z20_h2=GridFn1D(g.g1, rng.normal(size=n + 1)),
+            z02_h1=GridFn1D(g.g2, rng.normal(size=n + 1)))
+        rhs = GridFn2D(g, rng.normal(size=g.shape))
+        nonclassical = solve_dirichlet(DirichletProblem(g, coeffs, rhs, z))
+        classical = solve_classical(coeffs, rhs, nonclassical_to_classical(z), g)
+        assert_solutions_bit_identical(nonclassical, classical)
 
     def test_classical_linear(self):
         # u = x1 + x2 with the bare principal operator and zero rhs

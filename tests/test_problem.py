@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
@@ -224,6 +226,24 @@ class TestConverters:
         assert back.psi1.v1 == d.psi1.v1
         np.testing.assert_array_equal(back.psi1.v2.values, d.psi1.v2.values)
         for name in ("phi1", "phi2", "psi2"):
+            a, b = getattr(back, name), getattr(d, name)
+            assert (a.v0, a.v1) == (b.v0, b.v1)
+            np.testing.assert_array_equal(a.v2.values, b.v2.values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n1=st.integers(1, 8), n2=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_classical_round_trip_is_exact(self, n1, n2, seed):
+        g = Grid2D(make_grid(1.25, n1), make_grid(0.75, n2))
+        rng = np.random.default_rng(seed)
+
+        def triple(v0, grid):
+            return BoundaryFn(v0, rng.normal(), GridFn1D(grid, rng.normal(size=grid.n + 1)))
+
+        corner = rng.normal()  # phi1(0) = psi1(0): agreeing data keep one corner value
+        d = ClassicalData(triple(corner, g.g2), triple(rng.normal(), g.g2),
+                          triple(corner, g.g1), triple(rng.normal(), g.g1))
+        back = nonclassical_to_classical(classical_to_nonclassical(d))
+        for name in ("phi1", "phi2", "psi1", "psi2"):
             a, b = getattr(back, name), getattr(d, name)
             assert (a.v0, a.v1) == (b.v0, b.v1)
             np.testing.assert_array_equal(a.v2.values, b.v2.values)
