@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,8 @@ from .verify import convergence_study, manufactured_problem
 __all__ = ["ConfigError", "Config", "load_config", "run", "main"]
 
 _FMT = "{:.16e}"
+# CSV rows formatted per write: the text of a whole grid is never held at once.
+_WRITE_ROWS = 1024
 
 
 class ConfigError(Exception):
@@ -92,9 +95,12 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, default=None) ->
 def _get_float(cp, section, key, default=None) -> float:
     raw = _get(cp, section, key, default)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _get_int(cp, section, key, default=None) -> int:
@@ -112,15 +118,25 @@ def _parse_expr(text: str, where: str) -> ex.Expr:
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
-    """Value column of a CSV file on the nodes of ``grids``.
+def _layout(grids) -> tuple[str, np.ndarray]:
+    """Header and node coordinates, one row per node, of a CSV file on ``grids``.
 
     One grid: header ``x,value``.  Two grids (x1, x2): header
-    ``x1,x2,value``, row-major with x2 varying fastest.  Each coordinate
-    must be its grid node to within 1e-12 of the axis length.
+    ``x1,x2,value``, row-major with x2 varying fastest.
+    """
+    header = "x,value" if len(grids) == 1 else "x1,x2,value"
+    nodes = np.stack(np.meshgrid(*(g.nodes for g in grids), indexing="ij"), -1)
+    return header, nodes.reshape(-1, len(grids))
+
+
+def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
+    """Value column of a CSV file in the ``_layout`` of ``grids``.
+
+    Each coordinate must be its grid node to within 1e-12 of the axis
+    length, and each value must be finite.
     """
     path = base_dir / raw
-    header = "x,value" if len(grids) == 1 else "x1,x2,value"
+    header, nodes = _layout(grids)
     try:
         text = path.read_text().splitlines()
     except OSError as err:
@@ -130,7 +146,6 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
     lines = [text[n - 1] for n in numbers]
     if not lines or lines[0].strip() != header:
         raise ConfigError(f"{where}: {path} must start with header {header!r}")
-    nodes = np.stack(np.meshgrid(*(g.nodes for g in grids), indexing="ij"), -1).reshape(-1, len(grids))
     if len(lines) - 1 != len(nodes):
         raise ConfigError(f"{where}: {path} must have {len(nodes)} {header} rows")
 
@@ -152,6 +167,10 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
         k = int(bad[0])
         raise ConfigError(f"{where}: {path} line {numbers[k + 1]}: coordinates "
                           f"{rows[k, :-1].tolist()} are not the grid node {nodes[k].tolist()}")
+    bad = np.flatnonzero(~np.isfinite(rows[:, -1]))
+    if bad.size:
+        k = int(bad[0])
+        raise ConfigError(f"{where}: {path} line {numbers[k + 1]}: value {rows[k, -1]!r} is not finite")
     return rows[:, -1]
 
 
@@ -163,9 +182,9 @@ def _edge_fn(raw: str, grid, base_dir: Path, where: str) -> GridFn1D:
     x = grid.nodes
     try:
         values = np.broadcast_to(np.asarray(ex.evaluate(e, x, x), dtype=float), x.shape)
-    except ex.EvalDomainError as err:
+        return GridFn1D(grid, values)
+    except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
-    return GridFn1D(grid, values)
 
 
 def _fn2d(raw: str, grid: Grid2D, base_dir: Path, where: str) -> GridFn2D:
@@ -176,7 +195,7 @@ def _fn2d(raw: str, grid: Grid2D, base_dir: Path, where: str) -> GridFn2D:
     X2 = grid.g2.nodes[None, :]
     try:
         return GridFn2D(grid, ex.sample(e, X1, X2, grid.shape))
-    except ex.EvalDomainError as err:
+    except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
@@ -209,7 +228,7 @@ def load_config(path) -> Config:
         )
     try:
         coeffs = Coefficients.from_exprs(grid, coeff_exprs)
-    except ex.EvalDomainError as err:
+    except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"[coefficients]: {err}") from err
 
     if cp.has_section("rhs") and cp.has_option("rhs", "csv"):
@@ -272,21 +291,15 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _csv_1d(fn: GridFn1D) -> str:
-    lines = ["x,value"]
-    for x, v in zip(fn.grid.nodes, fn.values):
-        lines.append(f"{_FMT.format(x)},{_FMT.format(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def _csv_2d(fn: GridFn2D) -> str:
-    x1 = fn.grid.g1.nodes
-    x2 = fn.grid.g2.nodes
-    lines = ["x1,x2,value"]
-    for i in range(x1.size):
-        for j in range(x2.size):
-            lines.append(f"{_FMT.format(x1[i])},{_FMT.format(x2[j])},{_FMT.format(fn.values[i, j])}")
-    return "\n".join(lines) + "\n"
+def _write_csv(path, grids, values):
+    """Write ``values`` on the nodes of ``grids`` as CSV, in their ``_layout``."""
+    header, nodes = _layout(grids)
+    rows = np.column_stack([nodes, np.reshape(values, -1)])
+    line = ",".join([_FMT] * rows.shape[1]) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(rows), _WRITE_ROWS):
+            fh.write("".join(line.format(*row) for row in rows[start:start + _WRITE_ROWS].tolist()))
 
 
 def _diagnostics_dict(cfg: Config, sol) -> dict:
@@ -333,12 +346,13 @@ def _cmd_solve(args) -> int:
                                                ridge=cfg.ridge))
 
     out = Path(args.out)
-    _write_text(out, _csv_2d(sol.field.u))
+    grids = [cfg.grid.g1, cfg.grid.g2]
+    _write_csv(out, grids, sol.field.u.values)
     if args.field:
         for i in range(3):
             for j in range(3):
                 side = out.with_name(f"{out.stem}_d{i}{j}{out.suffix}")
-                _write_text(side, _csv_2d(sol.field.d[i][j]))
+                _write_csv(side, grids, sol.field.d[i][j].values)
     if args.diag:
         _write_text(args.diag, json.dumps(_diagnostics_dict(cfg, sol), indent=2, sort_keys=True) + "\n")
     return 0
@@ -362,7 +376,7 @@ def _cmd_convert(args) -> int:
 
     def side_csv(name: str, fn: GridFn1D) -> str:
         side = out.with_name(f"{out.stem}_{name}.csv")
-        _write_text(side, _csv_1d(fn))
+        _write_csv(side, [fn.grid], fn.values)
         return side.name
 
     if args.direction == "c2n":

@@ -16,26 +16,32 @@ solution w depends affinely on the traces.  One march gives the whole map:
 its first right-hand side is the Goursat problem at theta = 0 (the
 offset), and the others are the homogeneous Goursat problems of the unit
 traces (the columns), one per unknown; only the far-edge sums of each row
-are kept.  The system is solved in the least-squares sense with
-minimum-norm tie-breaking.  Data
-that are the traces of an actual solution make the system consistent up
-to discretization; for arbitrary data the minimized residual is reported
-as a diagnostic.  The classical Dirichlet problem is solved by exact
-conversion of its boundary data to non-classical form, which makes the
-two formulations interchangeable.
+are kept.  The offset's trace part is the far-edge residual of
+``representation.trace_part`` at theta = 0.  Where each condition sits
+(its derivative and its nodes) is read from ``problem.CONDITIONS``, for
+these rows and for the eleven residuals of the diagnostics alike.  The
+system is solved in the least-squares sense with minimum-norm
+tie-breaking.  Data that are the traces of an actual solution make the
+system consistent up to discretization; for arbitrary data the minimized
+residual is reported as a diagnostic.  The classical Dirichlet problem is
+solved by exact conversion of its boundary data to non-classical form,
+which makes the two formulations interchangeable.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .goursat import GoursatProblem, MarchingError, known_term, march, solve_goursat
+from .goursat import GoursatProblem, MarchingError, march, solve_goursat
 from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm
 from .problem import (
+    ALL_NODES,
+    CONDITIONS,
     AgreementReport,
     ClassicalData,
     Coefficients,
@@ -45,9 +51,11 @@ from .problem import (
     check_agreement,
     check_compatibility,
     classical_to_nonclassical,
+    condition_values,
     live_terms,
+    lower_order,
 )
-from .representation import DerivativeField, TraceSet, line, orders
+from .representation import DerivativeField, TraceSet, line, orders, trace_part
 
 __all__ = [
     "DirichletProblem",
@@ -80,8 +88,8 @@ class DirichletProblem:
             raise ValueError(f"tolerance must be positive, got {tol}")
         if int(max_iter) < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        if ridge < 0.0:
-            raise ValueError(f"ridge must be nonnegative, got {ridge}")
+        if not (math.isfinite(ridge) and ridge >= 0.0):
+            raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
         self.grid = grid
         self.coeffs = coeffs
         self.rhs = rhs
@@ -95,8 +103,8 @@ class ClosureSystem:
     """Affine residual map R(theta) = matrix @ theta - offset.
 
     Unknown layout: [c, g1 at the x1 nodes, g2 at the x2 nodes].  Row
-    layout: the two scalar far-corner rows, then one row per x1 node for
-    the D1^2u(., h2) condition, then one per x2 node for D2^2u(h1, .).
+    layout: the conditions of ``_CLOSURE`` in turn, one row per node that
+    ``problem.CONDITIONS`` gives each of them.
     """
 
     def __init__(self, matrix: np.ndarray, offset: np.ndarray, n1: int, n2: int):
@@ -136,63 +144,54 @@ class Solution:
         self.diagnostics = diagnostics
 
 
-def _goursat_problem(p: DirichletProblem, theta: np.ndarray) -> GoursatProblem:
-    """The Goursat problem whose unknown traces [c, g1 nodes, g2 nodes] are theta."""
+def _traces(p: DirichletProblem, theta: np.ndarray) -> TraceSet:
+    """The traces of the Goursat problem whose unknowns [c, g1 nodes, g2 nodes] are theta."""
     n1 = p.grid.g1.n
-    traces = TraceSet(
+    return TraceSet(
         u00=p.data.z00, u10=p.data.z10, u01=p.data.z01, c=float(theta[0]),
         p=p.data.z20, g1=GridFn1D(p.grid.g1, theta[1:n1 + 2]),
         q=p.data.z02, g2=GridFn1D(p.grid.g2, theta[n1 + 2:]),
     )
-    return GoursatProblem(traces, p.coeffs, p.rhs)
 
 
-def _signed_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
-    """Signed residual of each of the eleven non-classical conditions."""
-    n1 = field.grid.g1.n
-    n2 = field.grid.g2.n
-    d = field.d
-    return {
-        "z00": d[0][0].values[0, 0] - data.z00,
-        "z10": d[1][0].values[0, 0] - data.z10,
-        "z01": d[0][1].values[0, 0] - data.z01,
-        "z20": d[2][0].values[:, 0] - data.z20.values,
-        "z02": d[0][2].values[0, :] - data.z02.values,
-        "z00_h1": d[0][0].values[n1, 0] - data.z00_h1,
-        "z01_h1": d[0][1].values[n1, 0] - data.z01_h1,
-        "z00_h2": d[0][0].values[0, n2] - data.z00_h2,
-        "z10_h2": d[1][0].values[0, n2] - data.z10_h2,
-        "z20_h2": d[2][0].values[:, n2] - data.z20_h2.values,
-        "z02_h1": d[0][2].values[n1, :] - data.z02_h1.values,
-    }
+def _signed_residuals(d, data: NonClassicalData) -> dict:
+    """Signed residual of each of the eleven non-classical conditions on the arrays d[i][j]."""
+    shape = (data.z20.grid.n + 1, data.z02.grid.n + 1)
+    return {name: value - data.value(name) for name, value in condition_values(d, shape).items()}
+
+
+# The conditions that theta must meet.  The others hold whatever theta is:
+# z00, z10, z01, z20 and z02 are traces of the Goursat problem, and z00_h1
+# and z00_h2 depend on the data alone (see check_compatibility).
+_CLOSURE = ("z01_h1", "z10_h2", "z20_h2", "z02_h1")
 
 
 def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     """Assemble the affine far-edge residual map R(theta) = matrix @ theta - offset.
 
-    Rows: D2u(h1, 0), D1u(0, h2), D1^2u(., h2), D2^2u(h1, .).  Each is a
-    trace part plus a w part: D1^2u(x1, h2) gains T2w(x1, h2), one dot
-    product per row of w, and D2^2u(h1, x2) gains T1w(h1, x2), a sum over
-    the rows; D2u(h1, 0) and D1u(0, h2) do not depend on w.  Column 0 of
-    one augmented array [R(0) | matrix] is the problem at theta = 0, and
-    the others are linear in the unit traces c = 1, g1 = e_m and g2 = e_m.
-    Their trace parts are the unit-trace fields of the order table at the
-    far edges.  All columns share one march, with one right-hand side per
-    column; its rows are [known at theta = 0 | -lower_order(unit-trace
-    fields)], and only the far-edge sums of the rows of w are kept.
+    Each row is the residual of one condition of ``_CLOSURE`` at one of its
+    nodes: a trace part plus a w part.  Column 0 of one augmented array
+    [R(0) | matrix] is the problem at theta = 0, whose trace part comes from
+    ``trace_part``; the others are linear in the unit traces c = 1,
+    g1 = e_m and g2 = e_m, whose trace parts are the unit-trace fields of
+    the order table.  All columns share one march, with one right-hand side
+    per column; its rows are [known at theta = 0 | -lower_order(unit-trace
+    fields)].  The w part of a row is the order table applied to the rows
+    of w, and only its value at the condition's nodes is kept.
     """
     g1, g2 = p.grid.g1, p.grid.g2
     n1, n2 = g1.n, g2.n
     F1 = orders(np.eye(n1 + 1), g1.nodes[:, None], g1.h)
     F2 = orders(np.eye(n2 + 1), g2.nodes[:, None], g2.h)
 
-    def unit(i, q, r, j=slice(None)):
-        """D1^q D2^r u at x1 node i and x2 nodes j for the unit traces [c | g1 = e_m | g2 = e_m].
+    def unit(q, r, i, j):
+        """D1^q D2^r u at the nodes (i, j) for the unit traces [c | g1 = e_m | g2 = e_m].
 
-        Their fields are line x line, F1[., m] x line and line x F2[., m].
+        One row per node; the fields are line x line, F1[., m] x line and
+        line x F2[., m].
         """
-        line1, line2 = line(g1.nodes[i]), line(g2.nodes[j, None])
-        row = np.zeros((line2[0].shape[0], n1 + n2 + 3))
+        line1, line2 = line(g1.nodes[i, None]), line(g2.nodes[j, None])
+        row = np.zeros((np.broadcast(line1[0], line2[0]).size, n1 + n2 + 3))
         for block, f1, f2 in ((row[:, :1], line1, line2),
                               (row[:, 1:n1 + 2], [f[i] for f in F1], line2),
                               (row[:, n1 + 2:], line1, [f[j] for f in F2])):
@@ -200,14 +199,13 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
                 block[...] = f1[q] * f2[r]
         return row
 
-    d = p.data
-    system = np.column_stack([
-        np.concatenate([[d.z01 - d.z01_h1, d.z10 - d.z10_h2],
-                        d.z20.values - d.z20_h2.values, d.z02.values - d.z02_h1.values]),
-        np.vstack([unit(n1, 0, 1, [0]), unit(0, 1, 0, [n2])]
-                  + [unit(i, 2, 0, [n2]) for i in range(n1 + 1)] + [unit(n1, 0, 2)]),
-    ])
-    known0 = known_term(_goursat_problem(p, np.zeros(n1 + n2 + 3)))
+    trace0 = trace_part(_traces(p, np.zeros(n1 + n2 + 3)), p.grid)
+    known0 = p.rhs.values - lower_order(trace0, p.coeffs)
+    residual0 = _signed_residuals(trace0, p.data)
+    del trace0  # released before the march, which sets the peak memory
+    conditions = [CONDITIONS[name] for name in _CLOSURE]
+    blocks = [np.column_stack([np.atleast_1d(residual0[name]), unit(*ij, *node)])
+              for name, (ij, node) in zip(_CLOSURE, conditions)]
     live = live_terms(p.coeffs)
 
     def rows():
@@ -215,17 +213,26 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
             row = np.zeros((n2 + 1, n1 + n2 + 4))
             row[:, 0] = known0[i]
             for a, (q, r) in live:
-                row[:, 1:] -= a[i][:, None] * unit(i, q, r)
+                row[:, 1:] -= a[i][:, None] * unit(q, r, i, ALL_NODES)
             yield row
 
-    far_x2 = system[2:n1 + 3]   # D1^2u(x1, h2) rows, one per x1 node
-    far_x1 = system[n1 + 3:]    # D2^2u(h1, x2) rows, one per x2 node
+    # The w part of D1^q D2^r u at nodes (i, j) sums, over the march rows k,
+    # F1[q][i, k] times the order-r x2 factor of row k at j.  An order below
+    # 2 at node 0 is an empty integral, so such a condition has none; order
+    # 2 is the identity, which picks row k itself.
+    w_parts = [(block, q, r, i, j) for block, ((q, r), (i, j)) in zip(blocks, conditions)
+               if not ((q < 2 and i == 0) or (r < 2 and j == 0))]
     try:
-        for i, w in enumerate(march(p.coeffs, rows())):
-            far_x2[i] += F2[0][-1] @ w
-            far_x1 += F1[0][-1, i] * w
+        for k, w in enumerate(march(p.coeffs, rows())):
+            for block, q, r, i, j in w_parts:
+                x2 = w[j] if r == 2 else F2[r][j] @ w
+                if q == 2:
+                    block[np.arange(n1 + 1)[i] == k] += x2
+                else:
+                    block += F1[q][i, k] * x2
     except MarchingError as err:
         raise MarchingError(f"closure march failed: {err}") from err
+    system = np.vstack(blocks)
     return ClosureSystem(system[:, 1:], -system[:, 0], n1, n2)
 
 
@@ -246,7 +253,8 @@ def _solve_least_squares(system: ClosureSystem, ridge: float) -> np.ndarray:
 
 
 def _condition_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
-    return {name: float(np.max(np.abs(r))) for name, r in _signed_residuals(field, data).items()}
+    return {name: float(np.max(np.abs(r)))
+            for name, r in _signed_residuals(field.values, data).items()}
 
 
 def _coefficient_norms(coeffs: Coefficients) -> dict:
@@ -275,7 +283,7 @@ def solve_dirichlet(p: DirichletProblem) -> Solution:
     compat = check_compatibility(p.data)
     system = assemble_closure_system(p)
     theta = _solve_least_squares(system, p.ridge)
-    final = solve_goursat(_goursat_problem(p, theta))
+    final = solve_goursat(GoursatProblem(_traces(p, theta), p.coeffs, p.rhs))
     closure_residual = float(np.linalg.norm(system.matrix @ theta - system.offset))
     diagnostics = Diagnostics(
         compat=compat,

@@ -6,8 +6,9 @@ mixed derivative w = D1^2 D2^2 u:
 
     w(x) = known(x) - sum_ij a_ij(x) * (K_ij w)(x),
 
-where known collects the right-hand side and the trace contributions and
-every K_ij integrates w over [0, x1] x [0, x2] only.  With the trapezoid
+where known = rhs - sum_ij a_ij D1^i D2^j (trace part) is read straight off
+the arrays of ``representation.trace_part`` (the traces' own terms, with no
+w) and every K_ij integrates w over [0, x1] x [0, x2] only.  With the trapezoid
 rule the discrete equation (I + A) w = known is lower-triangular in the
 node order, so it is solved exactly by marching over the x1 rows (Brunner,
 Volterra Integral Equations, CUP 2017): row i is an (n2+1) x (n2+1)
@@ -24,10 +25,9 @@ import numpy as np
 
 from .grid import GridFn2D
 from .problem import Coefficients, apply_operator, live_terms, lower_order
-from .representation import DerivativeField, TraceSet, orders, reconstruct_field
+from .representation import DerivativeField, TraceSet, orders, reconstruct_field, trace_part
 
-__all__ = ["GoursatProblem", "GoursatSolution", "MarchingError", "known_term", "march",
-           "solve_goursat"]
+__all__ = ["GoursatProblem", "GoursatSolution", "MarchingError", "march", "solve_goursat"]
 
 # A diagonal pivot at most this multiple of its row's largest entry counts as
 # zero: the triangular solve would divide by cancellation noise.
@@ -66,12 +66,6 @@ class GoursatSolution:
         self.w = w
         self.field = field
         self.residual = residual
-
-
-def known_term(gp: GoursatProblem) -> np.ndarray:
-    """known = rhs - lower_order(field of the traces with w = 0), row i per x1 node."""
-    trace_field = reconstruct_field(gp.traces, GridFn2D.zeros(gp.grid))
-    return gp.rhs.values - lower_order(trace_field, gp.coeffs)
 
 
 def march(coeffs: Coefficients, known_rows):
@@ -136,7 +130,7 @@ def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
     Returns w, the reconstructed field and the sup-norm residual of the
     full operator equation.
     """
-    known = known_term(gp)
+    known = gp.rhs.values - lower_order(trace_part(gp.traces, gp.grid), gp.coeffs)
     w_fn = GridFn2D(gp.grid, np.array(list(march(gp.coeffs, known[:, :, None])))[:, :, 0])
     field = reconstruct_field(gp.traces, w_fn)
     residual = float(np.max(np.abs(apply_operator(field, gp.coeffs).values - gp.rhs.values)))

@@ -30,7 +30,9 @@ from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D, cumulative_integrals
 from .representation import DerivativeField
 
 __all__ = [
+    "ALL_NODES",
     "COEFFICIENT_NAMES",
+    "CONDITIONS",
     "Coefficients",
     "BoundaryFn",
     "ClassicalData",
@@ -42,6 +44,7 @@ __all__ = [
     "classical_to_nonclassical",
     "nonclassical_to_classical",
     "check_compatibility",
+    "condition_values",
     "apply_operator",
     "live_terms",
     "lower_order",
@@ -89,7 +92,10 @@ class Coefficients:
             else:
                 if isinstance(e, str):
                     e = ex.parse(e)
-                fns.append(GridFn2D(grid, ex.sample(e, X1, X2, grid.shape)))
+                try:
+                    fns.append(GridFn2D(grid, ex.sample(e, X1, X2, grid.shape)))
+                except ValueError as err:
+                    raise ValueError(f"coefficient {name}: {err}") from err
         return cls(*fns)
 
 
@@ -151,14 +157,42 @@ class ClassicalData:
         self.psi2 = psi2
 
 
+# Where each of the eleven non-classical conditions sits: condition name ->
+# ((i, j), (x1 node, x2 node)).  The condition prescribes D1^i D2^j u at that
+# node; index -1 is the far end of an axis and ALL_NODES every node of it.
+ALL_NODES = slice(None)
+CONDITIONS = {
+    "z00": ((0, 0), (0, 0)),
+    "z10": ((1, 0), (0, 0)),
+    "z01": ((0, 1), (0, 0)),
+    "z00_h1": ((0, 0), (-1, 0)),
+    "z01_h1": ((0, 1), (-1, 0)),
+    "z00_h2": ((0, 0), (0, -1)),
+    "z10_h2": ((1, 0), (0, -1)),
+    "z20": ((2, 0), (ALL_NODES, 0)),
+    "z20_h2": ((2, 0), (ALL_NODES, -1)),
+    "z02": ((0, 2), (0, ALL_NODES)),
+    "z02_h1": ((0, 2), (-1, ALL_NODES)),
+}
+
+
+def condition_values(d, shape) -> dict:
+    """D1^i D2^j u at the node(s) of each condition, read off the arrays d[i][j].
+
+    Each d[i][j] broadcasts against ``shape``.  A value is a scalar for the
+    corner conditions and the node values along the edge for the others.
+    """
+    full = [[a if np.shape(a) == shape else np.broadcast_to(a, shape) for a in row] for row in d]
+    return {name: full[i][j][node] for name, ((i, j), node) in CONDITIONS.items()}
+
+
 class NonClassicalData:
     """Right-hand sides of the non-classical boundary conditions.
 
-    Scalars: z00 = u(0,0), z10 = D1u(0,0), z01 = D2u(0,0),
-    z00_h1 = u(h1,0), z01_h1 = D2u(h1,0), z00_h2 = u(0,h2),
-    z10_h2 = D1u(0,h2).  Edge functions: z20 = D1^2u(.,0) and
-    z20_h2 = D1^2u(.,h2) on the x1 grid; z02 = D2^2u(0,.) and
-    z02_h1 = D2^2u(h1,.) on the x2 grid.
+    Each one prescribes a derivative of u at a corner (the scalars) or
+    along an edge (the edge functions, on the x1 grid for X1_FUNCTIONS and
+    on the x2 grid for X2_FUNCTIONS); ``CONDITIONS`` says which derivative
+    and where.
     """
 
     SCALARS = ("z00", "z10", "z01", "z00_h1", "z01_h1", "z00_h2", "z10_h2")
@@ -191,6 +225,20 @@ class NonClassicalData:
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                    GridFn1D.zeros(grid.g1), GridFn1D.zeros(grid.g2),
                    GridFn1D.zeros(grid.g1), GridFn1D.zeros(grid.g2))
+
+    @classmethod
+    def from_field(cls, field: DerivativeField) -> "NonClassicalData":
+        """The data that the field meets exactly, read off at the nodes of CONDITIONS."""
+        grid = field.grid
+        v = condition_values(field.values, grid.shape)
+        return cls(**{name: v[name] for name in cls.SCALARS},
+                   **{name: GridFn1D(grid.g1, v[name]) for name in cls.X1_FUNCTIONS},
+                   **{name: GridFn1D(grid.g2, v[name]) for name in cls.X2_FUNCTIONS})
+
+    def value(self, name: str):
+        """Right-hand side of one condition: a float, or the edge function's node values."""
+        v = getattr(self, name)
+        return v if name in self.SCALARS else v.values
 
 
 @dataclass(frozen=True)
@@ -291,9 +339,9 @@ def check_compatibility(z: NonClassicalData) -> CompatibilityReport:
     return CompatibilityReport(rho1=z.z00_h1 - psi1, rho2=z.z00_h2 - phi1, rho3=phi2 - psi2)
 
 
-def _terms(field: DerivativeField, a: Coefficients):
-    """The products a_ij * D1^i D2^j u, one grid each, in summation order."""
-    return (getattr(a, name).values * field.d[i][j].values for name, (i, j) in _TERMS.items())
+def _terms(d, a: Coefficients):
+    """The products a_ij * d[i][j], one grid each, in summation order."""
+    return (getattr(a, name).values * d[i][j] for name, (i, j) in _TERMS.items())
 
 
 def live_terms(a: Coefficients) -> list:
@@ -302,9 +350,13 @@ def live_terms(a: Coefficients) -> list:
             if np.any(v)]
 
 
-def lower_order(field: DerivativeField, a: Coefficients) -> np.ndarray:
-    """Coefficient-weighted sum of the eight non-principal derivative grids."""
-    terms = _terms(field, a)
+def lower_order(d, a: Coefficients) -> np.ndarray:
+    """Coefficient-weighted sum of the eight non-principal derivatives d[i][j].
+
+    Each d[i][j] is an array that broadcasts against the grid shape, such
+    as the entries of ``representation.trace_part``.
+    """
+    terms = _terms(d, a)
     first = next(terms)
     return sum(terms, first)
 
@@ -313,4 +365,4 @@ def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn2D:
     """Pointwise value of (Vu) at every node, from the derivative grids."""
     if a.grid != field.grid:
         raise ValueError("coefficients and field live on different grids")
-    return GridFn2D(field.grid, sum(_terms(field, a), field.w.values))
+    return GridFn2D(field.grid, sum(_terms(field.values, a), field.w.values))

@@ -27,9 +27,15 @@ along x2.  A factor lists its orders up to its last nonzero one
 products are skipped.  The same table gives ``goursat.march`` its row
 kernels and the closure in ``dirichlet`` its unit-trace right-hand sides.
 
-A full reconstruction takes 16 cumulative-trapezoid sweeps, O(n1*n2) work
-in all: two per trace function (8) and eight 2D sweeps over w, two along x1
-and then two along x2 for each of its three x1 orders.
+The eight trace terms form the trace part (``trace_part``): the field of
+the traces with w = 0, kept as arrays that broadcast against the grid.
+It takes two
+one-dimensional cumulative-trapezoid sweeps per trace function, 8 in all.
+``reconstruct_field`` adds the w term, eight 2D sweeps over w (two along x1
+and then two along x2 for each of its three x1 orders), and wraps the nine
+sums; a full reconstruction is 16 sweeps, O(n1*n2) work in all.  The
+Goursat solver and the closure take their known terms straight from the
+trace part.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from . import expr as ex
 # name ppde.representation.cumtrapz and fails if it is missing.
 from .grid import Grid2D, GridFn1D, GridFn2D, cumtrapz, cumulative_integrals  # noqa: F401
 
-__all__ = ["TraceSet", "DerivativeField", "line", "orders", "reconstruct_field", "extract_traces"]
+__all__ = ["TraceSet", "DerivativeField", "line", "orders", "trace_part", "reconstruct_field",
+           "extract_traces"]
 
 _CONSTANT = (1.0,)
 
@@ -119,25 +126,29 @@ class DerivativeField:
     def w(self) -> GridFn2D:
         return self.d[2][2]
 
+    @property
+    def values(self) -> list:
+        """The nine derivative grids as arrays, values[i][j]."""
+        return [[fn.values for fn in row] for row in self.d]
+
 
 def _axes(grid: Grid2D):
     return grid.g1.nodes[:, None], grid.g2.nodes[None, :]
 
 
-def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
-    """Evaluate u and all nine derivative grids from traces and w.
+def trace_part(t: TraceSet, grid: Grid2D):
+    """D1^i D2^j of the eight trace terms of u, as d[i][j] for i, j in {0, 1, 2}.
 
-    Restricted to the edges x2 = 0 / x1 = 0 the derivative grids reproduce
-    the trace inputs exactly: the defining integrals are empty there.
+    Each entry broadcasts against ``grid.shape``; the trace terms have no
+    D1^2 D2^2 part, so d[2][2] is 0.  This is the field of the traces with
+    w = 0, computed in 8 one-dimensional sweeps.
     """
-    grid = w.grid
     if t.p.grid != grid.g1 or t.q.grid != grid.g2:
-        raise ValueError("trace grids do not match the grid of w")
+        raise ValueError("trace grids do not match the grid")
     X1, X2 = _axes(grid)
-    h1, h2 = grid.g1.h, grid.g2.h
     line1, line2 = line(X1), line(X2)
-    p, g1 = (orders(f.values[:, None], X1, h1) for f in (t.p, t.g1))
-    q, g2 = (orders(f.values[None, :], X2, h2, axis=1) for f in (t.q, t.g2))
+    p, g1 = (orders(f.values[:, None], X1, grid.g1.h) for f in (t.p, t.g1))
+    q, g2 = (orders(f.values[None, :], X2, grid.g2.h, axis=1) for f in (t.q, t.g2))
     # (scalar, x1 factor, x2 factor): the eight trace terms of u, in the
     # order of the module docstring.
     terms = (
@@ -145,16 +156,26 @@ def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
         (t.u01, _CONSTANT, line2), (t.c, line1, line2),
         (1.0, p, _CONSTANT), (1.0, g1, line2), (1.0, _CONSTANT, q), (1.0, line1, g2),
     )
-    w1 = orders(w.values, X1, h1, axis=0)
-    arrays = []
+    return [[sum(s * a[i] * b[j] for s, a, b in terms if i < len(a) and j < len(b))
+             for j in range(3)] for i in range(3)]
+
+
+def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
+    """Evaluate u and all nine derivative grids from traces and w.
+
+    Each grid is the trace part plus the w term.  Restricted to the edges
+    x2 = 0 / x1 = 0 the derivative grids reproduce the trace inputs
+    exactly: the defining integrals are empty there.
+    """
+    grid = w.grid
+    trace = trace_part(t, grid)
+    X1, X2 = _axes(grid)
+    w1 = orders(w.values, X1, grid.g1.h, axis=0)
+    d = []
     for i in range(3):
-        w2 = orders(w1[i], X2, h2, axis=1)
-        arrays.append([
-            sum(s * a[i] * b[j] for s, a, b in terms if i < len(a) and j < len(b)) + w2[j]
-            for j in range(3)
-        ])
-    wrapped = [[GridFn2D(grid, arrays[i][j]) for j in range(3)] for i in range(3)]
-    return DerivativeField(grid, wrapped)
+        w2 = orders(w1[i], X2, grid.g2.h, axis=1)
+        d.append([GridFn2D(grid, trace[i][j] + w2[j]) for j in range(3)])
+    return DerivativeField(grid, d)
 
 
 def extract_traces(u: ex.Expr, grid: Grid2D) -> tuple[TraceSet, GridFn2D, DerivativeField]:

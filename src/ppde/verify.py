@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr as ex
 from .dirichlet import DirichletProblem, solve_dirichlet
-from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, make_grid
+from .grid import Grid2D, GridFn2D, lp_norm, make_grid
 from .problem import Coefficients, NonClassicalData, apply_operator
 from .representation import DerivativeField, extract_traces
 
@@ -72,19 +72,9 @@ def manufactured_problem(u, coeffs: Coefficients, grid: Grid2D) -> ManufacturedC
     """Bundle data, right-hand side and reference for a symbolic u."""
     if isinstance(u, str):
         u = ex.parse(u)
-    traces, _, reference = extract_traces(u, grid)
-    n1, n2 = grid.g1.n, grid.g2.n
-    d = reference.d
-    data = NonClassicalData(
-        z00=traces.u00, z10=traces.u10, z01=traces.u01,
-        z00_h1=d[0][0].values[n1, 0], z01_h1=d[0][1].values[n1, 0],
-        z00_h2=d[0][0].values[0, n2], z10_h2=d[1][0].values[0, n2],
-        z20=traces.p, z02=traces.q,
-        z20_h2=GridFn1D(grid.g1, d[2][0].values[:, n2]),
-        z02_h1=GridFn1D(grid.g2, d[0][2].values[n1, :]),
-    )
+    _, _, reference = extract_traces(u, grid)
     rhs = apply_operator(reference, coeffs)
-    problem = DirichletProblem(grid, coeffs, rhs, data)
+    problem = DirichletProblem(grid, coeffs, rhs, NonClassicalData.from_field(reference))
     return ManufacturedCase(u=u, coeffs=coeffs, problem=problem, reference=reference)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppde.cli
 from ppde.cli import load_config, run
 from ppde.problem import COEFFICIENT_NAMES, NonClassicalData
 
@@ -42,6 +43,25 @@ def quartic_solve_config(tmp_path, n=16):
     z20_h2 = "2"
     z02_h1 = "2"
     """)
+
+
+# u = 1.5 + 0.25*x1 + 0.5*x2 on (0, 1) x (0, 2): every node value is exact.
+AFFINE_2X2 = """
+[domain]
+h1 = 1.0
+h2 = 2.0
+n1 = 2
+n2 = 2
+
+[data.nonclassical]
+z00 = 1.5
+z10 = 0.25
+z01 = 0.5
+z00_h1 = 1.75
+z01_h1 = 0.5
+z00_h2 = 2.5
+z10_h2 = 0.25
+"""
 
 
 def read_grid_csv(path):
@@ -115,6 +135,23 @@ class TestSolve:
         run(["solve", "--config", cfg, "--out", str(out2), "--diag", str(d2)])
         assert out1.read_bytes() == out2.read_bytes()
         assert d1.read_bytes() == d2.read_bytes()
+
+    def test_u_csv_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 4)  # the 9 rows take three writes
+        out = tmp_path / "u.csv"
+        assert run(["solve", "--config", write(tmp_path / "c.ini", AFFINE_2X2), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "x1,x2,value\n"
+            "0.0000000000000000e+00,0.0000000000000000e+00,1.5000000000000000e+00\n"
+            "0.0000000000000000e+00,1.0000000000000000e+00,2.0000000000000000e+00\n"
+            "0.0000000000000000e+00,2.0000000000000000e+00,2.5000000000000000e+00\n"
+            "5.0000000000000000e-01,0.0000000000000000e+00,1.6250000000000000e+00\n"
+            "5.0000000000000000e-01,1.0000000000000000e+00,2.1250000000000000e+00\n"
+            "5.0000000000000000e-01,2.0000000000000000e+00,2.6250000000000000e+00\n"
+            "1.0000000000000000e+00,0.0000000000000000e+00,1.7500000000000000e+00\n"
+            "1.0000000000000000e+00,1.0000000000000000e+00,2.2500000000000000e+00\n"
+            "1.0000000000000000e+00,2.0000000000000000e+00,2.7500000000000000e+00\n"
+        )
 
     def test_missing_data_block(self, tmp_path):
         cfg = write(tmp_path / "no_data.ini", BASE.format(n=4))
@@ -244,6 +281,18 @@ class TestConvert:
             assert getattr(rt, name) == getattr(orig, name)
         for name in orig.X1_FUNCTIONS + orig.X2_FUNCTIONS:
             np.testing.assert_array_equal(getattr(rt, name).values, getattr(orig, name).values)
+
+    def test_edge_csv_bytes(self, tmp_path):
+        cfg = write(tmp_path / "c.ini", AFFINE_2X2, 'z20 = "-x1"\n')
+        out = tmp_path / "conv.ini"
+        assert run(["convert", "--config", cfg, "--direction", "n2c", "--out", str(out)]) == 0
+        assert 'psi1.v2 = "conv_psi1_v2.csv"' in out.read_text()
+        assert (tmp_path / "conv_psi1_v2.csv").read_text() == (
+            "x,value\n"
+            "0.0000000000000000e+00,-0.0000000000000000e+00\n"
+            "5.0000000000000000e-01,-5.0000000000000000e-01\n"
+            "1.0000000000000000e+00,-1.0000000000000000e+00\n"
+        )
 
     def test_direction_requires_matching_block(self, tmp_path):
         cfg = write(tmp_path / "nc.ini", BASE.format(n=4), """
@@ -393,6 +442,23 @@ class TestConfigLoading:
         z00 = 0.0
         """)
         assert run(["check", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("body, expected", [
+        ("[data.nonclassical]\nz00 = nan\n", "[data.nonclassical] z00"),
+        ('[data.nonclassical]\nz20 = "edge.csv"\n', "[data.nonclassical] z20"),
+        ('[coefficients]\na00 = "1e200*1e200"\n[data.nonclassical]\nz00 = 0.0\n',
+         "[coefficients]: coefficient a00"),
+        ('[rhs]\nexpr = "exp(1000)"\n[data.nonclassical]\nz00 = 0.0\n', "[rhs] expr"),
+        ("[solver]\ntol = nan\n[data.nonclassical]\nz00 = 0.0\n", "[solver] tol"),
+        ("[solver]\nridge = nan\n[data.nonclassical]\nz00 = 0.0\n", "[solver] ridge"),
+    ], ids=["scalar", "edge_csv", "coefficient", "rhs", "tol", "ridge"])
+    def test_non_finite_input_is_a_config_error(self, tmp_path, capsys, body, expected):
+        (tmp_path / "edge.csv").write_text("x,value\n0,0\n0.25,0\n0.5,nan\n0.75,0\n1,0\n")
+        cfg = write(tmp_path / "c.ini", BASE.format(n=4), body)
+        out = tmp_path / "u.csv"
+        assert run(["solve", "--config", cfg, "--out", str(out), "--diag", str(tmp_path / "d.json")]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_section(self, tmp_path):
         cfg = write(tmp_path / "c.ini", BASE.format(n=4), """

@@ -221,6 +221,9 @@ class TestSolveDirichlet:
         with pytest.raises(ValueError):
             DirichletProblem(g, Coefficients.zeros(g), GridFn2D.zeros(g),
                              NonClassicalData.zeros(g), max_iter=0)
+        with pytest.raises(ValueError, match="ridge"):
+            DirichletProblem(g, Coefficients.zeros(g), GridFn2D.zeros(g),
+                             NonClassicalData.zeros(g), ridge=float("nan"))
         with pytest.raises(ValueError):
             DirichletProblem(g, Coefficients.zeros(unit_square(5)),
                              GridFn2D.zeros(g), NonClassicalData.zeros(g))

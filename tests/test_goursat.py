@@ -22,11 +22,12 @@ def constant_rhs(grid, v):
 def picard(gp, tol=1e-14, max_iter=100):
     """Successive substitution for the discrete Volterra equation (the oracle)."""
     grid = gp.grid
-    known = gp.rhs.values - lower_order(reconstruct_field(gp.traces, GridFn2D.zeros(grid)), gp.coeffs)
+    known = gp.rhs.values - lower_order(reconstruct_field(gp.traces, GridFn2D.zeros(grid)).values,
+                                       gp.coeffs)
     w = known
     for _ in range(max_iter):
         feedback = reconstruct_field(TraceSet.zeros(grid), GridFn2D(grid, w))
-        w_next = known - lower_order(feedback, gp.coeffs)
+        w_next = known - lower_order(feedback.values, gp.coeffs)
         if np.max(np.abs(w_next - w)) <= tol:
             return w_next
         w = w_next

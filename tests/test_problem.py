@@ -7,6 +7,7 @@ from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
 from ppde.problem import (
     COEFFICIENT_NAMES,
+    CONDITIONS,
     BoundaryFn,
     ClassicalData,
     Coefficients,
@@ -249,6 +250,28 @@ class TestConverters:
             np.testing.assert_array_equal(a.v2.values, b.v2.values)
 
 
+class TestConditionTable:
+    def test_names_are_the_data_entries(self):
+        assert tuple(CONDITIONS) == (NonClassicalData.SCALARS + NonClassicalData.X1_FUNCTIONS
+                                     + NonClassicalData.X2_FUNCTIONS)
+
+    def test_from_field_reads_each_condition(self):
+        # u = exp(x1 + 2 x2) on (0, 1.5) x (0, 0.5): D1^i D2^j u = 2^j u
+        g = Grid2D(make_grid(1.5, 6), make_grid(0.5, 4))
+        _, _, field = extract_traces(parse("exp(x1 + 2*x2)"), g)
+        z = NonClassicalData.from_field(field)
+        x1, x2 = g.g1.nodes, g.g2.nodes
+        e = np.exp
+        corners = {"z00": 1.0, "z10": 1.0, "z01": 2.0, "z00_h1": e(1.5), "z01_h1": 2 * e(1.5),
+                   "z00_h2": e(1.0), "z10_h2": e(1.0)}
+        for name, value in corners.items():
+            assert getattr(z, name) == pytest.approx(value, rel=1e-14), name
+        np.testing.assert_allclose(z.z20.values, np.exp(x1), rtol=1e-14)
+        np.testing.assert_allclose(z.z20_h2.values, np.exp(x1 + 1.0), rtol=1e-14)
+        np.testing.assert_allclose(z.z02.values, 4 * np.exp(2 * x2), rtol=1e-14)
+        np.testing.assert_allclose(z.z02_h1.values, 4 * np.exp(1.5 + 2 * x2), rtol=1e-14)
+
+
 class TestCheckCompatibility:
     def test_traces_of_one_function(self):
         g = unit_square(16)
@@ -315,7 +338,7 @@ class TestApplyOperator:
         np.testing.assert_allclose(out.values, expected, atol=1e-13)
         assert out.values[-1, -1] == pytest.approx(4 + c[i] * c[j], abs=1e-13)
         np.testing.assert_array_equal(out.values, field.w.values + field.d[i][j].values)
-        np.testing.assert_array_equal(lower_order(field, coeffs), field.d[i][j].values)
+        np.testing.assert_array_equal(lower_order(field.values, coeffs), field.d[i][j].values)
 
     def test_zero_field(self):
         g = unit_square(4)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
-from ppde.representation import TraceSet, extract_traces, reconstruct_field
+from ppde.representation import TraceSet, extract_traces, reconstruct_field, trace_part
 
 
 def unit_square(n):
@@ -123,6 +125,29 @@ class TestReconstructField:
         other = unit_square(5)
         with pytest.raises(ValueError):
             reconstruct_field(TraceSet.zeros(g), GridFn2D.zeros(other))
+
+
+class TestTracePart:
+    @settings(max_examples=30, deadline=None)
+    @given(n1=st.integers(1, 8), n2=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_is_the_w_free_field(self, n1, n2, seed):
+        g = Grid2D(make_grid(1.5, n1), make_grid(0.7, n2))
+        t, w = random_traces_and_w(g, np.random.default_rng(seed))
+        trace = trace_part(t, g)
+        without_w = reconstruct_field(t, GridFn2D.zeros(g))
+        without_traces = reconstruct_field(TraceSet.zeros(g), w)
+        full = reconstruct_field(t, w)
+        for i in range(3):
+            for j in range(3):
+                part = np.broadcast_to(trace[i][j], g.shape)
+                np.testing.assert_array_equal(part, without_w.d[i][j].values)
+                np.testing.assert_array_equal(full.d[i][j].values,
+                                              part + without_traces.d[i][j].values)
+
+    def test_grid_mismatch(self):
+        g = unit_square(4)
+        with pytest.raises(ValueError):
+            trace_part(TraceSet.zeros(unit_square(5)), g)
 
 
 class TestExtractTraces:
