@@ -44,6 +44,7 @@ from .problem import (
     classical_to_nonclassical,
     nonclassical_to_classical,
 )
+from .representation import extract_traces
 from .verify import convergence_study, manufactured_problem
 
 __all__ = ["ConfigError", "Config", "load_config", "run", "main"]
@@ -421,9 +422,20 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+def _manufactured_u(text: str, grids) -> ex.Expr:
+    """The --u expression, whose nine derivatives must be finite at the nodes of every grid."""
+    u = _parse_expr(text, "--u")
+    for grid in grids:
+        try:
+            extract_traces(u, grid)
+        except (ex.EvalDomainError, ValueError) as err:
+            raise ConfigError(f"--u: {err} on the {grid.g1.n}x{grid.g2.n} grid") from err
+    return u
+
+
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    case = manufactured_problem(_parse_expr(args.u, "--u"), cfg.coeffs, cfg.grid)
+    case = manufactured_problem(_manufactured_u(args.u, [cfg.grid]), cfg.coeffs, cfg.grid)
     sol = solve_dirichlet(case.problem)
     lines = ["quantity,max_error,l2_error"]
     for i in range(3):
@@ -445,10 +457,11 @@ def _cmd_convergence(args) -> int:
         ns = [int(s) for s in args.grids.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"--grids must be a comma list of integers, got {args.grids!r}") from None
-    table = convergence_study(
-        _parse_expr(args.u, "--u"), cfg.coeff_exprs,
-        (cfg.grid.g1.length, cfg.grid.g2.length), ns,
-    )
+    if len(ns) < 2 or ns[0] < 1 or any(fine != 2 * coarse for coarse, fine in zip(ns, ns[1:])):
+        raise ConfigError(f"--grids must be two or more doubling interval counts, got {args.grids!r}")
+    lengths = (cfg.grid.g1.length, cfg.grid.g2.length)
+    grids = [Grid2D(make_grid(lengths[0], n), make_grid(lengths[1], n)) for n in ns]
+    table = convergence_study(_manufactured_u(args.u, grids), cfg.coeff_exprs, lengths, ns)
     _write_text(args.out, table.as_csv())
     for row in table.rows:
         order = "-" if np.isnan(row.observed_order) else f"{row.observed_order:.2f}"

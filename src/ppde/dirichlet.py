@@ -178,25 +178,38 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     per column; its rows are [known at theta = 0 | -lower_order(unit-trace
     fields)].  The w part of a row is the order table applied to the rows
     of w, and only its value at the condition's nodes is kept.
+
+    The march takes the columns in the order [R(0) | c | g2 | g1], and row i
+    carries only those that can be nonzero there: with a live coefficient,
+    every column up to g1 = e_i, since the field of g1 = e_m, and so its
+    right-hand side and its w, vanish in the rows before m (F1[q][i, m] = 0
+    for m > i); with none, w = known and only column 0 has a nonzero
+    known.  The columns are put back in the public order at the end.
     """
     g1, g2 = p.grid.g1, p.grid.g2
     n1, n2 = g1.n, g2.n
     F1 = orders(np.eye(n1 + 1), g1.nodes[:, None], g1.h)
     F2 = orders(np.eye(n2 + 1), g2.nodes[:, None], g2.h)
 
-    def unit(q, r, i, j):
-        """D1^q D2^r u at the nodes (i, j) for the unit traces [c | g1 = e_m | g2 = e_m].
+    def unit_blocks(i, j, count=n1 + 1):
+        """(columns, x1 factor, x2 factor) of each unit-trace field at the nodes (i, j).
 
-        One row per node; the fields are line x line, F1[., m] x line and
-        line x F2[., m].
+        The unknowns are ordered [c | g2 = e_m | g1 = e_m]; their fields are
+        line x line, line x F2[., m] and F1[., m] x line.  Only the first
+        ``count`` g1 columns are given.
         """
         line1, line2 = line(g1.nodes[i, None]), line(g2.nodes[j, None])
+        return ((slice(0, 1), line1, line2),
+                (slice(1, n2 + 2), line1, [f[j] for f in F2]),
+                (slice(n2 + 2, n2 + 2 + count), [f[i, :count] for f in F1], line2))
+
+    def unit(q, r, i, j):
+        """D1^q D2^r u of the unit-trace fields at the nodes (i, j), one row per node."""
+        line1, line2 = line(g1.nodes[i, None]), line(g2.nodes[j, None])
         row = np.zeros((np.broadcast(line1[0], line2[0]).size, n1 + n2 + 3))
-        for block, f1, f2 in ((row[:, :1], line1, line2),
-                              (row[:, 1:n1 + 2], [f[i] for f in F1], line2),
-                              (row[:, n1 + 2:], line1, [f[j] for f in F2])):
+        for cols, f1, f2 in unit_blocks(i, j):
             if q < len(f1) and r < len(f2):
-                block[...] = f1[q] * f2[r]
+                row[:, cols] = f1[q] * f2[r]
         return row
 
     trace0 = trace_part(_traces(p, np.zeros(n1 + n2 + 3)), p.grid)
@@ -210,10 +223,14 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
 
     def rows():
         for i in range(n1 + 1):
-            row = np.zeros((n2 + 1, n1 + n2 + 4))
+            # [R(0) | c | g2 | g1 = e_0 .. e_i], or R(0) alone with no live term.
+            row = np.zeros((n2 + 1, n2 + i + 4 if live else 1))
             row[:, 0] = known0[i]
-            for a, (q, r) in live:
-                row[:, 1:] -= a[i][:, None] * unit(q, r, i, ALL_NODES)
+            theta = row[:, 1:]
+            for cols, f1, f2 in unit_blocks(i, ALL_NODES, i + 1) if live else ():
+                for a, (q, r) in live:
+                    if q < len(f1) and r < len(f2):
+                        theta[:, cols] -= a[i][:, None] * (f1[q] * f2[r])
             yield row
 
     # The w part of D1^q D2^r u at nodes (i, j) sums, over the march rows k,
@@ -224,16 +241,19 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
                if not ((q < 2 and i == 0) or (r < 2 and j == 0))]
     try:
         for k, w in enumerate(march(p.coeffs, rows())):
+            width = w.shape[1]
             for block, q, r, i, j in w_parts:
                 x2 = w[j] if r == 2 else F2[r][j] @ w
                 if q == 2:
-                    block[np.arange(n1 + 1)[i] == k] += x2
+                    block[np.arange(n1 + 1)[i] == k, :width] += x2
                 else:
-                    block += F1[q][i, k] * x2
+                    block[:, :width] += F1[q][i, k] * x2
     except MarchingError as err:
         raise MarchingError(f"closure march failed: {err}") from err
     system = np.vstack(blocks)
-    return ClosureSystem(system[:, 1:], -system[:, 0], n1, n2)
+    del blocks, w_parts  # released before the copy into the public layout [c | g1 | g2]
+    matrix = system[:, np.r_[1, n2 + 3:n1 + n2 + 4, 2:n2 + 3]]
+    return ClosureSystem(matrix, -system[:, 0], n1, n2)
 
 
 def _solve_least_squares(system: ClosureSystem, ridge: float) -> np.ndarray:

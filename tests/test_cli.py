@@ -328,6 +328,14 @@ class TestVerifyCommand:
         d00_max = float(lines[1].split(",")[1])
         assert d00_max <= 1e-9
 
+    @pytest.mark.parametrize("u", ["exp(1000*x1)", "1/x1"])
+    def test_u_not_finite_on_the_grid_is_a_config_error(self, tmp_path, capsys, u):
+        cfg = write(tmp_path / "v.ini", BASE.format(n=4))
+        out = tmp_path / "table.csv"
+        assert run(["verify", "--u", u, "--config", cfg, "--out", str(out)]) == 2
+        assert "--u" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConvergenceCommand:
     def test_table(self, tmp_path):
@@ -344,6 +352,21 @@ class TestConvergenceCommand:
         cfg = write(tmp_path / "conv.ini", BASE.format(n=8))
         assert run(["convergence", "--u", "x1", "--config", cfg,
                     "--grids", "8,x", "--out", str(tmp_path / "t.csv")]) == 2
+
+    @pytest.mark.parametrize("grids", ["8", "8,12", "0,0"])
+    def test_grids_must_double(self, tmp_path, capsys, grids):
+        cfg = write(tmp_path / "conv.ini", BASE.format(n=8))
+        assert run(["convergence", "--u", "x1", "--config", cfg,
+                    "--grids", grids, "--out", str(tmp_path / "t.csv")]) == 2
+        assert "--grids" in capsys.readouterr().err
+
+    def test_u_not_finite_on_a_grid_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "conv.ini", BASE.format(n=4))
+        out = tmp_path / "table.csv"
+        assert run(["convergence", "--u", "exp(1000*x1)", "--config", cfg,
+                    "--grids", "4,8", "--out", str(out)]) == 2
+        assert "--u" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigLoading:

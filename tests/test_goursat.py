@@ -1,11 +1,16 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _families import coefficient_subsets
+from ppde import goursat
 from ppde.expr import parse
-from ppde.goursat import GoursatProblem, MarchingError, solve_goursat
+from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
 from ppde.problem import Coefficients, apply_operator, lower_order
 from ppde.representation import TraceSet, extract_traces, reconstruct_field
@@ -166,3 +171,62 @@ class TestSolveGoursat:
         g, other = unit_square(4), unit_square(5)
         with pytest.raises(ValueError):
             GoursatProblem(TraceSet.zeros(g), Coefficients.zeros(other), constant_rhs(g, 0.0))
+
+
+ALL_COEFFICIENTS = {"a21": "x1", "a12": "1+x2", "a20": "0.3", "a02": "x2",
+                    "a11": "sin(x1*x2)", "a10": "x1*x2", "a01": "-0.5", "a00": "1"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(n1=st.integers(1, 8), n2=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_columns_that_join_late(n1, n2, seed):
+    # Column c joins the march at row start[c]: the rows before it are
+    # narrower.  Marching them must give what marching the rows padded with
+    # zeros gives, and in the padded march such a column stays exactly 0
+    # until its start row.
+    g = Grid2D(make_grid(1.0, n1), make_grid(0.7, n2))
+    rng = np.random.default_rng(seed)
+    start = np.sort(rng.integers(0, n1 + 1, size=rng.integers(1, 6)))
+    start[0] = 0
+    started = np.arange(n1 + 1)[:, None, None] >= start
+    known = np.where(started, rng.normal(size=(n1 + 1, n2 + 1, len(start))), 0.0)
+    widths = [int(np.sum(start <= i)) for i in range(n1 + 1)]
+    for subset in coefficient_subsets(ALL_COEFFICIENTS, seed=seed % 7):
+        coeffs = Coefficients.from_exprs(g, subset)
+        grown = list(march(coeffs, (known[i, :, :k].copy() for i, k in enumerate(widths))))
+        padded = list(march(coeffs, known))
+        for i, (w, full) in enumerate(zip(grown, padded)):
+            assert w.shape == (n2 + 1, widths[i]) and w.flags.c_contiguous
+            assert full.flags.c_contiguous
+            np.testing.assert_allclose(w, full[:, :widths[i]], rtol=0, atol=1e-13)
+            assert np.all(full[:, widths[i]:] == 0.0), (subset, i)
+
+
+@pytest.mark.parametrize("m, k", [(9, 3), (33, 1), (41, 60), (65, 1), (65, 132), (129, 1)])
+def test_row_solve_is_the_triangular_solve(m, k):
+    # Both ways of solving a row (one dense LU solve for small ones, blocked
+    # forward substitution otherwise) against the dense solve.
+    rng = np.random.default_rng(m + k)
+    system = np.eye(m) + (3.0 / m) * np.tril(rng.uniform(-1, 1, size=(m, m)))
+    b = rng.normal(size=(m, k))
+    w = b.copy()
+    goursat._LowerSolver(m)(system, w)
+    np.testing.assert_allclose(w, np.linalg.solve(system, b), rtol=0, atol=1e-13)
+
+
+def test_numpy_is_the_only_numerical_dependency():
+    # A solve with coefficients marches both ways of solving a row, with
+    # numpy alone: scipy bundles a second BLAS whose threads compete with
+    # numpy's.
+    code = (
+        "import sys, ppde, ppde.cli\n"
+        "from ppde.dirichlet import solve_dirichlet\n"
+        "from ppde.grid import Grid2D, make_grid\n"
+        "from ppde.problem import Coefficients\n"
+        "from ppde.verify import manufactured_problem\n"
+        "g = Grid2D(make_grid(1.0, 40), make_grid(1.0, 40))\n"
+        "c = Coefficients.from_exprs(g, {'a00': '1', 'a21': 'x1'})\n"
+        "solve_dirichlet(manufactured_problem('sin(x1)*x2', c, g).problem)\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -79,6 +79,14 @@ class TestConvergenceStudy:
         for row in table.rows:
             assert row.max_error <= 1e-10
 
+    def test_exact_regime_quartic_with_a00(self):
+        # The polynomial case of acceptance criterion 6: the trapezoid rule
+        # reproduces it, so its error is roundoff at every grid, and an
+        # observed order between roundoff errors says nothing.
+        table = convergence_study("x1^2*x2^2 + x1*x2", {"a00": "1"}, (1.0, 1.0), [16, 32, 64])
+        for row in table.rows:
+            assert row.max_error <= 1e-13, row
+
     def test_sine_orders(self):
         table = convergence_study("sin(x1)*sin(x2)", {}, (1.0, 1.0), [16, 32])
         assert table.rows[1].observed_order >= 1.8
