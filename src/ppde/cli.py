@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -45,12 +47,13 @@ from .problem import (
     nonclassical_to_classical,
 )
 from .representation import extract_traces
-from .verify import convergence_study, manufactured_problem
+from .verify import check_doubling, convergence_study, manufactured_problem
 
 __all__ = ["ConfigError", "Config", "load_config", "run", "main"]
 
 _FMT = "{:.16e}"
-# CSV rows formatted per write: the text of a whole grid is never held at once.
+# CSV rows formatted and written at a time by _write_csv: neither the text of
+# a whole grid nor a per-node list is ever held at once.
 _WRITE_ROWS = 1024
 
 
@@ -119,15 +122,18 @@ def _parse_expr(text: str, where: str) -> ex.Expr:
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _header(grids) -> str:
+    return "x,value" if len(grids) == 1 else "x1,x2,value"
+
+
 def _layout(grids) -> tuple[str, np.ndarray]:
     """Header and node coordinates, one row per node, of a CSV file on ``grids``.
 
     One grid: header ``x,value``.  Two grids (x1, x2): header
     ``x1,x2,value``, row-major with x2 varying fastest.
     """
-    header = "x,value" if len(grids) == 1 else "x1,x2,value"
     nodes = np.stack(np.meshgrid(*(g.nodes for g in grids), indexing="ij"), -1)
-    return header, nodes.reshape(-1, len(grids))
+    return _header(grids), nodes.reshape(-1, len(grids))
 
 
 def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
@@ -175,6 +181,10 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
     return rows[:, -1]
 
 
+# Expression values become grid functions, which reject non-finite values
+# with an error naming the input; numpy's overflow warnings would only
+# repeat that error, so the evaluations here run under np.errstate.
+
 def _edge_fn(raw: str, grid, base_dir: Path, where: str) -> GridFn1D:
     """Edge-function entry: an expression (univariate) or a 1D CSV path."""
     if raw.endswith(".csv"):
@@ -182,7 +192,8 @@ def _edge_fn(raw: str, grid, base_dir: Path, where: str) -> GridFn1D:
     e = _parse_expr(raw, where)
     x = grid.nodes
     try:
-        values = np.broadcast_to(np.asarray(ex.evaluate(e, x, x), dtype=float), x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.broadcast_to(np.asarray(ex.evaluate(e, x, x), dtype=float), x.shape)
         return GridFn1D(grid, values)
     except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
@@ -195,7 +206,9 @@ def _fn2d(raw: str, grid: Grid2D, base_dir: Path, where: str) -> GridFn2D:
     X1 = grid.g1.nodes[:, None]
     X2 = grid.g2.nodes[None, :]
     try:
-        return GridFn2D(grid, ex.sample(e, X1, X2, grid.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = ex.sample(e, X1, X2, grid.shape)
+        return GridFn2D(grid, values)
     except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
@@ -228,7 +241,8 @@ def load_config(path) -> Config:
             _get(cp, "coefficients", name, "0"), f"[coefficients] {name}"
         )
     try:
-        coeffs = Coefficients.from_exprs(grid, coeff_exprs)
+        with np.errstate(over="ignore", invalid="ignore"):  # see the note above _edge_fn
+            coeffs = Coefficients.from_exprs(grid, coeff_exprs)
     except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"[coefficients]: {err}") from err
 
@@ -293,14 +307,22 @@ def _write_text(path, text: str):
 
 
 def _write_csv(path, grids, values):
-    """Write ``values`` on the nodes of ``grids`` as CSV, in their ``_layout``."""
-    header, nodes = _layout(grids)
-    rows = np.column_stack([nodes, np.reshape(values, -1)])
-    line = ",".join([_FMT] * rows.shape[1]) + "\n"
+    """Write ``values`` on the nodes of ``grids`` as CSV, in their ``_layout``.
+
+    Each axis's coordinates are formatted once; the last axis's text ends in
+    a ``%.16e`` slot for the value, so a row's text is the product of the
+    axes' texts and a chunk of rows is filled with one ``%`` (which gives
+    the same text as ``_FMT`` for every double).
+    """
+    axes = [[f"{x:.16e}," for x in g.nodes.tolist()] for g in grids]
+    axes[-1] = [text + "%.16e\n" for text in axes[-1]]
+    rows = map("".join, itertools.product(*axes))
+    values = np.reshape(values, -1)
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(rows), _WRITE_ROWS):
-            fh.write("".join(line.format(*row) for row in rows[start:start + _WRITE_ROWS].tolist()))
+        fh.write(_header(grids) + "\n")
+        for start in range(0, values.size, _WRITE_ROWS):
+            chunk = values[start:start + _WRITE_ROWS].tolist()
+            fh.write("".join(itertools.islice(rows, len(chunk))) % tuple(chunk))
 
 
 def _diagnostics_dict(cfg: Config, sol) -> dict:
@@ -353,7 +375,10 @@ def _cmd_solve(args) -> int:
         for i in range(3):
             for j in range(3):
                 side = out.with_name(f"{out.stem}_d{i}{j}{out.suffix}")
-                _write_csv(side, grids, sol.field.d[i][j].values)
+                if (i, j) == (0, 0):  # field.u is d[0][0]: its file is already written
+                    shutil.copyfile(out, side)
+                else:
+                    _write_csv(side, grids, sol.field.d[i][j].values)
     if args.diag:
         _write_text(args.diag, json.dumps(_diagnostics_dict(cfg, sol), indent=2, sort_keys=True) + "\n")
     return 0
@@ -427,7 +452,8 @@ def _manufactured_u(text: str, grids) -> ex.Expr:
     u = _parse_expr(text, "--u")
     for grid in grids:
         try:
-            extract_traces(u, grid)
+            with np.errstate(over="ignore", invalid="ignore"):  # see the note above _edge_fn
+                extract_traces(u, grid)
         except (ex.EvalDomainError, ValueError) as err:
             raise ConfigError(f"--u: {err} on the {grid.g1.n}x{grid.g2.n} grid") from err
     return u
@@ -457,8 +483,11 @@ def _cmd_convergence(args) -> int:
         ns = [int(s) for s in args.grids.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"--grids must be a comma list of integers, got {args.grids!r}") from None
-    if len(ns) < 2 or ns[0] < 1 or any(fine != 2 * coarse for coarse, fine in zip(ns, ns[1:])):
-        raise ConfigError(f"--grids must be two or more doubling interval counts, got {args.grids!r}")
+    try:
+        check_doubling(ns)
+    except ValueError:
+        raise ConfigError(
+            f"--grids must be two or more doubling interval counts, got {args.grids!r}") from None
     lengths = (cfg.grid.g1.length, cfg.grid.g2.length)
     grids = [Grid2D(make_grid(lengths[0], n), make_grid(lengths[1], n)) for n in ns]
     table = convergence_study(_manufactured_u(args.u, grids), cfg.coeff_exprs, lengths, ns)

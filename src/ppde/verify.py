@@ -25,6 +25,7 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
     "manufactured_problem",
+    "check_doubling",
     "convergence_study",
     "sobolev_norm",
 ]
@@ -50,9 +51,7 @@ class ConvergenceTable:
     """Error rows over a doubling sequence of grid sizes."""
 
     def __init__(self, rows: list[ConvergenceRow]):
-        for prev, cur in zip(rows, rows[1:]):
-            if cur.n != 2 * prev.n:
-                raise ValueError("grid sizes must double between rows")
+        check_doubling([row.n for row in rows])
         for row in rows:
             if row.max_error < 0 or row.l2_error < 0:
                 raise ValueError("errors must be nonnegative")
@@ -66,6 +65,14 @@ class ConvergenceTable:
                 + ("" if math.isnan(row.observed_order) else f"{row.observed_order:.6f}")
             )
         return "\n".join(lines) + "\n"
+
+
+def check_doubling(ns) -> list:
+    """``ns`` as a list, if it is two or more interval counts >= 1, each twice the last."""
+    ns = list(ns)
+    if len(ns) < 2 or ns[0] < 1 or any(fine != 2 * coarse for coarse, fine in zip(ns, ns[1:])):
+        raise ValueError(f"grid sizes must be two or more doubling interval counts >= 1, got {ns}")
+    return ns
 
 
 def manufactured_problem(u, coeffs: Coefficients, grid: Grid2D) -> ManufacturedCase:
@@ -91,11 +98,9 @@ def convergence_study(u, coeff_exprs: dict, lengths: tuple, ns) -> ConvergenceTa
     coefficients can be resampled per grid; ``lengths`` is the rectangle
     sides (h1, h2); ``ns`` the doubling interval counts.  Errors are
     measured on u itself (max node error and trapezoid L2) against the
-    symbolic reference.
+    symbolic reference.  ``ns`` is checked (``check_doubling``) before any solve.
     """
-    ns = list(ns)
-    if len(ns) < 2:
-        raise ValueError("need at least two grid sizes")
+    ns = check_doubling(ns)
     h1, h2 = lengths
     if isinstance(u, str):
         u = ex.parse(u)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import ppde.cli
 from ppde.cli import load_config, run
+from ppde.grid import make_grid
 from ppde.problem import COEFFICIENT_NAMES, NonClassicalData
 
 BASE = """
@@ -153,6 +154,12 @@ class TestSolve:
             "1.0000000000000000e+00,2.0000000000000000e+00,2.7500000000000000e+00\n"
         )
 
+    def test_u_d00_is_a_copy_of_u(self, tmp_path):
+        cfg = quartic_solve_config(tmp_path, n=4)
+        out = tmp_path / "u.csv"
+        assert run(["solve", "--config", cfg, "--out", str(out), "--field"]) == 0
+        assert (tmp_path / "u_d00.csv").read_bytes() == out.read_bytes()
+
     def test_missing_data_block(self, tmp_path):
         cfg = write(tmp_path / "no_data.ini", BASE.format(n=4))
         assert run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 2
@@ -175,6 +182,60 @@ class TestSolve:
         z00 = 0.0
         """)
         assert run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 3
+
+
+# Values whose text or bits are easy to get wrong: signed zero, subnormals
+# and the ends of the double range.
+AWKWARD = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 4, 1e308, -1e308,
+           1.7976931348623157e308]
+
+
+class TestCsvWriter:
+    def test_2d_bytes_with_a_chunk_ending_inside_an_x1_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 4)  # 6 rows: the first write ends at (1, 0)
+        out = tmp_path / "w.csv"
+        values = np.array([[-0.0, 5e-324, 1e308], [-1e308, 0.1, -2.5]])
+        ppde.cli._write_csv(out, [make_grid(0.5, 1), make_grid(3.0, 2)], values)
+        assert out.read_text() == (
+            "x1,x2,value\n"
+            "0.0000000000000000e+00,0.0000000000000000e+00,-0.0000000000000000e+00\n"
+            "0.0000000000000000e+00,1.5000000000000000e+00,4.9406564584124654e-324\n"
+            "0.0000000000000000e+00,3.0000000000000000e+00,1.0000000000000000e+308\n"
+            "5.0000000000000000e-01,0.0000000000000000e+00,-1.0000000000000000e+308\n"
+            "5.0000000000000000e-01,1.5000000000000000e+00,1.0000000000000001e-01\n"
+            "5.0000000000000000e-01,3.0000000000000000e+00,-2.5000000000000000e+00\n"
+        )
+
+    def test_1d_bytes_with_a_short_last_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 2)  # 5 rows: writes of 2, 2 and 1
+        out = tmp_path / "w.csv"
+        values = np.array([1.0, -0.0, 2.2250738585072014e-308 / 4, 1e-300, 1.0 / 3.0])
+        ppde.cli._write_csv(out, [make_grid(2.0, 4)], values)
+        assert out.read_text() == (
+            "x,value\n"
+            "0.0000000000000000e+00,1.0000000000000000e+00\n"
+            "5.0000000000000000e-01,-0.0000000000000000e+00\n"
+            "1.0000000000000000e+00,5.5626846462680035e-309\n"
+            "1.5000000000000000e+00,1.0000000000000000e-300\n"
+            "2.0000000000000000e+00,3.3333333333333331e-01\n"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), two_d=st.booleans(), chunk=st.integers(1, 7),
+           n1=st.integers(1, 6), n2=st.integers(1, 6),
+           h1=st.floats(0.01, 100.0), h2=st.floats(0.01, 100.0))
+    def test_round_trip_is_bit_exact(self, data, two_d, chunk, n1, n2, h1, h2):
+        if two_d and n1 == n2:
+            n2 += 1
+        grids = [make_grid(h1, n1), make_grid(h2, n2)] if two_d else [make_grid(h1, n1)]
+        size = int(np.prod([g.n + 1 for g in grids]))
+        value = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False))
+        values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ppde.cli, "_WRITE_ROWS", chunk)
+            ppde.cli._write_csv(Path(tmp) / "w.csv", grids, values)
+            back = ppde.cli._read_csv("w.csv", grids, Path(tmp), "test")
+        assert back.tobytes() == values.tobytes()
 
 
 class TestDeterminism:
@@ -474,7 +535,12 @@ class TestConfigLoading:
         ('[rhs]\nexpr = "exp(1000)"\n[data.nonclassical]\nz00 = 0.0\n', "[rhs] expr"),
         ("[solver]\ntol = nan\n[data.nonclassical]\nz00 = 0.0\n", "[solver] tol"),
         ("[solver]\nridge = nan\n[data.nonclassical]\nz00 = 0.0\n", "[solver] ridge"),
-    ], ids=["scalar", "edge_csv", "coefficient", "rhs", "tol", "ridge"])
+        # overflow in numpy, which must not warn before the config error
+        ('[coefficients]\na00 = "exp(1000*x1)"\n[data.nonclassical]\nz00 = 0.0\n',
+         "[coefficients]: coefficient a00"),
+        ('[data.nonclassical]\nz20 = "exp(1000*x1) - exp(1000*x1)"\n', "[data.nonclassical] z20"),
+    ], ids=["scalar", "edge_csv", "coefficient", "rhs", "tol", "ridge",
+            "coefficient_overflow", "edge_expr_overflow"])
     def test_non_finite_input_is_a_config_error(self, tmp_path, capsys, body, expected):
         (tmp_path / "edge.csv").write_text("x,value\n0,0\n0.25,0\n0.5,nan\n0.75,0\n1,0\n")
         cfg = write(tmp_path / "c.ini", BASE.format(n=4), body)

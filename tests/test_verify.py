@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ppde.verify
 from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn2D, make_grid
 from ppde.problem import Coefficients
@@ -94,6 +95,15 @@ class TestConvergenceStudy:
     def test_needs_two_grids(self):
         with pytest.raises(ValueError):
             convergence_study("x1", {}, (1.0, 1.0), [16])
+
+    @pytest.mark.parametrize("ns", [[8, 12], [0, 0], [8]])
+    def test_grid_sizes_checked_before_any_solve(self, monkeypatch, ns):
+        def no_solve(problem):
+            raise AssertionError("solved before the grid sizes were checked")
+
+        monkeypatch.setattr(ppde.verify, "solve_dirichlet", no_solve)
+        with pytest.raises(ValueError, match="doubling"):
+            convergence_study("x1", {}, (1.0, 1.0), ns)
 
     def test_doubling_enforced(self):
         with pytest.raises(ValueError):
