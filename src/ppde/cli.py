@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import itertools
 import json
 import math
@@ -36,6 +37,7 @@ from . import expr as ex
 from .dirichlet import DirichletProblem, solve_classical, solve_dirichlet
 from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, make_grid
 from .problem import (
+    CLASSICAL,
     COEFFICIENT_NAMES,
     BoundaryFn,
     ClassicalData,
@@ -126,24 +128,17 @@ def _header(grids) -> str:
     return "x,value" if len(grids) == 1 else "x1,x2,value"
 
 
-def _layout(grids) -> tuple[str, np.ndarray]:
-    """Header and node coordinates, one row per node, of a CSV file on ``grids``.
-
-    One grid: header ``x,value``.  Two grids (x1, x2): header
-    ``x1,x2,value``, row-major with x2 varying fastest.
-    """
-    nodes = np.stack(np.meshgrid(*(g.nodes for g in grids), indexing="ij"), -1)
-    return _header(grids), nodes.reshape(-1, len(grids))
-
-
 def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
-    """Value column of a CSV file in the ``_layout`` of ``grids``.
+    """Value column of a CSV file on the nodes of ``grids``, one row per node.
 
-    Each coordinate must be its grid node to within 1e-12 of the axis
-    length, and each value must be finite.
+    The layout, which ``_write_csv`` writes too: one grid, header
+    ``x,value``; two grids (x1, x2), header ``x1,x2,value`` and rows in
+    row-major order, x2 varying fastest.  Each coordinate must be its grid
+    node to within 1e-12 of the axis length, and each value must be finite.
     """
     path = base_dir / raw
-    header, nodes = _layout(grids)
+    header = _header(grids)
+    nodes = np.stack(np.meshgrid(*(g.nodes for g in grids), indexing="ij"), -1).reshape(-1, len(grids))
     try:
         text = path.read_text().splitlines()
     except OSError as err:
@@ -185,32 +180,30 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
 # with an error naming the input; numpy's overflow warnings would only
 # repeat that error, so the evaluations here run under np.errstate.
 
-def _edge_fn(raw: str, grid, base_dir: Path, where: str) -> GridFn1D:
-    """Edge-function entry: an expression (univariate) or a 1D CSV path."""
-    if raw.endswith(".csv"):
-        return GridFn1D(grid, _read_csv(raw, [grid], base_dir, where))
-    e = _parse_expr(raw, where)
-    x = grid.nodes
+def _sample(e: ex.Expr, grid, where: str):
+    """The GridFn1D or GridFn2D of an expression at the nodes of ``grid``.
+
+    On a Grid1D the expression is evaluated with x1 = x2 = x, so it may be
+    written in either variable.
+    """
+    if isinstance(grid, Grid2D):
+        fn, x1, x2 = GridFn2D, grid.g1.nodes[:, None], grid.g2.nodes[None, :]
+    else:
+        fn, x1, x2 = GridFn1D, grid.nodes, grid.nodes
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.broadcast_to(np.asarray(ex.evaluate(e, x, x), dtype=float), x.shape)
-        return GridFn1D(grid, values)
+            return fn(grid, ex.sample(e, x1, x2, np.broadcast(x1, x2).shape))
     except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _fn2d(raw: str, grid: Grid2D, base_dir: Path, where: str) -> GridFn2D:
-    if raw.endswith(".csv"):
+def _grid_fn(raw: str, grid, base_dir: Path, where: str):
+    """Grid-function entry on a Grid1D or a Grid2D: an expression or a CSV path."""
+    if not raw.endswith(".csv"):
+        return _sample(_parse_expr(raw, where), grid, where)
+    if isinstance(grid, Grid2D):
         return GridFn2D(grid, _read_csv(raw, [grid.g1, grid.g2], base_dir, where).reshape(grid.shape))
-    e = _parse_expr(raw, where)
-    X1 = grid.g1.nodes[:, None]
-    X2 = grid.g2.nodes[None, :]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = ex.sample(e, X1, X2, grid.shape)
-        return GridFn2D(grid, values)
-    except (ex.EvalDomainError, ValueError) as err:
-        raise ConfigError(f"{where}: {err}") from err
+    return GridFn1D(grid, _read_csv(raw, [grid], base_dir, where))
 
 
 def load_config(path) -> Config:
@@ -241,7 +234,7 @@ def load_config(path) -> Config:
             _get(cp, "coefficients", name, "0"), f"[coefficients] {name}"
         )
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # see the note above _edge_fn
+        with np.errstate(over="ignore", invalid="ignore"):  # see the note above _sample
             coeffs = Coefficients.from_exprs(grid, coeff_exprs)
     except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"[coefficients]: {err}") from err
@@ -249,9 +242,9 @@ def load_config(path) -> Config:
     if cp.has_section("rhs") and cp.has_option("rhs", "csv"):
         if cp.has_option("rhs", "expr"):
             raise ConfigError("[rhs]: give either expr or csv, not both")
-        rhs = _fn2d(_get(cp, "rhs", "csv"), grid, base_dir, "[rhs] csv")
+        rhs = _grid_fn(_get(cp, "rhs", "csv"), grid, base_dir, "[rhs] csv")
     else:
-        rhs = _fn2d(_get(cp, "rhs", "expr", "0"), grid, base_dir, "[rhs] expr")
+        rhs = _grid_fn(_get(cp, "rhs", "expr", "0"), grid, base_dir, "[rhs] expr")
 
     has_nc = cp.has_section("data.nonclassical")
     has_c = cp.has_section("data.classical")
@@ -259,28 +252,28 @@ def load_config(path) -> Config:
         raise ConfigError("exactly one of [data.nonclassical] / [data.classical] may be present")
     nonclassical = classical = None
     data_kind = None
+    # The axis of each edge function; a classical triple's v2 is one of them.
+    edge_grids = NonClassicalData.edge_grids(grid)
+
+    def edge_fn(sec, key, g):
+        return _grid_fn(_get(cp, sec, key, "0"), g, base_dir, f"[{sec}] {key}")
+
     if has_nc:
         data_kind = "nonclassical"
         sec = "data.nonclassical"
-        scalars = {k: _get_float(cp, sec, k, "0") for k in NonClassicalData.SCALARS}
         nonclassical = NonClassicalData(
-            **scalars,
-            z20=_edge_fn(_get(cp, sec, "z20", "0"), grid.g1, base_dir, f"[{sec}] z20"),
-            z02=_edge_fn(_get(cp, sec, "z02", "0"), grid.g2, base_dir, f"[{sec}] z02"),
-            z20_h2=_edge_fn(_get(cp, sec, "z20_h2", "0"), grid.g1, base_dir, f"[{sec}] z20_h2"),
-            z02_h1=_edge_fn(_get(cp, sec, "z02_h1", "0"), grid.g2, base_dir, f"[{sec}] z02_h1"),
+            **{key: _get_float(cp, sec, key, "0") for key in NonClassicalData.SCALARS},
+            **{key: edge_fn(sec, key, g) for key, g in edge_grids.items()},
         )
     elif has_c:
         data_kind = "classical"
         sec = "data.classical"
-        fns = {}
-        for name, g in (("phi1", grid.g2), ("phi2", grid.g2), ("psi1", grid.g1), ("psi2", grid.g1)):
-            fns[name] = BoundaryFn(
-                _get_float(cp, sec, f"{name}.v0", "0"),
-                _get_float(cp, sec, f"{name}.v1", "0"),
-                _edge_fn(_get(cp, sec, f"{name}.v2", "0"), g, base_dir, f"[{sec}] {name}.v2"),
-            )
-        classical = ClassicalData(**fns)
+        classical = ClassicalData(**{
+            name: BoundaryFn(_get_float(cp, sec, f"{name}.v0", "0"),
+                             _get_float(cp, sec, f"{name}.v1", "0"),
+                             edge_fn(sec, f"{name}.v2", edge_grids[v2]))
+            for name, (_, _, v2) in CLASSICAL.items()
+        })
 
     # tol and max_iter are read, checked and echoed in --diag for old
     # configs; the solver no longer uses them.
@@ -307,7 +300,7 @@ def _write_text(path, text: str):
 
 
 def _write_csv(path, grids, values):
-    """Write ``values`` on the nodes of ``grids`` as CSV, in their ``_layout``.
+    """Write ``values`` on the nodes of ``grids`` as CSV, in the layout of ``_read_csv``.
 
     Each axis's coordinates are formatted once; the last axis's text ends in
     a ``%.16e`` slot for the value, so a row's text is the product of the
@@ -338,20 +331,17 @@ def _diagnostics_dict(cfg: Config, sol) -> dict:
         "goursat_iterations": d.goursat_iterations,
         "closure_residual": d.closure_residual,
         "equation_residual": d.equation_residual,
-        "compat_rho1": d.compat.rho1,
-        "compat_rho2": d.compat.rho2,
-        "compat_rho3": d.compat.rho3,
         "theta_c": float(sol.theta[0]),
     }
+    for name, value in dataclasses.asdict(d.compat).items():
+        out[f"compat_{name}"] = value
     for name, value in d.condition_residuals.items():
         out[f"condition_residual_{name}"] = value
     for name, value in d.coefficient_norms.items():
         out[f"coefficient_norm_{name}"] = value
     if d.agreement is not None:
-        out["agreement_r1"] = d.agreement.r1
-        out["agreement_r2"] = d.agreement.r2
-        out["agreement_r3"] = d.agreement.r3
-        out["agreement_r4"] = d.agreement.r4
+        for name, value in dataclasses.asdict(d.agreement).items():
+            out[f"agreement_{name}"] = value
     return out
 
 
@@ -419,7 +409,7 @@ def _cmd_convert(args) -> int:
             raise ConfigError("direction n2c needs a [data.nonclassical] block")
         d = nonclassical_to_classical(cfg.nonclassical)
         lines.append("[data.classical]")
-        for name in ("phi1", "phi2", "psi1", "psi2"):
+        for name in CLASSICAL:
             fn = getattr(d, name)
             lines.append(f"{name}.v0 = {fn.v0!r}")
             lines.append(f"{name}.v1 = {fn.v1!r}")
@@ -434,12 +424,10 @@ def _cmd_check(args) -> int:
         raise ConfigError("check needs a [data.nonclassical] or [data.classical] block")
     if cfg.data_kind == "classical":
         rep = check_agreement(cfg.classical)
-        residuals = {"r1": rep.r1, "r2": rep.r2, "r3": rep.r3, "r4": rep.r4}
     else:
         rep = check_compatibility(cfg.nonclassical)
-        residuals = {"rho1": rep.rho1, "rho2": rep.rho2, "rho3": rep.rho3}
     worst = 0.0
-    for name, value in residuals.items():
+    for name, value in dataclasses.asdict(rep).items():
         print(f"{name} = {_FMT.format(value)}")
         worst = max(worst, abs(value))
     ok = worst <= args.tol
@@ -452,7 +440,7 @@ def _manufactured_u(text: str, grids) -> ex.Expr:
     u = _parse_expr(text, "--u")
     for grid in grids:
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # see the note above _edge_fn
+            with np.errstate(over="ignore", invalid="ignore"):  # see the note above _sample
                 extract_traces(u, grid)
         except (ex.EvalDomainError, ValueError) as err:
             raise ConfigError(f"--u: {err} on the {grid.g1.n}x{grid.g2.n} grid") from err
@@ -490,6 +478,9 @@ def _cmd_convergence(args) -> int:
             f"--grids must be two or more doubling interval counts, got {args.grids!r}") from None
     lengths = (cfg.grid.g1.length, cfg.grid.g2.length)
     grids = [Grid2D(make_grid(lengths[0], n), make_grid(lengths[1], n)) for n in ns]
+    for grid in grids:  # the study samples the coefficients again on each grid
+        for name, e in cfg.coeff_exprs.items():
+            _sample(e, grid, f"[coefficients] {name} on the {grid.g1.n}x{grid.g2.n} grid")
     table = convergence_study(_manufactured_u(args.u, grids), cfg.coeff_exprs, lengths, ns)
     _write_text(args.out, table.as_csv())
     for row in table.rows:
@@ -539,8 +530,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parser is a web of reference cycles, which a parser per call
+# would leave to the cyclic garbage collector.
+_PARSER = _build_parser()
+
+
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

@@ -40,6 +40,7 @@ import numpy as np
 from .goursat import GoursatProblem, MarchingError, march, solve_goursat
 from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm
 from .problem import (
+    _TERMS,
     ALL_NODES,
     CONDITIONS,
     AgreementReport,
@@ -278,18 +279,15 @@ def _condition_residuals(field: DerivativeField, data: NonClassicalData) -> dict
 
 
 def _coefficient_norms(coeffs: Coefficients) -> dict:
-    # Informational: the sup/integrability pattern each coefficient is
-    # expected to satisfy, evaluated with exponent 2 on the grid.
-    return {
-        "a21": mixed_norm(coeffs.a21, np.inf, 2),
-        "a20": mixed_norm(coeffs.a20, np.inf, 2),
-        "a12": mixed_norm(coeffs.a12, 2, np.inf),
-        "a02": mixed_norm(coeffs.a02, 2, np.inf),
-        "a11": lp_norm(coeffs.a11, 2),
-        "a10": lp_norm(coeffs.a10, 2),
-        "a01": lp_norm(coeffs.a01, 2),
-        "a00": lp_norm(coeffs.a00, 2),
-    }
+    # Informational: the sup/integrability pattern that the coefficient of
+    # D1^i D2^j u is expected to satisfy, evaluated with exponent 2 on the
+    # grid: sup over x1 when i = 2, sup over x2 when j = 2, L2 otherwise.
+    norms = {}
+    for name, (i, j) in _TERMS.items():
+        a = getattr(coeffs, name)
+        norms[name] = (mixed_norm(a, np.inf, 2) if i == 2 else
+                       mixed_norm(a, 2, np.inf) if j == 2 else lp_norm(a, 2))
+    return norms
 
 
 def solve_dirichlet(p: DirichletProblem) -> Solution:

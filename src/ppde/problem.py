@@ -12,14 +12,18 @@ satisfy four corner agreement equalities.  The non-classical data instead
 prescribes corner values, corner first derivatives and second-derivative
 edge traces, which are free of agreement constraints.  Each boundary
 function is stored as the triple (value at 0, first derivative at 0,
-second derivative grid), so conversion between the two formulations is an
-exact repackaging; evaluating a boundary function uses the Taylor identity
+second derivative grid); evaluating it uses the Taylor identity
 
     f(x) = f(0) + x f'(0) + int_0^x (x - t) f''(t) dt.
+
+The two formulations are equivalent: the table ``CLASSICAL`` names the
+three non-classical data that make up each classical triple, and both
+converters read it, so conversion is an exact repackaging.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -31,6 +35,7 @@ from .representation import DerivativeField
 
 __all__ = [
     "ALL_NODES",
+    "CLASSICAL",
     "COEFFICIENT_NAMES",
     "CONDITIONS",
     "Coefficients",
@@ -221,19 +226,21 @@ class NonClassicalData:
         self.z02_h1 = z02_h1
 
     @classmethod
+    def edge_grids(cls, grid: Grid2D) -> dict:
+        """The axis grid of each edge function, X1_FUNCTIONS then X2_FUNCTIONS."""
+        return {**dict.fromkeys(cls.X1_FUNCTIONS, grid.g1), **dict.fromkeys(cls.X2_FUNCTIONS, grid.g2)}
+
+    @classmethod
     def zeros(cls, grid: Grid2D) -> "NonClassicalData":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                   GridFn1D.zeros(grid.g1), GridFn1D.zeros(grid.g2),
-                   GridFn1D.zeros(grid.g1), GridFn1D.zeros(grid.g2))
+        return cls(**dict.fromkeys(cls.SCALARS, 0.0),
+                   **{name: GridFn1D.zeros(g) for name, g in cls.edge_grids(grid).items()})
 
     @classmethod
     def from_field(cls, field: DerivativeField) -> "NonClassicalData":
         """The data that the field meets exactly, read off at the nodes of CONDITIONS."""
-        grid = field.grid
-        v = condition_values(field.values, grid.shape)
+        v = condition_values(field.values, field.grid.shape)
         return cls(**{name: v[name] for name in cls.SCALARS},
-                   **{name: GridFn1D(grid.g1, v[name]) for name in cls.X1_FUNCTIONS},
-                   **{name: GridFn1D(grid.g2, v[name]) for name in cls.X2_FUNCTIONS})
+                   **{name: GridFn1D(g, v[name]) for name, g in cls.edge_grids(field.grid).items()})
 
     def value(self, name: str):
         """Right-hand side of one condition: a float, or the edge function's node values."""
@@ -241,8 +248,29 @@ class NonClassicalData:
         return v if name in self.SCALARS else v.values
 
 
+# The equivalence of the two formulations: each classical edge function is
+# the Taylor triple (value at 0, slope at 0, second derivative) of three
+# non-classical data.  CONDITIONS puts the first two at the start of the
+# function's edge and the third along it, with orders 0, 1 and 2 along the
+# function's axis: x2 for a phi, x1 for a psi.  z00 is in two triples; the
+# first, phi1, is the one it is read from.
+CLASSICAL = {
+    "phi1": ("z00", "z01", "z02"),
+    "phi2": ("z00_h1", "z01_h1", "z02_h1"),
+    "psi1": ("z00", "z10", "z20"),
+    "psi2": ("z00_h2", "z10_h2", "z20_h2"),
+}
+
+
+class _Residuals:
+    """Signed residuals, one per dataclass field; ``dataclasses.asdict`` names them."""
+
+    def max_abs(self) -> float:
+        return max(abs(value) for value in dataclasses.asdict(self).values())
+
+
 @dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(_Residuals):
     """Signed residuals of the four corner agreement equalities."""
 
     r1: float  # phi1(0)  - psi1(0)
@@ -250,12 +278,9 @@ class AgreementReport:
     r3: float  # phi1(h2) - psi2(0)
     r4: float  # phi2(0)  - psi1(h1)
 
-    def max_abs(self) -> float:
-        return max(abs(self.r1), abs(self.r2), abs(self.r3), abs(self.r4))
-
 
 @dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(_Residuals):
     """Corner Taylor-identity residuals of non-classical data.
 
     rho1 checks u(h1,0) against the x2 = 0 edge data, rho2 checks u(0,h2)
@@ -267,9 +292,6 @@ class CompatibilityReport:
     rho1: float
     rho2: float
     rho3: float
-
-    def max_abs(self) -> float:
-        return max(abs(self.rho1), abs(self.rho2), abs(self.rho3))
 
 
 def boundary_values(f: BoundaryFn) -> GridFn1D:
@@ -296,35 +318,24 @@ def check_agreement(d: ClassicalData) -> AgreementReport:
 
 
 def classical_to_nonclassical(d: ClassicalData) -> NonClassicalData:
-    """Read the non-classical right-hand sides off the boundary triples.
+    """Read the non-classical right-hand sides off the boundary triples (see CLASSICAL).
 
-    Exact (no quadrature).  The shared corner value is read from phi1;
-    any phi1(0) != psi1(0) mismatch is reported by check_agreement, never
-    silently averaged.
+    Exact (no quadrature).  The shared corner value z00 is read from phi1,
+    the first triple that names it; any phi1(0) != psi1(0) mismatch is
+    reported by check_agreement, never silently averaged.
     """
-    return NonClassicalData(
-        z00=d.phi1.v0,
-        z10=d.psi1.v1,
-        z01=d.phi1.v1,
-        z00_h1=d.phi2.v0,
-        z01_h1=d.phi2.v1,
-        z00_h2=d.psi2.v0,
-        z10_h2=d.psi2.v1,
-        z20=d.psi1.v2,
-        z02=d.phi1.v2,
-        z20_h2=d.psi2.v2,
-        z02_h1=d.phi2.v2,
-    )
+    z = {}
+    for name, triple in CLASSICAL.items():
+        f = getattr(d, name)
+        for key, value in zip(triple, (f.v0, f.v1, f.v2)):
+            z.setdefault(key, value)
+    return NonClassicalData(**z)
 
 
 def nonclassical_to_classical(z: NonClassicalData) -> ClassicalData:
-    """Repackage non-classical data as boundary triples (exact inverse)."""
-    return ClassicalData(
-        phi1=BoundaryFn(z.z00, z.z01, z.z02),
-        phi2=BoundaryFn(z.z00_h1, z.z01_h1, z.z02_h1),
-        psi1=BoundaryFn(z.z00, z.z10, z.z20),
-        psi2=BoundaryFn(z.z00_h2, z.z10_h2, z.z20_h2),
-    )
+    """Repackage non-classical data as boundary triples (exact inverse; see CLASSICAL)."""
+    return ClassicalData(**{name: BoundaryFn(*(getattr(z, key) for key in triple))
+                            for name, triple in CLASSICAL.items()})
 
 
 def check_compatibility(z: NonClassicalData) -> CompatibilityReport:

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppde.cli
+import ppde.verify
 from ppde.cli import load_config, run
 from ppde.grid import make_grid
 from ppde.problem import COEFFICIENT_NAMES, NonClassicalData
@@ -303,6 +305,45 @@ class TestCheck:
         assert run(["check", "--config", cfg]) == 0
         assert "r4" in capsys.readouterr().out
 
+    def test_nonclassical_stdout_bytes(self, tmp_path, capsys):
+        cfg = write(tmp_path / "nc.ini", BASE.format(n=8), """
+        [data.nonclassical]
+        z00 = 0.5
+        z10 = -1.0
+        z00_h1 = 1.0
+        z00_h2 = 0.25
+        z20 = "sin(x1)"
+        z02_h1 = "x2"
+        """)
+        assert run(["check", "--config", cfg]) == 1
+        assert capsys.readouterr().out == (
+            "rho1 = 1.3438699292160177e+00\n"
+            "rho2 = -2.5000000000000000e-01\n"
+            "rho3 = 9.1406250000000000e-01\n"
+            "max |residual| = 1.3438699292160177e+00 (> tol 1e-08)\n"
+        )
+
+    def test_classical_stdout_bytes(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.ini", BASE.format(n=8), """
+        [data.classical]
+        phi1.v0 = 0.5
+        phi1.v1 = 1.0
+        phi2.v0 = 1.0
+        phi2.v1 = 1.0
+        psi1.v1 = 1.0
+        psi2.v0 = 1.0
+        psi2.v1 = 1.0
+        psi2.v2 = "x1"
+        """)
+        assert run(["check", "--config", cfg, "--tol", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "r1 = 5.0000000000000000e-01\n"
+            "r2 = -1.6406250000000000e-01\n"
+            "r3 = 5.0000000000000000e-01\n"
+            "r4 = 0.0000000000000000e+00\n"
+            "max |residual| = 5.0000000000000000e-01 (<= tol 2)\n"
+        )
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "bad_expr.ini", BASE.format(n=4), """
         [rhs]
@@ -427,6 +468,25 @@ class TestConvergenceCommand:
         assert run(["convergence", "--u", "exp(1000*x1)", "--config", cfg,
                     "--grids", "4,8", "--out", str(out)]) == 2
         assert "--u" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coefficient_not_finite_on_a_grid_is_a_config_error(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # 1/(x1 - 0.0625) is finite on the config's 4x4 grid and on the 8x8
+        # one, but x1 = 0.0625 is a node of the 16x16 grid.
+        def no_solve(problem):
+            raise AssertionError("solved before the coefficients were checked")
+
+        monkeypatch.setattr(ppde.verify, "solve_dirichlet", no_solve)
+        cfg = write(tmp_path / "conv.ini", BASE.format(n=4), """
+        [coefficients]
+        a00 = "1/(x1 - 0.0625)"
+        """)
+        out = tmp_path / "table.csv"
+        assert run(["convergence", "--u", "x1*x2", "--config", cfg,
+                    "--grids", "4,8,16", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[coefficients] a00" in err and "16x16 grid" in err
         assert not out.exists()
 
 
@@ -561,6 +621,19 @@ class TestConfigLoading:
 
 
 class TestEntryPoint:
+    def test_run_leaves_no_argparse_garbage(self, tmp_path):
+        cfg = write(tmp_path / "affine.ini", AFFINE_2X2)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # unreachable cycles are kept in gc.garbage
+        try:
+            assert run(["check", "--config", cfg]) == 0
+            gc.collect()
+            garbage = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
+
     def test_module_invocation(self, tmp_path):
         cfg = quartic_solve_config(tmp_path, n=4)
         out = tmp_path / "u.csv"

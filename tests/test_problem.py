@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
 from ppde.problem import (
+    ALL_NODES,
+    CLASSICAL,
     COEFFICIENT_NAMES,
     CONDITIONS,
     BoundaryFn,
@@ -243,17 +245,35 @@ class TestConverters:
         corner = rng.normal()  # phi1(0) = psi1(0): agreeing data keep one corner value
         d = ClassicalData(triple(corner, g.g2), triple(rng.normal(), g.g2),
                           triple(corner, g.g1), triple(rng.normal(), g.g1))
-        back = nonclassical_to_classical(classical_to_nonclassical(d))
-        for name in ("phi1", "phi2", "psi1", "psi2"):
+        z = classical_to_nonclassical(d)
+        back = nonclassical_to_classical(z)
+        for name, (v0, v1, v2) in CLASSICAL.items():
             a, b = getattr(back, name), getattr(d, name)
-            assert (a.v0, a.v1) == (b.v0, b.v1)
+            assert (a.v0, a.v1) == (b.v0, b.v1) == (getattr(z, v0), getattr(z, v1))
             np.testing.assert_array_equal(a.v2.values, b.v2.values)
+            np.testing.assert_array_equal(getattr(z, v2).values, b.v2.values)
 
 
 class TestConditionTable:
     def test_names_are_the_data_entries(self):
         assert tuple(CONDITIONS) == (NonClassicalData.SCALARS + NonClassicalData.X1_FUNCTIONS
                                      + NonClassicalData.X2_FUNCTIONS)
+
+    def test_classical_triples_are_taylor_triples(self):
+        # Each classical function is (value, slope, second derivative) at the
+        # start of its edge: three conditions at one node, of orders 0, 1 and
+        # 2 along the function's axis (x2 for a phi, x1 for a psi).
+        g = unit_square(4)
+        for name, triple in CLASSICAL.items():
+            axis = 1 if name.startswith("phi") else 0
+            edge = CONDITIONS[triple[0]][1][1 - axis]
+            for order, key in enumerate(triple):
+                (i, j), node = CONDITIONS[key]
+                assert ((i, j)[axis], (i, j)[1 - axis]) == (order, 0), key
+                assert node[axis] == (ALL_NODES if order == 2 else 0), key
+                assert node[1 - axis] == edge, key
+            assert NonClassicalData.edge_grids(g)[triple[2]] == (g.g1, g.g2)[axis]
+        assert {key for triple in CLASSICAL.values() for key in triple} == set(CONDITIONS)
 
     def test_from_field_reads_each_condition(self):
         # u = exp(x1 + 2 x2) on (0, 1.5) x (0, 0.5): D1^i D2^j u = 2^j u
