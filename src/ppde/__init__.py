@@ -27,7 +27,6 @@ from .grid import (
     Grid2D,
     GridFn1D,
     GridFn2D,
-    cumulative_integrals,
     lp_norm,
     make_grid,
     mixed_norm,

@@ -63,21 +63,23 @@ class ConfigError(Exception):
     """Invalid or missing configuration; the message names the key."""
 
 
+@dataclasses.dataclass
 class Config:
-    """Parsed problem definition (see load_config)."""
+    """Parsed problem definition (see load_config).
 
-    def __init__(self, grid, coeffs, coeff_exprs, rhs, data_kind,
-                 classical, nonclassical, tol, max_iter, ridge):
-        self.grid = grid
-        self.coeffs = coeffs
-        self.coeff_exprs = coeff_exprs
-        self.rhs = rhs
-        self.data_kind = data_kind
-        self.classical = classical
-        self.nonclassical = nonclassical
-        self.tol = tol
-        self.max_iter = max_iter
-        self.ridge = ridge
+    At most one of ``classical`` and ``nonclassical`` is set: the data block
+    the config gives.
+    """
+
+    grid: Grid2D
+    coeffs: Coefficients
+    coeff_exprs: dict
+    rhs: GridFn2D
+    classical: ClassicalData | None
+    nonclassical: NonClassicalData | None
+    tol: float
+    max_iter: int
+    ridge: float
 
 
 # ---------------------------------------------------------------------------
@@ -90,31 +92,28 @@ def _unquote(raw: str) -> str:
     return s
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, default=None) -> str:
+def _get(cp: configparser.ConfigParser, section: str, key: str, default=None, kind=str):
+    """The value of ``key``, converted by ``kind`` (str, float or int).
+
+    A float must be finite.  ``default`` is the text taken when the key is
+    absent; without one the key is required.
+    """
     if cp.has_section(section) and cp.has_option(section, key):
-        return _unquote(cp.get(section, key))
-    if default is None:
+        raw = _unquote(cp.get(section, key))
+    elif default is None:
         raise ConfigError(f"missing required key [{section}] {key}")
-    return default
-
-
-def _get_float(cp, section, key, default=None) -> float:
-    raw = _get(cp, section, key, default)
+    else:
+        raw = default
+    if kind is str:
+        return raw
     try:
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key}: not {what}: {raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
     return value
-
-
-def _get_int(cp, section, key, default=None) -> int:
-    raw = _get(cp, section, key, default)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
 
 
 def _parse_expr(text: str, where: str) -> ex.Expr:
@@ -197,6 +196,15 @@ def _sample(e: ex.Expr, grid, where: str):
         raise ConfigError(f"{where}: {err}") from err
 
 
+def _coefficients(exprs: dict, grid: Grid2D, where: str = "") -> Coefficients:
+    """The coefficients of ``exprs`` (one expression per name) at the nodes of ``grid``.
+
+    ``where`` follows the name in an error: ``[coefficients] <name><where>: ...``.
+    """
+    return Coefficients(*(_sample(exprs[name], grid, f"[coefficients] {name}{where}")
+                          for name in COEFFICIENT_NAMES))
+
+
 def _grid_fn(raw: str, grid, base_dir: Path, where: str):
     """Grid-function entry on a Grid1D or a Grid2D: an expression or a CSV path."""
     if not raw.endswith(".csv"):
@@ -219,25 +227,19 @@ def load_config(path) -> Config:
         raise ConfigError(f"malformed config {path}: {err}") from err
     base_dir = path.parent
 
-    h1 = _get_float(cp, "domain", "h1")
-    h2 = _get_float(cp, "domain", "h2")
-    n1 = _get_int(cp, "domain", "n1")
-    n2 = _get_int(cp, "domain", "n2")
+    h1 = _get(cp, "domain", "h1", kind=float)
+    h2 = _get(cp, "domain", "h2", kind=float)
+    n1 = _get(cp, "domain", "n1", kind=int)
+    n2 = _get(cp, "domain", "n2", kind=int)
     try:
         grid = Grid2D(make_grid(h1, n1), make_grid(h2, n2))
     except ValueError as err:
         raise ConfigError(f"[domain]: {err}") from err
 
-    coeff_exprs = {}
-    for name in COEFFICIENT_NAMES:
-        coeff_exprs[name] = _parse_expr(
-            _get(cp, "coefficients", name, "0"), f"[coefficients] {name}"
-        )
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # see the note above _sample
-            coeffs = Coefficients.from_exprs(grid, coeff_exprs)
-    except (ex.EvalDomainError, ValueError) as err:
-        raise ConfigError(f"[coefficients]: {err}") from err
+    coeff_exprs = {name: _parse_expr(_get(cp, "coefficients", name, "0"),
+                                     f"[coefficients] {name}")
+                   for name in COEFFICIENT_NAMES}
+    coeffs = _coefficients(coeff_exprs, grid)
 
     if cp.has_section("rhs") and cp.has_option("rhs", "csv"):
         if cp.has_option("rhs", "expr"):
@@ -251,7 +253,6 @@ def load_config(path) -> Config:
     if has_nc and has_c:
         raise ConfigError("exactly one of [data.nonclassical] / [data.classical] may be present")
     nonclassical = classical = None
-    data_kind = None
     # The axis of each edge function; a classical triple's v2 is one of them.
     edge_grids = NonClassicalData.edge_grids(grid)
 
@@ -259,27 +260,25 @@ def load_config(path) -> Config:
         return _grid_fn(_get(cp, sec, key, "0"), g, base_dir, f"[{sec}] {key}")
 
     if has_nc:
-        data_kind = "nonclassical"
         sec = "data.nonclassical"
         nonclassical = NonClassicalData(
-            **{key: _get_float(cp, sec, key, "0") for key in NonClassicalData.SCALARS},
+            **{key: _get(cp, sec, key, "0", float) for key in NonClassicalData.SCALARS},
             **{key: edge_fn(sec, key, g) for key, g in edge_grids.items()},
         )
     elif has_c:
-        data_kind = "classical"
         sec = "data.classical"
         classical = ClassicalData(**{
-            name: BoundaryFn(_get_float(cp, sec, f"{name}.v0", "0"),
-                             _get_float(cp, sec, f"{name}.v1", "0"),
+            name: BoundaryFn(_get(cp, sec, f"{name}.v0", "0", float),
+                             _get(cp, sec, f"{name}.v1", "0", float),
                              edge_fn(sec, f"{name}.v2", edge_grids[v2]))
             for name, (_, _, v2) in CLASSICAL.items()
         })
 
-    # tol and max_iter are read, checked and echoed in --diag for old
-    # configs; the solver no longer uses them.
-    tol = _get_float(cp, "solver", "tol", "1e-12")
-    max_iter = _get_int(cp, "solver", "max_iter", "200")
-    ridge = _get_float(cp, "solver", "ridge", "0")
+    # tol and max_iter are read and checked for old configs; the solver no
+    # longer uses them.
+    tol = _get(cp, "solver", "tol", "1e-12", float)
+    max_iter = _get(cp, "solver", "max_iter", "200", int)
+    ridge = _get(cp, "solver", "ridge", "0", float)
     if tol <= 0:
         raise ConfigError("[solver] tol must be positive")
     if max_iter < 1:
@@ -287,8 +286,7 @@ def load_config(path) -> Config:
     if ridge < 0:
         raise ConfigError("[solver] ridge must be nonnegative")
 
-    return Config(grid, coeffs, coeff_exprs, rhs, data_kind, classical, nonclassical,
-                  tol, max_iter, ridge)
+    return Config(grid, coeffs, coeff_exprs, rhs, classical, nonclassical, tol, max_iter, ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +323,6 @@ def _diagnostics_dict(cfg: Config, sol) -> dict:
         "h2": cfg.grid.g2.length,
         "n1": cfg.grid.g1.n,
         "n2": cfg.grid.g2.n,
-        "tol": cfg.tol,
-        "max_iter": cfg.max_iter,
         "ridge": cfg.ridge,
         "goursat_iterations": d.goursat_iterations,
         "closure_residual": d.closure_residual,
@@ -350,9 +346,9 @@ def _diagnostics_dict(cfg: Config, sol) -> dict:
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    if cfg.data_kind is None:
+    if cfg.classical is None and cfg.nonclassical is None:
         raise ConfigError("solve needs a [data.nonclassical] or [data.classical] block")
-    if cfg.data_kind == "classical":
+    if cfg.classical is not None:
         sol = solve_classical(cfg.coeffs, cfg.rhs, cfg.classical, cfg.grid, ridge=cfg.ridge)
     else:
         sol = solve_dirichlet(DirichletProblem(cfg.grid, cfg.coeffs, cfg.rhs, cfg.nonclassical,
@@ -396,7 +392,7 @@ def _cmd_convert(args) -> int:
         return side.name
 
     if args.direction == "c2n":
-        if cfg.data_kind != "classical":
+        if cfg.classical is None:
             raise ConfigError("direction c2n needs a [data.classical] block")
         z = classical_to_nonclassical(cfg.classical)
         lines.append("[data.nonclassical]")
@@ -405,7 +401,7 @@ def _cmd_convert(args) -> int:
         for key in NonClassicalData.X1_FUNCTIONS + NonClassicalData.X2_FUNCTIONS:
             lines.append(f'{key} = "{side_csv(key, getattr(z, key))}"')
     else:
-        if cfg.data_kind != "nonclassical":
+        if cfg.nonclassical is None:
             raise ConfigError("direction n2c needs a [data.nonclassical] block")
         d = nonclassical_to_classical(cfg.nonclassical)
         lines.append("[data.classical]")
@@ -419,10 +415,12 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if not 0.0 <= args.tol < math.inf:  # also false for nan
+        raise ConfigError(f"--tol must be a nonnegative finite number, got {args.tol!r}")
     cfg = load_config(args.config)
-    if cfg.data_kind is None:
+    if cfg.classical is None and cfg.nonclassical is None:
         raise ConfigError("check needs a [data.nonclassical] or [data.classical] block")
-    if cfg.data_kind == "classical":
+    if cfg.classical is not None:
         rep = check_agreement(cfg.classical)
     else:
         rep = check_compatibility(cfg.nonclassical)
@@ -479,8 +477,7 @@ def _cmd_convergence(args) -> int:
     lengths = (cfg.grid.g1.length, cfg.grid.g2.length)
     grids = [Grid2D(make_grid(lengths[0], n), make_grid(lengths[1], n)) for n in ns]
     for grid in grids:  # the study samples the coefficients again on each grid
-        for name, e in cfg.coeff_exprs.items():
-            _sample(e, grid, f"[coefficients] {name} on the {grid.g1.n}x{grid.g2.n} grid")
+        _coefficients(cfg.coeff_exprs, grid, f" on the {grid.g1.n}x{grid.g2.n} grid")
     table = convergence_study(_manufactured_u(args.u, grids), cfg.coeff_exprs, lengths, ns)
     _write_text(args.out, table.as_csv())
     for row in table.rows:

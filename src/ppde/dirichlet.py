@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .goursat import GoursatProblem, MarchingError, march, solve_goursat
-from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm
+from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm, orders
 from .problem import (
     _TERMS,
     ALL_NODES,
@@ -56,7 +56,7 @@ from .problem import (
     live_terms,
     lower_order,
 )
-from .representation import DerivativeField, TraceSet, line, orders, trace_part
+from .representation import DerivativeField, TraceSet, line, trace_part
 
 __all__ = [
     "DirichletProblem",

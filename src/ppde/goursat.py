@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFn2D
+from .grid import GridFn2D, orders
 from .problem import Coefficients, apply_operator, live_terms, lower_order
-from .representation import DerivativeField, TraceSet, orders, reconstruct_field, trace_part
+from .representation import DerivativeField, TraceSet, reconstruct_field, trace_part
 
 __all__ = ["GoursatProblem", "GoursatSolution", "MarchingError", "march", "solve_goursat"]
 

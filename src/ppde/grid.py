@@ -20,7 +20,7 @@ __all__ = [
     "GridFn2D",
     "make_grid",
     "cumtrapz",
-    "cumulative_integrals",
+    "orders",
     "lp_norm",
     "mixed_norm",
 ]
@@ -138,17 +138,19 @@ def cumtrapz(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return out
 
 
-def cumulative_integrals(values: np.ndarray, x: np.ndarray, h: float, axis: int = 0):
-    """Return (C, M, R), the cumulative trapezoid integrals of f along ``axis``.
+def orders(f, x, h: float, axis: int = 0):
+    """Orders 0, 1 and 2 of the part whose second derivative is f: (R[f], C[f], f).
 
-    C(x) = int_0^x f(t) dt, M(x) = int_0^x t f(t) dt and the Taylor
-    remainder R(x) = int_0^x (x - t) f(t) dt = x C(x) - M(x).  ``x`` holds
-    the nodes of that axis, shaped to broadcast against ``values``.  All
-    three start at exactly 0; C is exact for affine f and R for constant f.
+    C[f](x) = int_0^x f(t) dt and the Taylor remainder
+    R[f](x) = int_0^x (x - t) f(t) dt = x C[f](x) - int_0^x t f(t) dt, by
+    cumulative trapezoid along ``axis``.  ``x`` holds the nodes of that axis,
+    shaped to broadcast against ``f``; any other axes of ``f`` are carried
+    along.  R and C start at exactly 0; C is exact for affine f and R for
+    constant f.
     """
-    c = cumtrapz(values, h, axis)
-    m = cumtrapz(x * values, h, axis)
-    return c, m, x * c - m
+    c = cumtrapz(f, h, axis)
+    m = cumtrapz(x * f, h, axis)
+    return x * c - m, c, f
 
 
 def _check_exponent(p) -> float:

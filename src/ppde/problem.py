@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D, cumulative_integrals
+from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D, orders
 from .representation import DerivativeField
 
 __all__ = [
@@ -297,7 +297,7 @@ class CompatibilityReport(_Residuals):
 def boundary_values(f: BoundaryFn) -> GridFn1D:
     """Evaluate the Taylor form v0 + x v1 + int_0^x (x - t) v2(t) dt."""
     x = f.v2.grid.nodes
-    _, _, rem = cumulative_integrals(f.v2.values, x, f.v2.grid.h)
+    rem = orders(f.v2.values, x, f.v2.grid.h)[0]
     return GridFn1D(f.v2.grid, f.v0 + x * f.v1 + rem)
 
 

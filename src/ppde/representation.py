@@ -23,8 +23,8 @@ where C[f] = int_0^x f(t) dt and R[f] = int_0^x (x - t) f(t) dt.  So
 D1^i D2^j u is the sum over the terms of (order-i x1 factor) times
 (order-j x2 factor); the w term is the third kind applied along x1 and then
 along x2.  A factor lists its orders up to its last nonzero one
-(``_CONSTANT``, ``line``, ``orders``); the missing ones are zero, and their
-products are skipped.  The same table gives ``goursat.march`` its row
+(``_CONSTANT``, ``line``, ``grid.orders``); the missing ones are zero, and
+their products are skipped.  The same table gives ``goursat.march`` its row
 kernels and the closure in ``dirichlet`` its unit-trace right-hand sides.
 
 The eight trace terms form the trace part (``trace_part``): the field of
@@ -46,9 +46,9 @@ from . import expr as ex
 
 # cumtrapz is bound here, unused, because perfbench/tracing.py wraps the
 # name ppde.representation.cumtrapz and fails if it is missing.
-from .grid import Grid2D, GridFn1D, GridFn2D, cumtrapz, cumulative_integrals  # noqa: F401
+from .grid import Grid2D, GridFn1D, GridFn2D, cumtrapz, orders  # noqa: F401
 
-__all__ = ["TraceSet", "DerivativeField", "line", "orders", "trace_part", "reconstruct_field",
+__all__ = ["TraceSet", "DerivativeField", "line", "trace_part", "reconstruct_field",
            "extract_traces"]
 
 _CONSTANT = (1.0,)
@@ -57,16 +57,6 @@ _CONSTANT = (1.0,)
 def line(x):
     """Orders 0 and 1 of the line x; its second derivative is zero."""
     return (x, 1.0)
-
-
-def orders(f, x, h: float, axis: int = 0):
-    """Orders 0, 1 and 2 of the part whose second derivative is f: (R[f], C[f], f).
-
-    ``x`` holds the nodes of ``axis``, shaped to broadcast against ``f``;
-    any other axes of ``f`` are carried along.
-    """
-    c, _, r = cumulative_integrals(f, x, h, axis)
-    return r, c, f
 
 
 class TraceSet:

