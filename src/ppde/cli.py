@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -54,8 +55,8 @@ from .verify import check_doubling, convergence_study, manufactured_problem
 __all__ = ["ConfigError", "Config", "load_config", "run", "main"]
 
 _FMT = "{:.16e}"
-# CSV rows formatted and written at a time by _write_csv: neither the text of
-# a whole grid nor a per-node list is ever held at once.
+# CSV rows written at a time by _write_csv and read at a time by _read_csv:
+# neither the text of a whole grid nor a per-node list is ever held at once.
 _WRITE_ROWS = 1024
 
 
@@ -127,52 +128,116 @@ def _header(grids) -> str:
     return "x,value" if len(grids) == 1 else "x1,x2,value"
 
 
+def _parse_rows(rows: list, width: int) -> np.ndarray:
+    """CSV lines without line breaks as a (len(rows), width) array of ``float``s.
+
+    Raises ValueError unless each row has ``width`` fields that ``float`` reads.
+    """
+    # Joined by "\n,", each row but the last ends its last field in "\n",
+    # which float ignores.  With len(rows) * width fields in all, every row
+    # has width fields exactly when those len(rows) - 1 fields are each
+    # width-th one.
+    m = len(rows)
+    fields = "\n,".join(rows).split(",")
+    if len(fields) != m * width or "".join(fields[width - 1::width]).count("\n") != m - 1:
+        raise ValueError(f"rows without {width} fields each")
+    return np.fromiter(map(float, fields), float, m * width).reshape(m, width)
+
+
+def _row_fault(line: str, header: str) -> str:
+    """Why ``line`` is not a data row under ``header``; empty if it is one."""
+    parts = line.split(",")
+    width = header.count(",") + 1
+    if len(parts) != width:
+        return f"expected {width} fields ({header}), got {len(parts)}"
+    try:
+        list(map(float, parts))
+    except ValueError:
+        return f"bad numeric row {line!r}"
+    return ""
+
+
 def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
     """Value column of a CSV file on the nodes of ``grids``, one row per node.
 
     The layout, which ``_write_csv`` writes too: one grid, header
     ``x,value``; two grids (x1, x2), header ``x1,x2,value`` and rows in
-    row-major order, x2 varying fastest.  Each coordinate must be its grid
-    node to within 1e-12 of the axis length, and each value must be finite.
+    row-major order, x2 varying fastest.  Lines may end in LF or CRLF (or
+    any other break ``str.splitlines`` knows); blank and whitespace-only
+    lines are skipped; every field is read by Python's ``float``, so spaces
+    around a field are allowed.  Each coordinate must be its grid node to
+    within 1e-12 of the axis length, and each value must be finite.
+
+    The file is streamed in chunks of ``_WRITE_ROWS`` lines, so neither its
+    whole text nor a list of all its lines is ever held.  A chunk's rows are
+    checked for their field count and parsed by one ``map(float, ...)``
+    into one array.  An error names the file line at fault, counted only
+    when the error is raised.  Of several faults, the one named is the
+    first the stream meets: the header, then chunk by chunk more rows than
+    nodes or the first row with the wrong field count or a bad number;
+    after the last chunk, fewer rows than nodes, the first row off its
+    grid node, the first value that is not finite.
     """
     path = base_dir / raw
     header = _header(grids)
-    nodes = np.stack(np.meshgrid(*(g.nodes for g in grids), indexing="ij"), -1).reshape(-1, len(grids))
+    width = len(grids) + 1
+    shape = tuple(g.nodes.size for g in grids)
+    tol = [1e-12 * g.length for g in grids]
+    values = np.empty(math.prod(shape))
+    done = -1  # data rows read; -1 until the header has been read
+    read = 0  # file lines read
+    # The first row off its node and the first non-finite value: raised once
+    # every row has parsed and the row count is right.
+    off_node = not_finite = None
+
+    def fault(chunk, k, message):  # at nonblank line k of the chunk just read
+        line = read - len(chunk) + 1 + [i for i, ln in enumerate(chunk) if ln.strip()][k]
+        return ConfigError(f"{where}: {path} line {line}: {message}")
+
     try:
-        text = path.read_text().splitlines()
+        with open(path) as fh:
+            while chunk := "".join(itertools.islice(fh, _WRITE_ROWS)).splitlines():
+                read += len(chunk)
+                rows = list(filter(str.strip, chunk))
+                skip = 0  # 1 if the chunk's first nonblank line was the header
+                if done < 0 and rows:
+                    if rows.pop(0).strip() != header:
+                        raise ConfigError(f"{where}: {path} must start with header {header!r}")
+                    done, skip = 0, 1
+                if not rows:
+                    continue
+                m = len(rows)
+                if done + m > values.size:
+                    raise ConfigError(f"{where}: {path} must have {values.size} {header} rows")
+                try:
+                    block = _parse_rows(rows, width)
+                except ValueError:  # name the first row at fault
+                    for k, ln in enumerate(rows):
+                        if why := _row_fault(ln, header):
+                            raise fault(chunk, skip + k, why) from None
+                index = np.unravel_index(np.arange(done, done + m), shape)
+                nodes = np.stack([g.nodes[i] for g, i in zip(grids, index)], axis=1)
+                off = np.flatnonzero(~np.all(np.abs(block[:, :-1] - nodes) <= tol, axis=1))
+                if off.size and off_node is None:
+                    k = int(off[0])
+                    off_node = fault(chunk, skip + k, f"coordinates {block[k, :-1].tolist()} "
+                                                      f"are not the grid node {nodes[k].tolist()}")
+                bad = np.flatnonzero(~np.isfinite(block[:, -1]))
+                if bad.size and not_finite is None:
+                    k = int(bad[0])
+                    not_finite = fault(chunk, skip + k, f"value {block[k, -1]!r} is not finite")
+                values[done:done + m] = block[:, -1]
+                done += m
     except OSError as err:
         raise ConfigError(f"{where}: cannot read {path}: {err}") from err
-    # The nonblank lines and their numbers in the file, for the messages.
-    numbers = [n for n, ln in enumerate(text, start=1) if ln.strip()]
-    lines = [text[n - 1] for n in numbers]
-    if not lines or lines[0].strip() != header:
+    if done < 0:
         raise ConfigError(f"{where}: {path} must start with header {header!r}")
-    if len(lines) - 1 != len(nodes):
-        raise ConfigError(f"{where}: {path} must have {len(nodes)} {header} rows")
-
-    def values():  # streamed, so no per-row Python lists stay alive
-        for k, ln in enumerate(lines[1:], start=1):
-            parts = ln.split(",")
-            if len(parts) != len(grids) + 1:
-                raise ConfigError(f"{where}: {path} must have {len(nodes)} {header} rows")
-            try:
-                yield from map(float, parts)
-            except ValueError:
-                raise ConfigError(
-                    f"{where}: {path} line {numbers[k]}: bad numeric row {ln!r}") from None
-
-    rows = np.fromiter(values(), float).reshape(len(nodes), len(grids) + 1)
-    off = ~(np.abs(rows[:, :-1] - nodes) <= 1e-12 * np.array([g.length for g in grids]))
-    bad = np.flatnonzero(np.any(off, axis=1))
-    if bad.size:
-        k = int(bad[0])
-        raise ConfigError(f"{where}: {path} line {numbers[k + 1]}: coordinates "
-                          f"{rows[k, :-1].tolist()} are not the grid node {nodes[k].tolist()}")
-    bad = np.flatnonzero(~np.isfinite(rows[:, -1]))
-    if bad.size:
-        k = int(bad[0])
-        raise ConfigError(f"{where}: {path} line {numbers[k + 1]}: value {rows[k, -1]!r} is not finite")
-    return rows[:, -1]
+    if done != values.size:
+        raise ConfigError(f"{where}: {path} must have {values.size} {header} rows")
+    for err in (off_node, not_finite):
+        if err is not None:
+            raise err
+    return values
 
 
 # Expression values become grid functions, which reject non-finite values
@@ -297,23 +362,28 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _write_csv(path, grids, values):
-    """Write ``values`` on the nodes of ``grids`` as CSV, in the layout of ``_read_csv``.
+def _write_csv(grids, files: dict):
+    """Write each ``values`` of ``files`` (path -> values on the nodes of
+    ``grids``) as CSV, in the layout of ``_read_csv``.
 
     Each axis's coordinates are formatted once; the last axis's text ends in
     a ``%.16e`` slot for the value, so a row's text is the product of the
-    axes' texts and a chunk of rows is filled with one ``%`` (which gives
-    the same text as ``_FMT`` for every double).
+    axes' texts.  A chunk of rows is joined into one template, once for all
+    the files, and filled with one ``%`` per file (which gives the same text
+    as ``_FMT`` for every double).
     """
     axes = [[f"{x:.16e}," for x in g.nodes.tolist()] for g in grids]
     axes[-1] = [text + "%.16e\n" for text in axes[-1]]
     rows = map("".join, itertools.product(*axes))
-    values = np.reshape(values, -1)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_header(grids) + "\n")
-        for start in range(0, values.size, _WRITE_ROWS):
-            chunk = values[start:start + _WRITE_ROWS].tolist()
-            fh.write("".join(itertools.islice(rows, len(chunk))) % tuple(chunk))
+    with contextlib.ExitStack() as stack:
+        out = [(stack.enter_context(open(path, "w", newline="\n")), np.reshape(values, -1))
+               for path, values in files.items()]
+        for fh, _ in out:
+            fh.write(_header(grids) + "\n")
+        for start in range(0, math.prod(len(axis) for axis in axes), _WRITE_ROWS):
+            template = "".join(itertools.islice(rows, _WRITE_ROWS))
+            for fh, values in out:
+                fh.write(template % tuple(values[start:start + _WRITE_ROWS].tolist()))
 
 
 def _diagnostics_dict(cfg: Config, sol) -> dict:
@@ -355,16 +425,13 @@ def _cmd_solve(args) -> int:
                                                ridge=cfg.ridge))
 
     out = Path(args.out)
-    grids = [cfg.grid.g1, cfg.grid.g2]
-    _write_csv(out, grids, sol.field.u.values)
+    files = {out: sol.field.u.values}
+    if args.field:  # field.u is d[0][0]: its file is a copy of out
+        files.update({out.with_name(f"{out.stem}_d{i}{j}{out.suffix}"): sol.field.d[i][j].values
+                      for i in range(3) for j in range(3) if (i, j) != (0, 0)})
+    _write_csv([cfg.grid.g1, cfg.grid.g2], files)
     if args.field:
-        for i in range(3):
-            for j in range(3):
-                side = out.with_name(f"{out.stem}_d{i}{j}{out.suffix}")
-                if (i, j) == (0, 0):  # field.u is d[0][0]: its file is already written
-                    shutil.copyfile(out, side)
-                else:
-                    _write_csv(side, grids, sol.field.d[i][j].values)
+        shutil.copyfile(out, out.with_name(f"{out.stem}_d00{out.suffix}"))
     if args.diag:
         _write_text(args.diag, json.dumps(_diagnostics_dict(cfg, sol), indent=2, sort_keys=True) + "\n")
     return 0
@@ -388,7 +455,7 @@ def _cmd_convert(args) -> int:
 
     def side_csv(name: str, fn: GridFn1D) -> str:
         side = out.with_name(f"{out.stem}_{name}.csv")
-        _write_csv(side, [fn.grid], fn.values)
+        _write_csv([fn.grid], {side: fn.values})
         return side.name
 
     if args.direction == "c2n":
@@ -476,9 +543,9 @@ def _cmd_convergence(args) -> int:
             f"--grids must be two or more doubling interval counts, got {args.grids!r}") from None
     lengths = (cfg.grid.g1.length, cfg.grid.g2.length)
     grids = [Grid2D(make_grid(lengths[0], n), make_grid(lengths[1], n)) for n in ns]
-    for grid in grids:  # the study samples the coefficients again on each grid
-        _coefficients(cfg.coeff_exprs, grid, f" on the {grid.g1.n}x{grid.g2.n} grid")
-    table = convergence_study(_manufactured_u(args.u, grids), cfg.coeff_exprs, lengths, ns)
+    coeffs = [_coefficients(cfg.coeff_exprs, grid, f" on the {grid.g1.n}x{grid.g2.n} grid")
+              for grid in grids]
+    table = convergence_study(_manufactured_u(args.u, grids), coeffs, lengths, ns)
     _write_text(args.out, table.as_csv())
     for row in table.rows:
         order = "-" if np.isnan(row.observed_order) else f"{row.observed_order:.2f}"

@@ -91,25 +91,30 @@ def _order(e_coarse: float, e_fine: float) -> float:
     return math.log2(e_coarse / e_fine) if e_coarse > 0.0 else -math.inf
 
 
-def convergence_study(u, coeff_exprs: dict, lengths: tuple, ns) -> ConvergenceTable:
+def convergence_study(u, coeffs, lengths: tuple, ns) -> ConvergenceTable:
     """Solve the manufactured problem for u over doubling grids.
 
-    ``coeff_exprs`` maps coefficient names to expressions so the
-    coefficients can be resampled per grid; ``lengths`` is the rectangle
-    sides (h1, h2); ``ns`` the doubling interval counts.  Errors are
-    measured on u itself (max node error and trapezoid L2) against the
-    symbolic reference.  ``ns`` is checked (``check_doubling``) before any solve.
+    ``coeffs`` is either a dict mapping coefficient names to expressions,
+    sampled on each grid, or a list of Coefficients already sampled, one
+    per entry of ``ns`` on its grid; ``lengths`` is the rectangle sides
+    (h1, h2); ``ns`` the doubling interval counts.  Errors are measured on
+    u itself (max node error and trapezoid L2) against the symbolic
+    reference.  ``ns`` is checked (``check_doubling``), and the
+    coefficients are sampled on every grid, before any solve.
     """
     ns = check_doubling(ns)
     h1, h2 = lengths
+    grids = [Grid2D(make_grid(h1, n), make_grid(h2, n)) for n in ns]
+    if isinstance(coeffs, dict):
+        coeffs = [Coefficients.from_exprs(grid, coeffs) for grid in grids]
+    if [c.grid for c in coeffs] != grids:
+        raise ValueError("coefficients must be given on the grid of each entry of ns")
     if isinstance(u, str):
         u = ex.parse(u)
     rows = []
     prev_max = math.nan
-    for n in ns:
-        grid = Grid2D(make_grid(h1, n), make_grid(h2, n))
-        coeffs = Coefficients.from_exprs(grid, coeff_exprs)
-        case = manufactured_problem(u, coeffs, grid)
+    for n, grid, grid_coeffs in zip(ns, grids, coeffs):
+        case = manufactured_problem(u, grid_coeffs, grid)
         sol = solve_dirichlet(case.problem)
         diff = sol.field.u.values - case.reference.u.values
         e_max = float(np.max(np.abs(diff)))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppde.cli
+import ppde.expr
 import ppde.verify
 from ppde.cli import load_config, run
 from ppde.grid import make_grid
@@ -198,7 +200,7 @@ class TestCsvWriter:
         monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 4)  # 6 rows: the first write ends at (1, 0)
         out = tmp_path / "w.csv"
         values = np.array([[-0.0, 5e-324, 1e308], [-1e308, 0.1, -2.5]])
-        ppde.cli._write_csv(out, [make_grid(0.5, 1), make_grid(3.0, 2)], values)
+        ppde.cli._write_csv([make_grid(0.5, 1), make_grid(3.0, 2)], {out: values})
         assert out.read_text() == (
             "x1,x2,value\n"
             "0.0000000000000000e+00,0.0000000000000000e+00,-0.0000000000000000e+00\n"
@@ -213,7 +215,7 @@ class TestCsvWriter:
         monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 2)  # 5 rows: writes of 2, 2 and 1
         out = tmp_path / "w.csv"
         values = np.array([1.0, -0.0, 2.2250738585072014e-308 / 4, 1e-300, 1.0 / 3.0])
-        ppde.cli._write_csv(out, [make_grid(2.0, 4)], values)
+        ppde.cli._write_csv([make_grid(2.0, 4)], {out: values})
         assert out.read_text() == (
             "x,value\n"
             "0.0000000000000000e+00,1.0000000000000000e+00\n"
@@ -236,9 +238,92 @@ class TestCsvWriter:
         values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(ppde.cli, "_WRITE_ROWS", chunk)
-            ppde.cli._write_csv(Path(tmp) / "w.csv", grids, values)
+            ppde.cli._write_csv(grids, {Path(tmp) / "w.csv": values})
             back = ppde.cli._read_csv("w.csv", grids, Path(tmp), "test")
         assert back.tobytes() == values.tobytes()
+
+    def test_files_written_together_equal_files_written_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 5)  # 12 rows: writes of 5, 5 and 2
+        grids = [make_grid(1.0, 2), make_grid(2.0, 3)]
+        values = [np.arange(12.0).reshape(3, 4) * scale for scale in (1.0, -0.5, 1e-300)]
+        ppde.cli._write_csv(grids, {tmp_path / f"t{k}.csv": v for k, v in enumerate(values)})
+        for k, v in enumerate(values):
+            ppde.cli._write_csv(grids, {tmp_path / "alone.csv": v})
+            assert (tmp_path / f"t{k}.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+class TestCsvReader:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), two_d=st.booleans(), chunk=st.integers(1, 7),
+           n1=st.integers(1, 5), n2=st.integers(1, 5))
+    def test_blank_lines_crlf_and_padded_fields_read_back_bit_equal(self, data, two_d, chunk,
+                                                                    n1, n2):
+        grids = [make_grid(1.0, n1), make_grid(2.0, n2)] if two_d else [make_grid(1.0, n1)]
+        size = int(np.prod([g.n + 1 for g in grids]))
+        value = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False))
+        values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
+        blanks = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)
+        pad = st.sampled_from(["", " ", "\t", "  "])
+        end = st.sampled_from(["\n", "\r\n"])
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ppde.cli, "_WRITE_ROWS", chunk)
+            path = Path(tmp) / "w.csv"
+            ppde.cli._write_csv(grids, {path: values})
+            lines = []
+            for k, line in enumerate(path.read_text().splitlines()):
+                lines += data.draw(blanks)
+                lines.append(",".join(data.draw(pad) + f + data.draw(pad) for f in line.split(","))
+                             if k else data.draw(pad) + line + data.draw(pad))  # k = 0: the header
+            lines += data.draw(blanks)
+            path.write_bytes("".join(line + data.draw(end) for line in lines).encode())
+            back = ppde.cli._read_csv("w.csv", grids, Path(tmp), "test")
+        assert back.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("chunk", [3, None], ids=["chunk3", "default_chunk"])
+    @pytest.mark.parametrize("row, message", [
+        (lambda x: f"{x!r},oops", "bad numeric row"),
+        (lambda x: f"{x!r},0,0", r"expected 2 fields \(x,value\), got 3"),
+        (lambda x: f"{x + 0.5!r},0", r"coordinates \[.*\] are not the grid node"),
+        (lambda x: f"{x!r},nan", r"value .*nan.* is not finite"),
+    ], ids=["bad_number", "fields", "coordinate", "not_finite"])
+    def test_fault_past_the_first_chunk_names_its_file_line(self, tmp_path, monkeypatch,
+                                                            chunk, row, message):
+        if chunk:
+            monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", chunk)
+        grid = make_grid(1.0, 1500)
+        lines = ["", "x,value", " "]
+        for k, x in enumerate(grid.nodes.tolist()):
+            if k % 100 == 7:
+                lines.append("\t")
+            if k == 1234:
+                number = len(lines) + 1
+            lines.append(row(x) if k == 1234 else f"{x!r},0")
+        (tmp_path / "edge.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ppde.cli.ConfigError, match=f"edge.csv line {number}: {message}"):
+            ppde.cli._read_csv("edge.csv", [grid], tmp_path, "z20")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x,value\n0,0\n0.25,0,0.5\n0\n0.75,0\n1,0\n", "3: expected 2 fields (x,value), got 3"),
+        ("x,value\n0,0\n\n0.25\n0,0.5,0\n0.75,0\n1,0\n", "4: expected 2 fields (x,value), got 1"),
+    ], ids=["long_then_short", "short_then_long"])
+    def test_misaligned_rows_with_the_right_field_count_are_rejected(self, tmp_path, text,
+                                                                     expected):
+        (tmp_path / "edge.csv").write_text(text)
+        with pytest.raises(ppde.cli.ConfigError) as info:
+            ppde.cli._read_csv("edge.csv", [make_grid(1.0, 4)], tmp_path, "z20")
+        assert f"edge.csv line {expected}" in str(info.value)
+
+    def test_read_holds_less_memory_than_the_file_size(self, tmp_path):
+        grids = [make_grid(1.0, 128), make_grid(1.0, 128)]
+        path = tmp_path / "rhs.csv"
+        ppde.cli._write_csv(grids, {path: np.random.default_rng(0).normal(size=(129, 129))})
+        tracemalloc.start()
+        try:
+            ppde.cli._read_csv("rhs.csv", grids, tmp_path, "rhs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 class TestDeterminism:
@@ -500,6 +585,25 @@ class TestConvergenceCommand:
         assert "[coefficients] a00" in err and "16x16 grid" in err
         assert not out.exists()
 
+    def test_each_coefficient_is_sampled_once_per_grid(self, tmp_path, monkeypatch):
+        texts = {name: f"{k + 1}*0.01*(1 + x1*x2)" for k, name in enumerate(COEFFICIENT_NAMES)}
+        strings = {ppde.expr.to_string(ppde.expr.parse(t)) for t in texts.values()}
+        calls = []
+        sample = ppde.expr.sample
+
+        def counted(e, x1, x2, shape=None):
+            if ppde.expr.to_string(e) in strings:
+                calls.append((ppde.expr.to_string(e), np.broadcast(x1, x2).shape))
+            return sample(e, x1, x2, shape)
+
+        monkeypatch.setattr(ppde.expr, "sample", counted)
+        cfg = write(tmp_path / "conv.ini", BASE.format(n=3), "[coefficients]",
+                    *(f'{name} = "{text}"' for name, text in texts.items()))
+        assert run(["convergence", "--u", "sin(x1)*sin(x2)", "--config", cfg,
+                    "--grids", "4,8", "--out", str(tmp_path / "t.csv")]) == 0
+        on_grids = sorted(c for c in calls if c[1] != (4, 4))  # (4, 4): the config's own grid
+        assert on_grids == sorted((t, (n + 1, n + 1)) for t in strings for n in (4, 8))
+
 
 class TestConfigLoading:
     def test_csv_edge_function(self, tmp_path):
@@ -615,7 +719,8 @@ class TestConfigLoading:
         # the other rejected inputs: each names its file or key
         ('[data.nonclassical]\nz20 = "header.csv"\n', "header.csv must start with header 'x,value'"),
         ('[data.nonclassical]\nz20 = "rows.csv"\n', "rows.csv must have 5 x,value rows"),
-        ('[data.nonclassical]\nz20 = "columns.csv"\n', "columns.csv must have 5 x,value rows"),
+        ('[data.nonclassical]\nz20 = "columns.csv"\n',
+         "columns.csv line 4: expected 2 fields (x,value), got 3"),
         ('[data.nonclassical]\nz20 = "missing.csv"\n', "[data.nonclassical] z20: cannot read"),
         ("[solver]\ntol = 0\n[data.nonclassical]\nz00 = 0.0\n", "[solver] tol must be positive"),
         ("[solver]\nmax_iter = 0\n[data.nonclassical]\nz00 = 0.0\n", "[solver] max_iter must be >= 1"),

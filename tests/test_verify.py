@@ -105,6 +105,22 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="doubling"):
             convergence_study("x1", {}, (1.0, 1.0), ns)
 
+    def test_sampled_coefficients_give_the_same_table(self):
+        exprs = {"a00": "1", "a21": "0.25*x2"}
+        ns = [4, 8]
+        coeffs = [Coefficients.from_exprs(unit_square(n), exprs) for n in ns]
+        sampled = convergence_study("sin(x1)*x2", coeffs, (1.0, 1.0), ns)
+        assert sampled.as_csv() == convergence_study("sin(x1)*x2", exprs, (1.0, 1.0), ns).as_csv()
+
+    def test_sampled_coefficients_must_be_on_the_study_grids(self, monkeypatch):
+        def no_solve(problem):
+            raise AssertionError("solved before the coefficient grids were checked")
+
+        monkeypatch.setattr(ppde.verify, "solve_dirichlet", no_solve)
+        coeffs = [Coefficients.zeros(unit_square(4)), Coefficients.zeros(unit_square(4))]
+        with pytest.raises(ValueError, match="grid of each entry"):
+            convergence_study("x1", coeffs, (1.0, 1.0), [4, 8])
+
     def test_doubling_enforced(self):
         with pytest.raises(ValueError):
             ConvergenceTable([
