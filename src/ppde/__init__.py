@@ -56,6 +56,7 @@ from .verify import (
     ConvergenceTable,
     ManufacturedCase,
     convergence_study,
+    convergence_table,
     manufactured_problem,
     sobolev_norm,
 )

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import expr as ex
 from .dirichlet import DirichletProblem, solve_classical, solve_dirichlet
-from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, make_grid
+from .grid import Grid2D, GridFn1D, GridFn2D, make_grid
 from .problem import (
     CLASSICAL,
     COEFFICIENT_NAMES,
@@ -49,8 +49,7 @@ from .problem import (
     classical_to_nonclassical,
     nonclassical_to_classical,
 )
-from .representation import extract_traces
-from .verify import check_doubling, convergence_study, manufactured_problem
+from .verify import check_doubling, convergence_table, manufactured_problem, node_errors
 
 __all__ = ["ConfigError", "Config", "load_config", "run", "main"]
 
@@ -133,6 +132,8 @@ def _parse_rows(rows: list, width: int) -> np.ndarray:
 
     Raises ValueError unless each row has ``width`` fields that ``float`` reads.
     """
+    if not rows:
+        return np.empty((0, width))
     # Joined by "\n,", each row but the last ends its last field in "\n",
     # which float ignores.  With len(rows) * width fields in all, every row
     # has width fields exactly when those len(rows) - 1 fields are each
@@ -173,10 +174,7 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
     checked for their field count and parsed by one ``map(float, ...)``
     into one array.  An error names the file line at fault, counted only
     when the error is raised.  Of several faults, the one named is the
-    first the stream meets: the header, then chunk by chunk more rows than
-    nodes or the first row with the wrong field count or a bad number;
-    after the last chunk, fewer rows than nodes, the first row off its
-    grid node, the first value that is not finite.
+    first in file order; a wrong row count is found at the end.
     """
     path = base_dir / raw
     header = _header(grids)
@@ -184,11 +182,9 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
     shape = tuple(g.nodes.size for g in grids)
     tol = [1e-12 * g.length for g in grids]
     values = np.empty(math.prod(shape))
+    wrong_count = f"{where}: {path} must have {values.size} {header} rows"
     done = -1  # data rows read; -1 until the header has been read
     read = 0  # file lines read
-    # The first row off its node and the first non-finite value: raised once
-    # every row has parsed and the row count is right.
-    off_node = not_finite = None
 
     def fault(chunk, k, message):  # at nonblank line k of the chunk just read
         line = read - len(chunk) + 1 + [i for i, ln in enumerate(chunk) if ln.strip()][k]
@@ -206,37 +202,37 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
                     done, skip = 0, 1
                 if not rows:
                     continue
-                m = len(rows)
-                if done + m > values.size:
-                    raise ConfigError(f"{where}: {path} must have {values.size} {header} rows")
+                # The m rows checked: those up to the last node and, if one
+                # of them has a wrong field count or a bad number (why), up
+                # to that row.
+                m, why = min(len(rows), values.size - done), ""
                 try:
-                    block = _parse_rows(rows, width)
-                except ValueError:  # name the first row at fault
-                    for k, ln in enumerate(rows):
-                        if why := _row_fault(ln, header):
-                            raise fault(chunk, skip + k, why) from None
+                    block = _parse_rows(rows[:m], width)
+                except ValueError:
+                    m, why = next((k, w) for k, ln in enumerate(rows)
+                                  if (w := _row_fault(ln, header)))
+                    block = _parse_rows(rows[:m], width)
                 index = np.unravel_index(np.arange(done, done + m), shape)
                 nodes = np.stack([g.nodes[i] for g, i in zip(grids, index)], axis=1)
-                off = np.flatnonzero(~np.all(np.abs(block[:, :-1] - nodes) <= tol, axis=1))
-                if off.size and off_node is None:
-                    k = int(off[0])
-                    off_node = fault(chunk, skip + k, f"coordinates {block[k, :-1].tolist()} "
-                                                      f"are not the grid node {nodes[k].tolist()}")
-                bad = np.flatnonzero(~np.isfinite(block[:, -1]))
-                if bad.size and not_finite is None:
-                    k = int(bad[0])
-                    not_finite = fault(chunk, skip + k, f"value {block[k, -1]!r} is not finite")
+                off = ~np.all(np.abs(block[:, :-1] - nodes) <= tol, axis=1)
+                bad = np.flatnonzero(off | ~np.isfinite(block[:, -1]))
+                if bad.size:
+                    m = int(bad[0])
+                    why = (f"coordinates {block[m, :-1].tolist()} are not the grid node "
+                           f"{nodes[m].tolist()}" if off[m] else
+                           f"value {block[m, -1]!r} is not finite")
+                if why:
+                    raise fault(chunk, skip + m, why)
                 values[done:done + m] = block[:, -1]
                 done += m
-    except OSError as err:
+                if m < len(rows):  # more rows than nodes
+                    raise ConfigError(wrong_count)
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{where}: cannot read {path}: {err}") from err
     if done < 0:
         raise ConfigError(f"{where}: {path} must start with header {header!r}")
     if done != values.size:
-        raise ConfigError(f"{where}: {path} must have {values.size} {header} rows")
-    for err in (off_node, not_finite):
-        if err is not None:
-            raise err
+        raise ConfigError(wrong_count)
     return values
 
 
@@ -286,7 +282,7 @@ def load_config(path) -> Config:
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"malformed config {path}: {err}") from err
@@ -500,32 +496,27 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _manufactured_u(text: str, grids) -> ex.Expr:
-    """The --u expression, whose nine derivatives must be finite at the nodes of every grid."""
-    u = _parse_expr(text, "--u")
-    for grid in grids:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # see the note above _sample
-                extract_traces(u, grid)
-        except (ex.EvalDomainError, ValueError) as err:
-            raise ConfigError(f"--u: {err} on the {grid.g1.n}x{grid.g2.n} grid") from err
-    return u
+def _manufactured_case(u: ex.Expr, coeffs: Coefficients, grid: Grid2D):
+    """The ManufacturedCase of --u on ``grid``, whose data, reference and
+    right-hand side must be finite at its nodes."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # see the note above _sample
+            return manufactured_problem(u, coeffs, grid)
+    except (ex.EvalDomainError, ValueError) as err:
+        raise ConfigError(f"--u: {err} on the {grid.g1.n}x{grid.g2.n} grid") from err
 
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    case = manufactured_problem(_manufactured_u(args.u, [cfg.grid]), cfg.coeffs, cfg.grid)
+    case = _manufactured_case(_parse_expr(args.u, "--u"), cfg.coeffs, cfg.grid)
     sol = solve_dirichlet(case.problem)
+    errors = {f"d{i}{j}": node_errors(sol.field.d[i][j], case.reference.d[i][j])
+              for i in range(3) for j in range(3)}
     lines = ["quantity,max_error,l2_error"]
-    for i in range(3):
-        for j in range(3):
-            diff = sol.field.d[i][j].values - case.reference.d[i][j].values
-            e_max = float(np.max(np.abs(diff)))
-            e_l2 = lp_norm(GridFn2D(cfg.grid, diff), 2)
-            lines.append(f"d{i}{j},{_FMT.format(e_max)},{_FMT.format(e_l2)}")
+    lines += [f"{name},{_FMT.format(e_max)},{_FMT.format(e_l2)}"
+              for name, (e_max, e_l2) in errors.items()]
     _write_text(args.out, "\n".join(lines) + "\n")
-    diff = sol.field.u.values - case.reference.u.values
-    print(f"max |u - reference| = {np.max(np.abs(diff)):.3e} "
+    print(f"max |u - reference| = {errors['d00'][0]:.3e} "
           f"on {cfg.grid.g1.n}x{cfg.grid.g2.n} grid")
     return 0
 
@@ -541,11 +532,13 @@ def _cmd_convergence(args) -> int:
     except ValueError:
         raise ConfigError(
             f"--grids must be two or more doubling interval counts, got {args.grids!r}") from None
-    lengths = (cfg.grid.g1.length, cfg.grid.g2.length)
-    grids = [Grid2D(make_grid(lengths[0], n), make_grid(lengths[1], n)) for n in ns]
-    coeffs = [_coefficients(cfg.coeff_exprs, grid, f" on the {grid.g1.n}x{grid.g2.n} grid")
-              for grid in grids]
-    table = convergence_study(_manufactured_u(args.u, grids), coeffs, lengths, ns)
+    u = _parse_expr(args.u, "--u")
+    cases = []
+    for n in ns:  # every case is built, and so checked, before the first solve
+        grid = Grid2D(make_grid(cfg.grid.g1.length, n), make_grid(cfg.grid.g2.length, n))
+        coeffs = _coefficients(cfg.coeff_exprs, grid, f" on the {n}x{n} grid")
+        cases.append(_manufactured_case(u, coeffs, grid))
+    table = convergence_table(cases)
     _write_text(args.out, table.as_csv())
     for row in table.rows:
         order = "-" if np.isnan(row.observed_order) else f"{row.observed_order:.2f}"
@@ -605,9 +598,6 @@ def run(argv=None) -> int:
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except ex.ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -5,6 +5,9 @@ non-classical data, the symbolically differentiated field provides the
 reference, and applying the operator to that field provides the matching
 right-hand side.  Solving the assembled problem and comparing against the
 reference exercises the full pipeline with a known answer.
+
+A refinement study builds every grid's case (``manufactured_problem``)
+before ``convergence_table`` solves them and tabulates u's errors.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ __all__ = [
     "ConvergenceTable",
     "manufactured_problem",
     "check_doubling",
+    "node_errors",
+    "convergence_table",
     "convergence_study",
     "sobolev_norm",
 ]
@@ -91,38 +96,41 @@ def _order(e_coarse: float, e_fine: float) -> float:
     return math.log2(e_coarse / e_fine) if e_coarse > 0.0 else -math.inf
 
 
-def convergence_study(u, coeffs, lengths: tuple, ns) -> ConvergenceTable:
+def node_errors(approx: GridFn2D, exact: GridFn2D) -> tuple[float, float]:
+    """Max node error and trapezoid L2 norm of ``approx - exact``."""
+    diff = approx.values - exact.values
+    return float(np.max(np.abs(diff))), lp_norm(GridFn2D(approx.grid, diff), 2)
+
+
+def convergence_table(cases) -> ConvergenceTable:
+    """Solve manufactured cases and tabulate the errors of u (``node_errors``).
+
+    Before any solve, the cases' grids must be square in interval counts
+    (n1 = n2) and double from each case to the next (``check_doubling``).
+    """
+    grids = [case.problem.grid for case in cases]
+    ns = check_doubling([g.g1.n for g in grids])
+    if [g.g2.n for g in grids] != ns:
+        raise ValueError(f"grids must have n1 = n2, got {[(g.g1.n, g.g2.n) for g in grids]}")
+    rows = []
+    for n, case in zip(ns, cases):
+        e_max, e_l2 = node_errors(solve_dirichlet(case.problem).field.u, case.reference.u)
+        order = _order(rows[-1].max_error, e_max) if rows else math.nan
+        rows.append(ConvergenceRow(n=n, max_error=e_max, l2_error=e_l2, observed_order=order))
+    return ConvergenceTable(rows)
+
+
+def convergence_study(u, exprs: dict, lengths: tuple, ns) -> ConvergenceTable:
     """Solve the manufactured problem for u over doubling grids.
 
-    ``coeffs`` is either a dict mapping coefficient names to expressions,
-    sampled on each grid, or a list of Coefficients already sampled, one
-    per entry of ``ns`` on its grid; ``lengths`` is the rectangle sides
-    (h1, h2); ``ns`` the doubling interval counts.  Errors are measured on
-    u itself (max node error and trapezoid L2) against the symbolic
-    reference.  ``ns`` is checked (``check_doubling``), and the
-    coefficients are sampled on every grid, before any solve.
+    ``exprs`` maps coefficient names to expressions, sampled on each grid;
+    ``lengths`` is the rectangle sides (h1, h2); ``ns`` the doubling
+    interval counts (``check_doubling``).  Every grid's case is built
+    before the first solve; ``convergence_table`` solves them.
     """
-    ns = check_doubling(ns)
-    h1, h2 = lengths
-    grids = [Grid2D(make_grid(h1, n), make_grid(h2, n)) for n in ns]
-    if isinstance(coeffs, dict):
-        coeffs = [Coefficients.from_exprs(grid, coeffs) for grid in grids]
-    if [c.grid for c in coeffs] != grids:
-        raise ValueError("coefficients must be given on the grid of each entry of ns")
-    if isinstance(u, str):
-        u = ex.parse(u)
-    rows = []
-    prev_max = math.nan
-    for n, grid, grid_coeffs in zip(ns, grids, coeffs):
-        case = manufactured_problem(u, grid_coeffs, grid)
-        sol = solve_dirichlet(case.problem)
-        diff = sol.field.u.values - case.reference.u.values
-        e_max = float(np.max(np.abs(diff)))
-        e_l2 = lp_norm(GridFn2D(grid, diff), 2)
-        order = math.nan if not rows else _order(prev_max, e_max)
-        rows.append(ConvergenceRow(n=n, max_error=e_max, l2_error=e_l2, observed_order=order))
-        prev_max = e_max
-    return ConvergenceTable(rows)
+    grids = [Grid2D(make_grid(lengths[0], n), make_grid(lengths[1], n)) for n in check_doubling(ns)]
+    return convergence_table([manufactured_problem(u, Coefficients.from_exprs(grid, exprs), grid)
+                              for grid in grids])
 
 
 def sobolev_norm(field: DerivativeField, p) -> float:

@@ -5,6 +5,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,19 @@ class TestCsvReader:
             ppde.cli._read_csv("edge.csv", [make_grid(1.0, 4)], tmp_path, "z20")
         assert f"edge.csv line {expected}" in str(info.value)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("x,value\n0,0\n0.25,nan\n0.5,oops\n0.75,0\n1,0\n", "3: value "),
+        ("x,value\n0,0\n0.25,0\n0.5,nan\n0.8,0\n1,0\n", "4: value "),
+        ("x,value\n0,0\n0.3,0\n0.5,0\n0.75,0\n1,0\n1.25,0\n", "3: coordinates [0.3]"),
+        ("x,value\n0,0\n0.25,0,0\n", "3: expected 2 fields (x,value), got 3"),
+    ], ids=["not_finite_then_bad_number", "not_finite_then_off_node", "off_node_then_long",
+            "bad_row_then_short"])
+    def test_first_fault_in_file_order_is_named(self, tmp_path, text, expected):
+        (tmp_path / "edge.csv").write_text(text)
+        with pytest.raises(ppde.cli.ConfigError) as info:
+            ppde.cli._read_csv("edge.csv", [make_grid(1.0, 4)], tmp_path, "z20")
+        assert f"edge.csv line {expected}" in str(info.value)
+
     def test_read_holds_less_memory_than_the_file_size(self, tmp_path):
         grids = [make_grid(1.0, 128), make_grid(1.0, 128)]
         path = tmp_path / "rhs.csv"
@@ -605,6 +619,44 @@ class TestConvergenceCommand:
         assert on_grids == sorted((t, (n + 1, n + 1)) for t in strings for n in (4, 8))
 
 
+class TestManufacturedCase:
+    @pytest.mark.parametrize("command, expected", [
+        (["verify"], [8]),
+        (["convergence", "--grids", "8,16,32"], [8, 16, 32]),
+    ], ids=["verify", "convergence"])
+    def test_u_is_sampled_once_per_grid(self, tmp_path, monkeypatch, command, expected):
+        u = "x1^3*x2^3 + x1*x2"
+        text = ppde.expr.to_string(ppde.expr.parse(u))
+        intervals = []
+        sample = ppde.expr.sample
+
+        def counted(e, x1, x2, shape=None):
+            if ppde.expr.to_string(e) == text:  # u itself, the first of its nine derivatives
+                intervals.append(np.broadcast(x1, x2).shape[0] - 1)
+            return sample(e, x1, x2, shape)
+
+        monkeypatch.setattr(ppde.expr, "sample", counted)
+        cfg = write(tmp_path / "m.ini", BASE.format(n=8))
+        assert run([command[0], "--u", u, "--config", cfg, "--out", str(tmp_path / "t.csv"),
+                    *command[1:]]) == 0
+        assert intervals == expected
+
+    @pytest.mark.parametrize("command", [["verify"], ["convergence", "--grids", "8,16"]],
+                             ids=["verify", "convergence"])
+    def test_rhs_not_finite_is_a_config_error(self, tmp_path, capsys, command):
+        # u and the coefficient are finite; their product in the rhs is not
+        cfg = write(tmp_path / "m.ini", BASE.format(n=8), '[coefficients]\na00 = "1e300"\n')
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([command[0], "--u", "1e10*exp(x1)", "--config", cfg, "--out", str(out),
+                        *command[1:]])
+        assert code == 2 and caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --u: ") and "8x8 grid" in err
+        assert not out.exists()
+
+
 class TestConfigLoading:
     def test_csv_edge_function(self, tmp_path):
         g_nodes = np.linspace(0, 1, 9)
@@ -728,20 +780,43 @@ class TestConfigLoading:
          "[solver] max_iter: not an integer"),
         ("[solver]\nridge = -1\n[data.nonclassical]\nz00 = 0.0\n", "[solver] ridge must be nonnegative"),
         ("[data.nonclassical]\nz00 = x\n", "[data.nonclassical] z00: not a number"),
+        ('[data.nonclassical]\nz20 = "latin1.csv"\n', "latin1.csv: 'utf-8' codec can't decode byte 0xe9"),
     ], ids=["scalar", "edge_csv", "coefficient", "coefficient_pole", "rhs", "tol", "ridge",
             "coefficient_overflow", "edge_expr_overflow", "csv_header", "csv_rows",
             "csv_columns", "csv_unreadable", "tol_zero", "max_iter_zero", "max_iter_not_int",
-            "ridge_negative", "scalar_not_number"])
+            "ridge_negative", "scalar_not_number", "csv_not_utf8"])
     def test_non_finite_input_is_a_config_error(self, tmp_path, capsys, body, expected):
         (tmp_path / "edge.csv").write_text("x,value\n0,0\n0.25,0\n0.5,nan\n0.75,0\n1,0\n")
         (tmp_path / "header.csv").write_text("x,y\n0,0\n0.25,0\n0.5,0\n0.75,0\n1,0\n")
         (tmp_path / "rows.csv").write_text("x,value\n0,0\n0.25,0\n0.5,0\n0.75,0\n")
         (tmp_path / "columns.csv").write_text("x,value\n0,0\n0.25,0\n0.5,0,0\n0.75,0\n1,0\n")
+        (tmp_path / "latin1.csv").write_bytes(b"x,value\n0,0\xe9\n0.25,0\n0.5,0\n0.75,0\n1,0\n")
         cfg = write(tmp_path / "c.ini", BASE.format(n=4), body)
         out = tmp_path / "u.csv"
         assert run(["solve", "--config", cfg, "--out", str(out), "--diag", str(tmp_path / "d.json")]) == 2
         assert expected in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(BASE.format(n=4).replace("h1 = 1.0", "h1 = 1.0 \xe9").encode("latin-1"))
+        assert run(["check", "--config", str(cfg)]) == 2
+        assert f"config error: cannot read config {cfg}: 'utf-8' codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, body, expected", [
+        (["solve"], '[coefficients]\na11 = "x1+*"\n[data.nonclassical]\n', "[coefficients] a11: "),
+        (["solve"], '[rhs]\nexpr = "x1+*"\n[data.nonclassical]\n', "[rhs] expr: "),
+        (["solve"], '[data.nonclassical]\nz02_h1 = "x1+*"\n', "[data.nonclassical] z02_h1: "),
+        (["verify", "--u", "x1+*"], "", "--u: "),
+        (["convergence", "--u", "x1+*", "--grids", "4,8"], "", "--u: "),
+    ], ids=["coefficient", "rhs", "edge", "verify_u", "convergence_u"])
+    def test_malformed_expression_is_a_config_error(self, tmp_path, capsys, args, body, expected):
+        cfg = write(tmp_path / "c.ini", BASE.format(n=4), body)
+        out = tmp_path / "out.csv"
+        assert run([*args, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {expected}") and "Traceback" not in err
+        assert "offset 3" in err and not out.exists()
 
     def test_solver_section(self, tmp_path):
         cfg = write(tmp_path / "c.ini", BASE.format(n=4), """

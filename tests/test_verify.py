@@ -10,6 +10,7 @@ from ppde.verify import (
     ConvergenceRow,
     ConvergenceTable,
     convergence_study,
+    convergence_table,
     manufactured_problem,
     sobolev_norm,
 )
@@ -105,21 +106,28 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="doubling"):
             convergence_study("x1", {}, (1.0, 1.0), ns)
 
-    def test_sampled_coefficients_give_the_same_table(self):
+    def test_table_of_cases_equals_the_study_table(self):
         exprs = {"a00": "1", "a21": "0.25*x2"}
         ns = [4, 8]
-        coeffs = [Coefficients.from_exprs(unit_square(n), exprs) for n in ns]
-        sampled = convergence_study("sin(x1)*x2", coeffs, (1.0, 1.0), ns)
-        assert sampled.as_csv() == convergence_study("sin(x1)*x2", exprs, (1.0, 1.0), ns).as_csv()
+        cases = [manufactured_problem("sin(x1)*x2", Coefficients.from_exprs(unit_square(n), exprs),
+                                      unit_square(n)) for n in ns]
+        table = convergence_table(cases)
+        assert table.as_csv() == convergence_study("sin(x1)*x2", exprs, (1.0, 1.0), ns).as_csv()
 
-    def test_sampled_coefficients_must_be_on_the_study_grids(self, monkeypatch):
+    @pytest.mark.parametrize("sizes, message", [
+        ([(4, 4), (4, 4)], "doubling"),
+        ([(8, 8), (4, 4)], "doubling"),
+        ([(4, 4), (8, 4)], "n1 = n2"),
+    ], ids=["same_size", "halving", "not_square"])
+    def test_cases_are_checked_before_any_solve(self, monkeypatch, sizes, message):
         def no_solve(problem):
-            raise AssertionError("solved before the coefficient grids were checked")
+            raise AssertionError("solved before the case grids were checked")
 
         monkeypatch.setattr(ppde.verify, "solve_dirichlet", no_solve)
-        coeffs = [Coefficients.zeros(unit_square(4)), Coefficients.zeros(unit_square(4))]
-        with pytest.raises(ValueError, match="grid of each entry"):
-            convergence_study("x1", coeffs, (1.0, 1.0), [4, 8])
+        grids = [Grid2D(make_grid(1.0, n1), make_grid(1.0, n2)) for n1, n2 in sizes]
+        cases = [manufactured_problem("x1", Coefficients.zeros(g), g) for g in grids]
+        with pytest.raises(ValueError, match=message):
+            convergence_table(cases)
 
     def test_doubling_enforced(self):
         with pytest.raises(ValueError):
