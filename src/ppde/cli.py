@@ -30,6 +30,7 @@ import json
 import math
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +55,8 @@ from .verify import check_doubling, convergence_table, manufactured_problem, nod
 __all__ = ["ConfigError", "Config", "load_config", "run", "main"]
 
 _FMT = "{:.16e}"
-# CSV rows written at a time by _write_csv and read at a time by _read_csv:
-# neither the text of a whole grid nor a per-node list is ever held at once.
+# CSV rows written at a time by _write_csv: neither the text of a whole grid
+# nor a per-node list is ever held at once.
 _WRITE_ROWS = 1024
 
 
@@ -127,35 +128,34 @@ def _header(grids) -> str:
     return "x,value" if len(grids) == 1 else "x1,x2,value"
 
 
-def _parse_rows(rows: list, width: int) -> np.ndarray:
-    """CSV lines without line breaks as a (len(rows), width) array of ``float``s.
+def _first_fault(path: Path, grids, header: str) -> str:
+    """Why the CSV file at ``path``, which ``_read_csv`` rejected, does not
+    fit ``grids``: ``line <number>: <fault>`` for its first faulty row in
+    file order, or else its row count.
 
-    Raises ValueError unless each row has ``width`` fields that ``float`` reads.
+    The file is read again line by line, and each row is parsed by the same
+    ``np.loadtxt`` as the whole file was, so the two readings agree.
     """
-    if not rows:
-        return np.empty((0, width))
-    # Joined by "\n,", each row but the last ends its last field in "\n",
-    # which float ignores.  With len(rows) * width fields in all, every row
-    # has width fields exactly when those len(rows) - 1 fields are each
-    # width-th one.
-    m = len(rows)
-    fields = "\n,".join(rows).split(",")
-    if len(fields) != m * width or "".join(fields[width - 1::width]).count("\n") != m - 1:
-        raise ValueError(f"rows without {width} fields each")
-    return np.fromiter(map(float, fields), float, m * width).reshape(m, width)
-
-
-def _row_fault(line: str, header: str) -> str:
-    """Why ``line`` is not a data row under ``header``; empty if it is one."""
-    parts = line.split(",")
-    width = header.count(",") + 1
-    if len(parts) != width:
-        return f"expected {width} fields ({header}), got {len(parts)}"
-    try:
-        list(map(float, parts))
-    except ValueError:
-        return f"bad numeric row {line!r}"
-    return ""
+    width = len(grids) + 1
+    shape = tuple(g.nodes.size for g in grids)
+    with open(path, encoding="utf-8") as fh:
+        rows = ((number, line.removesuffix("\n"))
+                for number, line in enumerate(fh, 1) if line.strip())
+        next(rows)  # the header, checked already
+        for index, (number, line) in zip(np.ndindex(shape), rows):
+            fields = line.count(",") + 1
+            if fields != width:
+                return f"line {number}: expected {width} fields ({header}), got {fields}"
+            try:
+                *coords, value = np.loadtxt([line], delimiter=",", comments=None).tolist()
+            except ValueError:
+                return f"line {number}: bad numeric row {line!r}"
+            node = [g.nodes[i].item() for g, i in zip(grids, index)]
+            if not all(abs(x - y) <= 1e-12 * g.length for x, y, g in zip(coords, node, grids)):
+                return f"line {number}: coordinates {coords} are not the grid node {node}"
+            if not math.isfinite(value):
+                return f"line {number}: value {value!r} is not finite"
+    return f"must have {math.prod(shape)} {header} rows"
 
 
 def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
@@ -163,77 +163,40 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
 
     The layout, which ``_write_csv`` writes too: one grid, header
     ``x,value``; two grids (x1, x2), header ``x1,x2,value`` and rows in
-    row-major order, x2 varying fastest.  Lines may end in LF or CRLF (or
-    any other break ``str.splitlines`` knows); blank and whitespace-only
-    lines are skipped; every field is read by Python's ``float``, so spaces
-    around a field are allowed.  Each coordinate must be its grid node to
-    within 1e-12 of the axis length, and each value must be finite.
+    row-major order, x2 varying fastest.  The file is UTF-8 text whose
+    lines end in LF, CRLF or CR; blank and whitespace-only lines are
+    skipped.  Every field is read by numpy's parser, so spaces around a
+    field are allowed.  Each coordinate must be its grid node to within
+    1e-12 of the axis length, and each value must be finite.
 
-    The file is streamed in chunks of ``_WRITE_ROWS`` lines, so neither its
-    whole text nor a list of all its lines is ever held.  A chunk's rows are
-    checked for their field count and parsed by one ``map(float, ...)``
-    into one array.  An error names the file line at fault, counted only
-    when the error is raised.  Of several faults, the one named is the
-    first in file order; a wrong row count is found at the end.
+    The rows after the header are read by one ``np.loadtxt`` call and
+    checked as whole columns.  Only a file that fails is read again, by
+    ``_first_fault``, to name its first fault in file order and that
+    fault's file line; a wrong row count is found at the end.
     """
     path = base_dir / raw
     header = _header(grids)
-    width = len(grids) + 1
     shape = tuple(g.nodes.size for g in grids)
-    tol = [1e-12 * g.length for g in grids]
-    values = np.empty(math.prod(shape))
-    wrong_count = f"{where}: {path} must have {values.size} {header} rows"
-    done = -1  # data rows read; -1 until the header has been read
-    read = 0  # file lines read
-
-    def fault(chunk, k, message):  # at nonblank line k of the chunk just read
-        line = read - len(chunk) + 1 + [i for i, ln in enumerate(chunk) if ln.strip()][k]
-        return ConfigError(f"{where}: {path} line {line}: {message}")
-
     try:
-        with open(path) as fh:
-            while chunk := "".join(itertools.islice(fh, _WRITE_ROWS)).splitlines():
-                read += len(chunk)
-                rows = list(filter(str.strip, chunk))
-                skip = 0  # 1 if the chunk's first nonblank line was the header
-                if done < 0 and rows:
-                    if rows.pop(0).strip() != header:
-                        raise ConfigError(f"{where}: {path} must start with header {header!r}")
-                    done, skip = 0, 1
-                if not rows:
-                    continue
-                # The m rows checked: those up to the last node and, if one
-                # of them has a wrong field count or a bad number (why), up
-                # to that row.
-                m, why = min(len(rows), values.size - done), ""
-                try:
-                    block = _parse_rows(rows[:m], width)
-                except ValueError:
-                    m, why = next((k, w) for k, ln in enumerate(rows)
-                                  if (w := _row_fault(ln, header)))
-                    block = _parse_rows(rows[:m], width)
-                index = np.unravel_index(np.arange(done, done + m), shape)
-                nodes = np.stack([g.nodes[i] for g, i in zip(grids, index)], axis=1)
-                off = ~np.all(np.abs(block[:, :-1] - nodes) <= tol, axis=1)
-                bad = np.flatnonzero(off | ~np.isfinite(block[:, -1]))
-                if bad.size:
-                    m = int(bad[0])
-                    why = (f"coordinates {block[m, :-1].tolist()} are not the grid node "
-                           f"{nodes[m].tolist()}" if off[m] else
-                           f"value {block[m, -1]!r} is not finite")
-                if why:
-                    raise fault(chunk, skip + m, why)
-                values[done:done + m] = block[:, -1]
-                done += m
-                if m < len(rows):  # more rows than nodes
-                    raise ConfigError(wrong_count)
+        with open(path, encoding="utf-8") as fh:
+            rows = filter(str.strip, fh)
+            if next(rows, "").strip() != header:
+                raise ConfigError(f"{where}: {path} must start with header {header!r}")
+            try:
+                with warnings.catch_warnings():  # a header-only file has no rows
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                data = np.empty((0, 0))  # fails the shape check below
+        nodes = np.ix_(*(g.nodes for g in grids))  # each axis's nodes, on its own axis
+        if (data.shape == (math.prod(shape), len(grids) + 1)
+                and all(np.all(np.abs(data[:, axis].reshape(shape) - x) <= 1e-12 * g.length)
+                        for axis, (g, x) in enumerate(zip(grids, nodes)))
+                and np.all(np.isfinite(data[:, -1]))):
+            return data[:, -1]
+        raise ConfigError(f"{where}: {path} {_first_fault(path, grids, header)}")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{where}: cannot read {path}: {err}") from err
-    if done < 0:
-        raise ConfigError(f"{where}: {path} must start with header {header!r}")
-    if done != values.size:
-        raise ConfigError(wrong_count)
-    return values
 
 
 # Expression values become grid functions, which reject non-finite values
@@ -280,7 +243,7 @@ def load_config(path) -> Config:
     path = Path(path)
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
@@ -354,7 +317,7 @@ def load_config(path) -> Config:
 # output writers
 
 def _write_text(path, text: str):
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
@@ -372,8 +335,8 @@ def _write_csv(grids, files: dict):
     axes[-1] = [text + "%.16e\n" for text in axes[-1]]
     rows = map("".join, itertools.product(*axes))
     with contextlib.ExitStack() as stack:
-        out = [(stack.enter_context(open(path, "w", newline="\n")), np.reshape(values, -1))
-               for path, values in files.items()]
+        out = [(stack.enter_context(open(path, "w", encoding="utf-8", newline="\n")),
+                np.reshape(values, -1)) for path, values in files.items()]
         for fh, _ in out:
             fh.write(_header(grids) + "\n")
         for start in range(0, math.prod(len(axis) for axis in axes), _WRITE_ROWS):

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -265,7 +266,7 @@ class TestCsvReader:
         values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
         blanks = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)
         pad = st.sampled_from(["", " ", "\t", "  "])
-        end = st.sampled_from(["\n", "\r\n"])
+        end = st.sampled_from(["\n", "\r\n", "\r"])
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(ppde.cli, "_WRITE_ROWS", chunk)
             path = Path(tmp) / "w.csv"
@@ -280,17 +281,13 @@ class TestCsvReader:
             back = ppde.cli._read_csv("w.csv", grids, Path(tmp), "test")
         assert back.tobytes() == values.tobytes()
 
-    @pytest.mark.parametrize("chunk", [3, None], ids=["chunk3", "default_chunk"])
     @pytest.mark.parametrize("row, message", [
         (lambda x: f"{x!r},oops", "bad numeric row"),
         (lambda x: f"{x!r},0,0", r"expected 2 fields \(x,value\), got 3"),
         (lambda x: f"{x + 0.5!r},0", r"coordinates \[.*\] are not the grid node"),
-        (lambda x: f"{x!r},nan", r"value .*nan.* is not finite"),
+        (lambda x: f"{x!r},nan", "value nan is not finite"),
     ], ids=["bad_number", "fields", "coordinate", "not_finite"])
-    def test_fault_past_the_first_chunk_names_its_file_line(self, tmp_path, monkeypatch,
-                                                            chunk, row, message):
-        if chunk:
-            monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", chunk)
+    def test_deep_fault_after_blank_lines_names_its_true_line(self, tmp_path, row, message):
         grid = make_grid(1.0, 1500)
         lines = ["", "x,value", " "]
         for k, x in enumerate(grid.nodes.tolist()):
@@ -315,17 +312,34 @@ class TestCsvReader:
         assert f"edge.csv line {expected}" in str(info.value)
 
     @pytest.mark.parametrize("text, expected", [
-        ("x,value\n0,0\n0.25,nan\n0.5,oops\n0.75,0\n1,0\n", "3: value "),
-        ("x,value\n0,0\n0.25,0\n0.5,nan\n0.8,0\n1,0\n", "4: value "),
+        ("x,value\n0,0\n0.25,nan\n0.5,oops\n0.75,0\n1,0\n", "3: value nan is not finite"),
+        ("x,value\n0,0\n0.25,0\n0.5,nan\n0.8,0\n1,0\n", "4: value nan is not finite"),
+        ("x,value\n0,0\n0.25,0\n0.5,1e500\n0.8,0\n1,0\n", "4: value inf is not finite"),
         ("x,value\n0,0\n0.3,0\n0.5,0\n0.75,0\n1,0\n1.25,0\n", "3: coordinates [0.3]"),
         ("x,value\n0,0\n0.25,0,0\n", "3: expected 2 fields (x,value), got 3"),
-    ], ids=["not_finite_then_bad_number", "not_finite_then_off_node", "off_node_then_long",
-            "bad_row_then_short"])
+        # numpy's number syntax: no digit separators, ASCII digits only
+        ("x,value\n0,0\n\n0.25,1_0\n0.5,0\n", "4: bad numeric row '0.25,1_0'"),
+        ("x,value\n0,0\n0.25,\u0661\n0.5,0\n", "3: bad numeric row '0.25,\u0661'"),
+        # lines end only at LF, CRLF or CR: a form feed neither splits a row
+        # nor shifts the line count
+        ("x,value\n0,0\n0.25,0\f\n0.5\f,0\n0.7\f5,0\n", "5: bad numeric row '0.7\\x0c5,0'"),
+        ("x,value\r0,0\r\n0.25,0\r0.5,0\n0.7,0\n", "5: coordinates [0.7]"),
+    ], ids=["not_finite_then_bad_number", "not_finite_then_off_node", "overflow",
+            "off_node_then_long", "bad_row_then_short", "digit_separator", "non_ascii_digit",
+            "form_feed_in_a_row", "cr_crlf_and_lf_line_ends"])
     def test_first_fault_in_file_order_is_named(self, tmp_path, text, expected):
-        (tmp_path / "edge.csv").write_text(text)
+        (tmp_path / "edge.csv").write_bytes(text.encode())
         with pytest.raises(ppde.cli.ConfigError) as info:
             ppde.cli._read_csv("edge.csv", [make_grid(1.0, 4)], tmp_path, "z20")
         assert f"edge.csv line {expected}" in str(info.value)
+
+    def test_header_only_file_is_a_row_count_fault_without_a_warning(self, tmp_path):
+        (tmp_path / "edge.csv").write_text("\nx,value\n \n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ppde.cli.ConfigError, match="edge.csv must have 5 x,value rows$"):
+                ppde.cli._read_csv("edge.csv", [make_grid(1.0, 4)], tmp_path, "z20")
+        assert caught == []
 
     def test_read_holds_less_memory_than_the_file_size(self, tmp_path):
         grids = [make_grid(1.0, 128), make_grid(1.0, 128)]
@@ -842,6 +856,16 @@ class TestEntryPoint:
             gc.set_debug(0)
             gc.garbage.clear()
         assert garbage == []
+
+    def test_utf8_inputs_read_under_the_c_locale(self, tmp_path):
+        # a comment and a blank CSV line that only UTF-8 decodes
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(f'# résumé\n{AFFINE_2X2}z20 = "edge.csv"\n'.encode())
+        (tmp_path / "edge.csv").write_bytes("x,value\n\u00a0\n0,0\n0.5,0\n1,0\n".encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run([sys.executable, "-m", "ppde", "check", "--config", str(cfg)],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_invocation(self, tmp_path):
         cfg = quartic_solve_config(tmp_path, n=4)
