@@ -251,14 +251,13 @@ def load_config(path) -> Config:
         raise ConfigError(f"malformed config {path}: {err}") from err
     base_dir = path.parent
 
-    h1 = _get(cp, "domain", "h1", kind=float)
-    h2 = _get(cp, "domain", "h2", kind=float)
-    n1 = _get(cp, "domain", "n1", kind=int)
-    n2 = _get(cp, "domain", "n2", kind=int)
+    domain = {key: _get(cp, "domain", key, kind=float if key[0] == "h" else int)
+              for key in ("h1", "h2", "n1", "n2")}
     try:
-        grid = Grid2D(make_grid(h1, n1), make_grid(h2, n2))
-    except ValueError as err:
-        raise ConfigError(f"[domain]: {err}") from err
+        grid = Grid2D(*(make_grid(domain[f"h{k}"], domain[f"n{k}"]) for k in "12"))
+    except ValueError as err:  # the first bad key in the order make_grid checks them
+        key = next(key for key in ("h1", "n1", "h2", "n2") if not domain[key] > 0)
+        raise ConfigError(f"[domain] {key}: {err}") from err
 
     coeff_exprs = {name: _parse_expr(_get(cp, "coefficients", name, "0"),
                                      f"[coefficients] {name}")

@@ -41,7 +41,6 @@ from .goursat import GoursatProblem, MarchingError, march, solve_goursat
 from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm, orders
 from .problem import (
     _TERMS,
-    ALL_NODES,
     CONDITIONS,
     AgreementReport,
     ClassicalData,
@@ -171,44 +170,35 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     """Assemble the affine far-edge residual map R(theta) = matrix @ theta - offset.
 
     Each row is the residual of one condition of ``_CLOSURE`` at one of its
-    nodes: a trace part plus a w part.  Column 0 of one augmented array
-    [R(0) | matrix] is the problem at theta = 0, whose trace part comes from
-    ``trace_part``; the others are linear in the unit traces c = 1,
-    g1 = e_m and g2 = e_m, whose trace parts are the unit-trace fields of
-    the order table.  All columns share one march, with one right-hand side
-    per column; its rows are [known at theta = 0 | -lower_order(unit-trace
-    fields)].  The w part of a row is the order table applied to the rows
-    of w, and only its value at the condition's nodes is kept.
-
-    The march takes the columns in the order [R(0) | c | g2 | g1], and row i
-    carries only those that can be nonzero there: with a live coefficient,
-    every column up to g1 = e_i, since the field of g1 = e_m, and so its
-    right-hand side and its w, vanish in the rows before m (F1[q][i, m] = 0
-    for m > i); with none, w = known and only column 0 has a nonzero
-    known.  The columns are put back in the public order at the end.
+    nodes: a trace part plus the order table applied to the rows of w.  The
+    march takes one column per unknown, in the order [R(0) | g2 | c | g1],
+    and row i carries only those that can be nonzero there: with a live
+    coefficient, every column up to g1 = e_i, since the field of g1 = e_m,
+    and so its right-hand side and its w, vanish in the rows before m
+    (F1[q][i, m] = 0 for m > i); with none, w = known and only column 0 has
+    a nonzero known.  g2 is the x1 = 0 value of D1 D2^2 u, so the march
+    forms the known rows of its columns from its own feed matrix.  The
+    fields of c and g1 share the x2 factor line(x2), so their known rows
+    are one rank-one product per live term a D1^q D2^r with r < 2, summed
+    by one matrix product U @ V per row.  The columns are put back in the
+    public order at the end.
     """
     g1, g2 = p.grid.g1, p.grid.g2
     n1, n2 = g1.n, g2.n
-    F1 = orders(np.eye(n1 + 1), g1.nodes[:, None], g1.h)
+    F1 = np.array(orders(np.eye(n1 + 1), g1.nodes[:, None], g1.h))
     F2 = orders(np.eye(n2 + 1), g2.nodes[:, None], g2.h)
 
-    def unit_blocks(i, j, count=n1 + 1):
-        """(columns, x1 factor, x2 factor) of each unit-trace field at the nodes (i, j).
+    def unit(q, r, i, j):
+        """D1^q D2^r u of the unit-trace fields at the nodes (i, j), one row per node.
 
-        The unknowns are ordered [c | g2 = e_m | g1 = e_m]; their fields are
-        line x line, line x F2[., m] and F1[., m] x line.  Only the first
-        ``count`` g1 columns are given.
+        The unknowns are ordered [g2 = e_m | c | g1 = e_m]; their fields are
+        line x F2[., m], line x line and F1[., m] x line.
         """
         line1, line2 = line(g1.nodes[i, None]), line(g2.nodes[j, None])
-        return ((slice(0, 1), line1, line2),
-                (slice(1, n2 + 2), line1, [f[j] for f in F2]),
-                (slice(n2 + 2, n2 + 2 + count), [f[i, :count] for f in F1], line2))
-
-    def unit(q, r, i, j):
-        """D1^q D2^r u of the unit-trace fields at the nodes (i, j), one row per node."""
-        line1, line2 = line(g1.nodes[i, None]), line(g2.nodes[j, None])
         row = np.zeros((np.broadcast(line1[0], line2[0]).size, n1 + n2 + 3))
-        for cols, f1, f2 in unit_blocks(i, j):
+        for cols, f1, f2 in ((slice(0, n2 + 1), line1, [f[j] for f in F2]),
+                             (slice(n2 + 1, n2 + 2), line1, line2),
+                             (slice(n2 + 2, None), F1[:, i], line2)):
             if q < len(f1) and r < len(f2):
                 row[:, cols] = f1[q] * f2[r]
         return row
@@ -221,17 +211,19 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     blocks = [np.column_stack([np.atleast_1d(residual0[name]), unit(*ij, *node)])
               for name, (ij, node) in zip(_CLOSURE, conditions)]
     live = live_terms(p.coeffs)
+    low = [(a, q, r) for a, (q, r) in live if r < 2]
+    x1_orders, line2 = [q for _, q, _ in low], line(g2.nodes)
 
     def rows():
         for i in range(n1 + 1):
-            # [R(0) | c | g2 | g1 = e_0 .. e_i], or R(0) alone with no live term.
+            # [R(0) | g2 | c | g1 = e_0 .. e_i], or R(0) alone with no live term.
             row = np.zeros((n2 + 1, n2 + i + 4 if live else 1))
             row[:, 0] = known0[i]
-            theta = row[:, 1:]
-            for cols, f1, f2 in unit_blocks(i, ALL_NODES, i + 1) if live else ():
-                for a, (q, r) in live:
-                    if q < len(f1) and r < len(f2):
-                        theta[:, cols] -= a[i][:, None] * (f1[q] * f2[r])
+            if low:  # -sum a[i] line(x2)[r] (line(x1)[q], F1[q][i, :i+1]), written in place
+                np.matmul(np.column_stack([-a[i] * line2[r] for a, _, r in low]),
+                          np.column_stack([np.array([*line(g1.nodes[i]), 0.0])[x1_orders],
+                                           F1[x1_orders, i, :i + 1]]),
+                          out=row[:, n2 + 2:])
             yield row
 
     # The w part of D1^q D2^r u at nodes (i, j) sums, over the march rows k,
@@ -241,7 +233,7 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     w_parts = [(block, q, r, i, j) for block, ((q, r), (i, j)) in zip(blocks, conditions)
                if not ((q < 2 and i == 0) or (r < 2 and j == 0))]
     try:
-        for k, w in enumerate(march(p.coeffs, rows())):
+        for k, w in enumerate(march(p.coeffs, rows(), slice(1, n2 + 2) if live else None)):
             width = w.shape[1]
             for block, q, r, i, j in w_parts:
                 x2 = w[j] if r == 2 else F2[r][j] @ w
@@ -253,7 +245,7 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
         raise MarchingError(f"closure march failed: {err}") from err
     system = np.vstack(blocks)
     del blocks, w_parts  # released before the copy into the public layout [c | g1 | g2]
-    matrix = system[:, np.r_[1, n2 + 3:n1 + n2 + 4, 2:n2 + 3]]
+    matrix = system[:, np.r_[n2 + 2:n1 + n2 + 4, 1:n2 + 2]]
     return ClosureSystem(matrix, -system[:, 0], n1, n2)
 
 

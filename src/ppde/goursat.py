@@ -90,7 +90,7 @@ class GoursatSolution:
         self.residual = residual
 
 
-def march(coeffs: Coefficients, known_rows):
+def march(coeffs: Coefficients, known_rows, g2_columns=None):
     """Solve (I + A) w = known row by row; yields w[i] for each known[i].
 
     A = lower_order o reconstruct_field(zero traces, .) is the feedback of
@@ -109,10 +109,14 @@ def march(coeffs: Coefficients, known_rows):
     sums of w and x1 * w over the rows before i.  Summing the live terms
     a_pq K[q] by p gives the row kernels G[p], so the row system is
     I + G[2] + (h1/2) G[1] with right-hand side known - G[1] s0 - G[0] R,
-    taken as known - (G[1] + x1 G[0]) s0 + G[0] s1 so that the cancelling
-    difference x1 s0 - s1 is never formed.  The row system is
-    lower-triangular (K[q] is), and is solved as such.  The march keeps
-    O(n2 * k) state.
+    taken as known - F s0 + G[0] s1 with the feed matrix F = G[1] + x1 G[0]
+    so that the cancelling difference x1 s0 - s1 is never formed.  The row
+    system is lower-triangular (K[q] is), and is solved as such.  The march
+    keeps O(n2 * k) state.
+
+    The slice ``g2_columns`` names the closure's columns of the unit traces
+    g2 = e_m: g2 is the x1 = 0 value of D1 D2^2 u, of field line(x1) K[., m],
+    so their known rows are -F.  They come in as zero; the march subtracts F.
     """
     live = live_terms(coeffs)
     if not live:
@@ -137,8 +141,12 @@ def march(coeffs: Coefficients, known_rows):
         k = s0.shape[1]
         w = known.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            feed = G[1]  # F, in storage the system is done with
+            feed += x * G[0]
+            if g2_columns is not None:
+                w[:, g2_columns] -= feed
             if k:
-                w[:, :k] -= (G[1] + x * G[0]) @ s0
+                w[:, :k] -= feed @ s0
                 w[:, :k] += G[0] @ s1
             solve(system, w)
         if not np.all(np.isfinite(w)):

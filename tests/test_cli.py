@@ -817,6 +817,21 @@ class TestConfigLoading:
         assert run(["check", "--config", str(cfg)]) == 2
         assert f"config error: cannot read config {cfg}: 'utf-8' codec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, expected", [
+        ("h1 = 1.0", "h1 = 0", "[domain] h1: grid length must be positive and finite, got 0.0"),
+        ("h2 = 1.0", "h2 = -1", "[domain] h2: grid length must be positive and finite, got -1.0"),
+        ("n1 = 4", "n1 = -2", "[domain] n1: number of intervals must be >= 1, got -2"),
+        ("n2 = 4", "n2 = 0", "[domain] n2: number of intervals must be >= 1, got 0"),
+    ], ids=["h1", "h2", "n1", "n2"])
+    def test_bad_domain_value_is_a_config_error_naming_its_key(self, tmp_path, capsys,
+                                                                old, new, expected):
+        cfg = write(tmp_path / "c.ini", BASE.format(n=4).replace(old, new),
+                    "[data.nonclassical]\nz00 = 0.0\n")
+        out = tmp_path / "u.csv"
+        assert run(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {expected}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, body, expected", [
         (["solve"], '[coefficients]\na11 = "x1+*"\n[data.nonclassical]\n', "[coefficients] a11: "),
         (["solve"], '[rhs]\nexpr = "x1+*"\n[data.nonclassical]\n', "[rhs] expr: "),

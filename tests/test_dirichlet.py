@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,25 @@ class TestClosureSystem:
             dense = np.column_stack([far_edge_residual(p, e) - r0 for e in np.eye(ncols)])
             assert np.max(np.abs(system.matrix - dense)) <= 1e-13, subset
             assert np.max(np.abs(system.offset + r0)) <= 1e-13, subset
+
+    def test_assembly_peak_memory(self):
+        # The closure march sets the peak memory of a solve with
+        # coefficients, which the benchmark reports as peak_mb.  At n = 64
+        # with the benchmark's four-coefficient mix the assembly peaks at
+        # about 1.207 MB; one more 65 x 65 temporary alive across a march row
+        # (33 KB) exceeds the bound.
+        g = unit_square(64)
+        coeffs = Coefficients.from_exprs(
+            g, {"a00": "1", "a21": "x1", "a12": "1+x2", "a11": "sin(x1*x2)"})
+        p = manufactured_problem("sin(x1)*cos(x2) + x1*x2^2", coeffs, g).problem
+        assemble_closure_system(p)  # first-call allocations do not count
+        tracemalloc.start()
+        try:
+            assemble_closure_system(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.22e6
 
     def test_affine_consistency(self):
         # R(theta) from a direct solve matches matrix @ theta - offset

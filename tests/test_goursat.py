@@ -11,9 +11,9 @@ from _families import coefficient_subsets
 from ppde import goursat
 from ppde.expr import parse
 from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
-from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
-from ppde.problem import Coefficients, apply_operator, lower_order
-from ppde.representation import TraceSet, extract_traces, reconstruct_field
+from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid, orders
+from ppde.problem import Coefficients, apply_operator, live_terms, lower_order
+from ppde.representation import TraceSet, extract_traces, line, reconstruct_field
 
 
 def unit_square(n):
@@ -200,6 +200,34 @@ def test_columns_that_join_late(n1, n2, seed):
             assert full.flags.c_contiguous
             np.testing.assert_allclose(w, full[:, :widths[i]], rtol=0, atol=1e-13)
             assert np.all(full[:, widths[i]:] == 0.0), (subset, i)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n1=st.integers(1, 8), n2=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_march_supplies_the_g2_known_rows(n1, n2, seed):
+    # The field of the unit trace g2 = e_m is line(x1) x K[., m], so the
+    # known rows of its column are -sum a line(x1)[p] K[q][:, m] over the
+    # live terms a D1^p D2^q: minus the feed matrix G[1] + x1 G[0].  Named
+    # to the march as zero columns, they must give what marching those
+    # known rows written out gives.
+    g = Grid2D(make_grid(1.0, n1), make_grid(0.7, n2))
+    rng = np.random.default_rng(seed)
+    g2_columns = slice(1, n2 + 2)  # with one other column on each side
+    known = rng.normal(size=(n1 + 1, n2 + 1, n2 + 3))
+    known[:, :, g2_columns] = 0.0
+    K = orders(np.eye(n2 + 1), g.g2.nodes[:, None], g.g2.h)
+    x1_line = line(g.g1.nodes[:, None])
+    for subset in coefficient_subsets(ALL_COEFFICIENTS, seed=seed % 7):
+        coeffs = Coefficients.from_exprs(g, subset)
+        written = known.copy()
+        for a, (p, q) in live_terms(coeffs):
+            if p < 2:
+                written[:, :, g2_columns] -= (x1_line[p] * a)[:, :, None] * K[q]
+        supplied = list(march(coeffs, known, g2_columns))
+        for i, (w, full) in enumerate(zip(supplied, march(coeffs, written))):
+            assert w.flags.c_contiguous and full.flags.c_contiguous
+            np.testing.assert_allclose(w, full, rtol=0, atol=1e-13, err_msg=f"{subset} row {i}")
+        assert len(supplied) == n1 + 1
 
 
 @pytest.mark.parametrize("m, k", [(9, 3), (33, 1), (41, 60), (65, 1), (65, 132), (129, 1)])
