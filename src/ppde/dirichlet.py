@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .goursat import GoursatProblem, MarchingError, march, solve_goursat
-from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm, orders
+from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm, order_table
 from .problem import (
     _TERMS,
     CONDITIONS,
@@ -181,12 +181,13 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     fields of c and g1 share the x2 factor line(x2), so their known rows
     are one rank-one product per live term a D1^q D2^r with r < 2, summed
     by one matrix product U @ V per row.  The columns are put back in the
-    public order at the end.
+    public order at the end.  Each axis grid has one order table (F1 is F2
+    on a square grid); the march reads F2 and writes w into the rows.
     """
     g1, g2 = p.grid.g1, p.grid.g2
     n1, n2 = g1.n, g2.n
-    F1 = np.array(orders(np.eye(n1 + 1), g1.nodes[:, None], g1.h))
-    F2 = orders(np.eye(n2 + 1), g2.nodes[:, None], g2.h)
+    tables = {g: order_table(g) for g in {g1, g2}}
+    F1, F2 = tables[g1], tables[g2]
 
     def unit(q, r, i, j):
         """D1^q D2^r u of the unit-trace fields at the nodes (i, j), one row per node.
@@ -206,7 +207,7 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     trace0 = trace_part(_traces(p, np.zeros(n1 + n2 + 3)), p.grid)
     known0 = p.rhs.values - lower_order(trace0, p.coeffs)
     residual0 = _signed_residuals(trace0, p.data)
-    del trace0  # released before the march, which sets the peak memory
+    del trace0  # released before the march, where the closure's memory peaks
     conditions = [CONDITIONS[name] for name in _CLOSURE]
     blocks = [np.column_stack([np.atleast_1d(residual0[name]), unit(*ij, *node)])
               for name, (ij, node) in zip(_CLOSURE, conditions)]
@@ -233,7 +234,7 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     w_parts = [(block, q, r, i, j) for block, ((q, r), (i, j)) in zip(blocks, conditions)
                if not ((q < 2 and i == 0) or (r < 2 and j == 0))]
     try:
-        for k, w in enumerate(march(p.coeffs, rows(), slice(1, n2 + 2) if live else None)):
+        for k, w in enumerate(march(p.coeffs, rows(), F2, slice(1, n2 + 2) if live else None)):
             width = w.shape[1]
             for block, q, r, i, j in w_parts:
                 x2 = w[j] if r == 2 else F2[r][j] @ w

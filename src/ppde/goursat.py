@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFn2D, orders
+from .grid import GridFn2D, order_table
 from .problem import Coefficients, apply_operator, live_terms, lower_order
 from .representation import DerivativeField, TraceSet, reconstruct_field, trace_part
 
@@ -90,20 +90,21 @@ class GoursatSolution:
         self.residual = residual
 
 
-def march(coeffs: Coefficients, known_rows, g2_columns=None):
+def march(coeffs: Coefficients, known_rows, K, g2_columns=None):
     """Solve (I + A) w = known row by row; yields w[i] for each known[i].
 
     A = lower_order o reconstruct_field(zero traces, .) is the feedback of
     w on itself.  Each ``known[i]`` has shape (n2+1, k): k right-hand sides
     solved together.  k may grow from one row to the next: the columns
     that join at row i count as zero in every row before it, so their x1
-    sums start at row i.  Each w[i] is a new C-ordered array.  With every
-    coefficient zero, w = known and the rows pass through untouched.
+    sums start at row i.  w[i] is written into known[i], which is yielded:
+    the caller hands over C-ordered rows it owns.  With every coefficient
+    zero, w = known and the rows pass through untouched.
 
     With zero traces D1^p D2^q u is the w term of the order table: the
     order-p x1 factor of w, then the order-q x2 factor of that.  Along a
-    row the x2 orders are the trapezoid matrices K = orders(I) = (R, L, I)
-    of int_0^{x2} (x2 - b) db, int_0^{x2} db and the identity.  Along x1,
+    row the x2 orders are the caller's K = order_table(g2) = (R, L, I), of
+    int_0^{x2} (x2 - b) db, int_0^{x2} db and the identity.  Along x1,
     order 2 is the row w[i] itself, order 1 is C = s0 + (h1/2) w[i] and
     order 0 is R = x1 C - S = x1 s0 - s1, where s0 and s1 are the trapezoid
     sums of w and x1 * w over the rows before i.  Summing the live terms
@@ -122,14 +123,13 @@ def march(coeffs: Coefficients, known_rows, g2_columns=None):
     if not live:
         yield from known_rows
         return
-    g1, g2 = coeffs.grid.g1, coeffs.grid.g2
-    K = orders(np.eye(g2.n + 1), g2.nodes[:, None], g2.h)
-    diagonal = np.diag_indices(g2.n + 1)
-    solve = _LowerSolver(g2.n + 1)
+    g1, n2 = coeffs.grid.g1, coeffs.grid.g2.n
+    diagonal = np.diag_indices(n2 + 1)
+    solve = _LowerSolver(n2 + 1)
     # The x1 sums of w and x1 * w without their w[i] terms; a column that
     # joins the march late has none in the rows before it.
-    s0 = s1 = np.zeros((g2.n + 1, 0))
-    for i, (x, known) in enumerate(zip(g1.nodes, known_rows)):
+    s0 = s1 = np.zeros((n2 + 1, 0))
+    for i, (x, w) in enumerate(zip(g1.nodes, known_rows)):
         G = [_row_kernel(K, [(a[i], q) for a, (p, q) in live if p == order]) for order in range(3)]
         # The pivots are 1 + (a21 + a11 h1/2) h2/2 + a12 h1/2 (L and R have
         # an empty first row, and R a zero diagonal).
@@ -139,7 +139,6 @@ def march(coeffs: Coefficients, known_rows, g2_columns=None):
         system += half * G[1]
         _check_pivots(system, i)
         k = s0.shape[1]
-        w = known.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             feed = G[1]  # F, in storage the system is done with
             feed += x * G[0]
@@ -214,9 +213,7 @@ def _check_pivots(system: np.ndarray, i: int) -> None:
     small = np.flatnonzero(~(pivots > _PIVOT_RTOL * np.max(np.abs(system), axis=1)))
     if small.size:
         j = int(small[0])
-        raise MarchingError(
-            f"vanishing pivot {system[j, j]:.3e} at node ({i}, {j}) of the march"
-        )
+        raise MarchingError(f"vanishing pivot {system[j, j]:.3e} at node ({i}, {j}) of the march")
 
 
 def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
@@ -226,7 +223,8 @@ def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
     full operator equation.
     """
     known = gp.rhs.values - lower_order(trace_part(gp.traces, gp.grid), gp.coeffs)
-    w_fn = GridFn2D(gp.grid, np.array(list(march(gp.coeffs, known[:, :, None])))[:, :, 0])
+    w_fn = GridFn2D(gp.grid, np.array(list(
+        march(gp.coeffs, known[:, :, None], order_table(gp.grid.g2))))[:, :, 0])
     field = reconstruct_field(gp.traces, w_fn)
     residual = float(np.max(np.abs(apply_operator(field, gp.coeffs).values - gp.rhs.values)))
     return GoursatSolution(w_fn, field, residual)

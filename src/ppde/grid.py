@@ -21,6 +21,7 @@ __all__ = [
     "make_grid",
     "cumtrapz",
     "orders",
+    "order_table",
     "lp_norm",
     "mixed_norm",
 ]
@@ -42,11 +43,7 @@ class Grid1D:
         self.h = length / n
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Grid1D)
-            and self.length == other.length
-            and self.n == other.n
-        )
+        return isinstance(other, Grid1D) and (self.length, self.n) == (other.length, other.n)
 
     def __hash__(self):
         return hash((self.length, self.n))
@@ -84,9 +81,7 @@ class GridFn1D:
     def __init__(self, grid: Grid1D, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n + 1,):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid with {grid.n + 1} nodes"
-            )
+            raise ValueError(f"values shape {values.shape} does not match grid with {grid.n + 1} nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError("grid function values must be finite")
         self.grid = grid
@@ -103,9 +98,7 @@ class GridFn2D:
     def __init__(self, grid: Grid2D, values):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid shape {grid.shape}"
-            )
+            raise ValueError(f"values shape {values.shape} does not match grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("grid function values must be finite")
         self.grid = grid
@@ -151,6 +144,13 @@ def orders(f, x, h: float, axis: int = 0):
     c = cumtrapz(f, h, axis)
     m = cumtrapz(x * f, h, axis)
     return x * c - m, c, f
+
+
+def order_table(g: Grid1D) -> np.ndarray:
+    """The read-only stack (R, C, I) of orders(I) on g's nodes: table[q] @ f is order q."""
+    table = np.array(orders(np.eye(g.n + 1), g.nodes[:, None], g.h))
+    table.setflags(write=False)
+    return table
 
 
 def _check_exponent(p) -> float:

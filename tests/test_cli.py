@@ -387,6 +387,49 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+    def test_outputs_are_byte_identical_at_each_blas_thread_count(self, tmp_path):
+        # The reproducibility contract: the same build and the same BLAS
+        # thread count write the same bytes.  Outputs at different thread
+        # counts may differ in the last bits, so they are not compared.
+        cfg = write(tmp_path / "mixed.ini", BASE.format(n=64), """
+        [coefficients]
+        a00 = "1"
+        a21 = "x1"
+        a12 = "1+x2"
+        a11 = "sin(x1*x2)"
+
+        [rhs]
+        expr = "sin(x1)*exp(x2) + x1*x2"
+
+        [data.nonclassical]
+        z00 = 0.5
+        z10 = 1.0
+        z01 = -0.25
+        z00_h1 = 1.5
+        z01_h1 = 0.75
+        z00_h2 = 1.25
+        z10_h2 = 0.5
+        z20 = "x1"
+        z02 = "1 - x2"
+        z20_h2 = "x1^2"
+        z02_h1 = "cos(x2)"
+        """)
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            outputs = []
+            for k in range(2):
+                out = tmp_path / f"t{threads}-{k}" / "u.csv"
+                out.parent.mkdir()
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ppde", "solve", "--config", cfg, "--out", str(out),
+                     "--field", "--diag", str(out.parent / "diag.json")],
+                    capture_output=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append({f.name: f.read_bytes() for f in sorted(out.parent.iterdir())})
+            assert len(outputs[0]) == 11  # u.csv, the nine derivative grids and diag.json
+            assert outputs[0] == outputs[1], threads
+
+
 class TestCheck:
     def test_consistent_traces(self, tmp_path, capsys):
         cfg = write(tmp_path / "chk.ini", BASE.format(n=16), """

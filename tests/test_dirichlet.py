@@ -54,6 +54,24 @@ def far_edge_residual(p, theta):
     ])
 
 
+def mixed64_problem():
+    g = unit_square(64)
+    coeffs = Coefficients.from_exprs(
+        g, {"a00": "1", "a21": "x1", "a12": "1+x2", "a11": "sin(x1*x2)"})
+    return manufactured_problem("sin(x1)*cos(x2) + x1*x2^2", coeffs, g).problem
+
+
+def traced_peak(f, *args):
+    """tracemalloc peak of f(*args) in bytes; the first call's allocations do not count."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def replace_scalar(z, **kwargs):
     fields = {k: getattr(z, k) for k in
               NonClassicalData.SCALARS + NonClassicalData.X1_FUNCTIONS
@@ -126,23 +144,19 @@ class TestClosureSystem:
             assert np.max(np.abs(system.offset + r0)) <= 1e-13, subset
 
     def test_assembly_peak_memory(self):
-        # The closure march sets the peak memory of a solve with
-        # coefficients, which the benchmark reports as peak_mb.  At n = 64
-        # with the benchmark's four-coefficient mix the assembly peaks at
-        # about 1.207 MB; one more 65 x 65 temporary alive across a march row
-        # (33 KB) exceeds the bound.
-        g = unit_square(64)
-        coeffs = Coefficients.from_exprs(
-            g, {"a00": "1", "a21": "x1", "a12": "1+x2", "a11": "sin(x1*x2)"})
-        p = manufactured_problem("sin(x1)*cos(x2) + x1*x2^2", coeffs, g).problem
-        assemble_closure_system(p)  # first-call allocations do not count
-        tracemalloc.start()
-        try:
-            assemble_closure_system(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.22e6
+        # The closure march holds one order table per axis grid (one on this
+        # square grid, shared with the march) and writes each w into its
+        # known row.  At n = 64 with the benchmark's four-coefficient mix the
+        # assembly peaks at about 0.868 MB; one more 65 x 65 temporary alive
+        # across a march row (33 KB) exceeds the bound.
+        assert traced_peak(assemble_closure_system, mixed64_problem()) <= 0.90e6
+
+    def test_solve_peak_memory(self):
+        # The whole solve, which the benchmark reports as peak_mb, peaks in
+        # reconstruct_field at about 0.930 MB on the same problem; a solve
+        # whose march builds a second x2 order table and copies its rows
+        # reads 1.207 MB.
+        assert traced_peak(solve_dirichlet, mixed64_problem()) <= 0.95e6
 
     def test_affine_consistency(self):
         # R(theta) from a direct solve matches matrix @ theta - offset
@@ -299,6 +313,29 @@ class TestSolveDirichlet:
             errs.append(np.max(np.abs(sol.field.u.values - case.reference.u.values)))
             assert sol.diagnostics.equation_residual <= 1e-10
         assert np.log2(errs[0] / errs[1]) >= 1.8
+
+    def test_repeated_solves_are_bit_identical_and_leave_the_problem_unchanged(self):
+        # The marches overwrite the rows they are given, so every row must
+        # be the solver's own: a second solve of the same problem gives the
+        # same bits, and the problem's arrays are not written.
+        g = Grid2D(make_grid(1.0, 12), make_grid(0.7, 15))
+        rng = np.random.default_rng(14)
+        coeffs = Coefficients.from_exprs(g, {
+            "a21": "x1", "a12": "1+x2", "a20": "0.5", "a02": "-x1*x2",
+            "a11": "sin(x1*x2)", "a10": "x2", "a01": "0.3", "a00": "1"})
+        data = NonClassicalData(
+            *rng.normal(size=7),
+            z20=GridFn1D(g.g1, rng.normal(size=13)), z02=GridFn1D(g.g2, rng.normal(size=16)),
+            z20_h2=GridFn1D(g.g1, rng.normal(size=13)), z02_h1=GridFn1D(g.g2, rng.normal(size=16)))
+        p = DirichletProblem(g, coeffs, GridFn2D(g, rng.normal(size=g.shape)), data)
+        arrays = [p.rhs.values, *(getattr(coeffs, name).values for name in COEFFICIENT_NAMES),
+                  *(getattr(data, key).values
+                    for key in NonClassicalData.X1_FUNCTIONS + NonClassicalData.X2_FUNCTIONS)]
+        before = [a.copy() for a in arrays]
+        first = solve_dirichlet(p)
+        assert_solutions_bit_identical(first, solve_dirichlet(p))
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
 
     def test_closure_residual_and_field_converge(self):
         # with coefficient feedback both the minimized closure residual and

@@ -11,7 +11,7 @@ from _families import coefficient_subsets
 from ppde import goursat
 from ppde.expr import parse
 from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
-from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid, orders
+from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid, order_table, orders
 from ppde.problem import Coefficients, apply_operator, live_terms, lower_order
 from ppde.representation import TraceSet, extract_traces, line, reconstruct_field
 
@@ -183,8 +183,10 @@ def test_columns_that_join_late(n1, n2, seed):
     # Column c joins the march at row start[c]: the rows before it are
     # narrower.  Marching them must give what marching the rows padded with
     # zeros gives, and in the padded march such a column stays exactly 0
-    # until its start row.
+    # until its start row.  The march overwrites its rows, so each subset
+    # marches a copy of the known rows.
     g = Grid2D(make_grid(1.0, n1), make_grid(0.7, n2))
+    K = order_table(g.g2)
     rng = np.random.default_rng(seed)
     start = np.sort(rng.integers(0, n1 + 1, size=rng.integers(1, 6)))
     start[0] = 0
@@ -193,8 +195,8 @@ def test_columns_that_join_late(n1, n2, seed):
     widths = [int(np.sum(start <= i)) for i in range(n1 + 1)]
     for subset in coefficient_subsets(ALL_COEFFICIENTS, seed=seed % 7):
         coeffs = Coefficients.from_exprs(g, subset)
-        grown = list(march(coeffs, (known[i, :, :k].copy() for i, k in enumerate(widths))))
-        padded = list(march(coeffs, known))
+        grown = list(march(coeffs, (known[i, :, :k].copy() for i, k in enumerate(widths)), K))
+        padded = list(march(coeffs, known.copy(), K))
         for i, (w, full) in enumerate(zip(grown, padded)):
             assert w.shape == (n2 + 1, widths[i]) and w.flags.c_contiguous
             assert full.flags.c_contiguous
@@ -209,13 +211,14 @@ def test_march_supplies_the_g2_known_rows(n1, n2, seed):
     # known rows of its column are -sum a line(x1)[p] K[q][:, m] over the
     # live terms a D1^p D2^q: minus the feed matrix G[1] + x1 G[0].  Named
     # to the march as zero columns, they must give what marching those
-    # known rows written out gives.
+    # known rows written out gives.  Each subset marches a copy of the
+    # known rows, which the march overwrites.
     g = Grid2D(make_grid(1.0, n1), make_grid(0.7, n2))
     rng = np.random.default_rng(seed)
     g2_columns = slice(1, n2 + 2)  # with one other column on each side
     known = rng.normal(size=(n1 + 1, n2 + 1, n2 + 3))
     known[:, :, g2_columns] = 0.0
-    K = orders(np.eye(n2 + 1), g.g2.nodes[:, None], g.g2.h)
+    K = order_table(g.g2)
     x1_line = line(g.g1.nodes[:, None])
     for subset in coefficient_subsets(ALL_COEFFICIENTS, seed=seed % 7):
         coeffs = Coefficients.from_exprs(g, subset)
@@ -223,11 +226,30 @@ def test_march_supplies_the_g2_known_rows(n1, n2, seed):
         for a, (p, q) in live_terms(coeffs):
             if p < 2:
                 written[:, :, g2_columns] -= (x1_line[p] * a)[:, :, None] * K[q]
-        supplied = list(march(coeffs, known, g2_columns))
-        for i, (w, full) in enumerate(zip(supplied, march(coeffs, written))):
+        supplied = list(march(coeffs, known.copy(), K, g2_columns))
+        for i, (w, full) in enumerate(zip(supplied, march(coeffs, written, K))):
             assert w.flags.c_contiguous and full.flags.c_contiguous
             np.testing.assert_allclose(w, full, rtol=0, atol=1e-13, err_msg=f"{subset} row {i}")
         assert len(supplied) == n1 + 1
+
+
+@pytest.mark.parametrize("exprs", [{}, ALL_COEFFICIENTS], ids=["no_coefficient", "all_eight"])
+def test_march_writes_w_into_the_rows_it_is_given(exprs):
+    # Each w is the known row object handed in, overwritten; the order
+    # table K is read-only and read only.
+    g = Grid2D(make_grid(1.0, 6), make_grid(0.7, 9))
+    coeffs = Coefficients.from_exprs(g, exprs)
+    known = np.random.default_rng(14).normal(size=(7, 10, 3))
+    K = order_table(g.g2)
+    np.testing.assert_array_equal(K, orders(np.eye(10), g.g2.nodes[:, None], g.g2.h))
+    assert not K.flags.writeable
+    K_before = K.copy()
+    rows = list(known.copy())
+    expected = [w.copy() for w in march(coeffs, known.copy(), K)]
+    for row, w, e in zip(rows, march(coeffs, iter(rows), K), expected, strict=True):
+        assert w is row and w.flags.c_contiguous
+        np.testing.assert_array_equal(w, e)
+    np.testing.assert_array_equal(K, K_before)
 
 
 @pytest.mark.parametrize("m, k", [(9, 3), (33, 1), (41, 60), (65, 1), (65, 132), (129, 1)])
