@@ -99,7 +99,7 @@ def march(coeffs: Coefficients, known_rows, K, g2_columns=None):
     that join at row i count as zero in every row before it, so their x1
     sums start at row i.  w[i] is written into known[i], which is yielded:
     the caller hands over C-ordered rows it owns.  With every coefficient
-    zero, w = known and the rows pass through untouched.
+    zero, w = known, the rows pass through untouched and K is not read.
 
     With zero traces D1^p D2^q u is the w term of the order table: the
     order-p x1 factor of w, then the order-q x2 factor of that.  Along a
@@ -223,8 +223,9 @@ def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
     full operator equation.
     """
     known = gp.rhs.values - lower_order(trace_part(gp.traces, gp.grid), gp.coeffs)
-    w_fn = GridFn2D(gp.grid, np.array(list(
-        march(gp.coeffs, known[:, :, None], order_table(gp.grid.g2))))[:, :, 0])
+    K = order_table(gp.grid.g2) if live_terms(gp.coeffs) else None  # unread when w = known
+    w_fn = GridFn2D(gp.grid, np.array(list(march(gp.coeffs, known[:, :, None], K)))[:, :, 0])
+    del K, known  # released before reconstruct_field, where a solve with coefficients peaks
     field = reconstruct_field(gp.traces, w_fn)
     residual = float(np.max(np.abs(apply_operator(field, gp.coeffs).values - gp.rhs.values)))
     return GoursatSolution(w_fn, field, residual)
