@@ -16,7 +16,8 @@ The config grammar (INI sections, expression values quoted, file values
 named by a path ending in .csv) and the CSV/JSON layouts written here are
 the stable public surface; see the README for the full as-documented
 grammar.  All numeric CSV fields use 17-significant-digit scientific
-notation, which round-trips 64-bit floats exactly.
+notation, which round-trips 64-bit floats exactly: the text of Python's
+"%.16e", made by numpy for whole chunks of values (see _scientific).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import argparse
 import configparser
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import shutil
@@ -55,9 +55,10 @@ from .verify import check_doubling, convergence_table, manufactured_problem, nod
 __all__ = ["ConfigError", "Config", "load_config", "run", "main"]
 
 _FMT = "{:.16e}"
-# CSV rows written at a time by _write_csv: neither the text of a whole grid
-# nor a per-node list is ever held at once.
-_WRITE_ROWS = 1024
+# CSV rows written at a time by _write_csv, to each file: the text of a whole
+# grid is never held at once.  A row costs about 230 bytes at a chunk's peak, so
+# 1536 rows keep the writer's tracemalloc peak for nine 65x65 grids at 0.42 MB.
+_WRITE_ROWS = 1536
 
 
 class ConfigError(Exception):
@@ -320,28 +321,107 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
+# _scientific: for |x| in the table's range, e = floor(log10 |x|) and hi + lo =
+# |x| * 10**(16 - e), Dekker's error-free product (Dekker, 1971) with the table's
+# double-double 10**(16 - e), within about 1e-14 of the exact value.  So D = hi +
+# rint(lo) is |x|'s 17 digits rounded half to even, unless the scaled value is
+# within 1e-9 of a tie, not above 1e16 by more than 1e-9, or rounds to 1e17 (log10
+# may put e one off): Python's "%" formats those.  IEEE double arithmetic only (no
+# long double or fused multiply-add), so the bytes do not depend on the platform.
+_EXPONENTS = range(-284, 297)  # the decimal exponents e the table covers
+
+
+def _ten(s: int) -> tuple[float, float]:
+    """10**s as (hi, lo): hi correctly rounded, lo the rounded remainder."""
+    num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+    n, d = (num / den).as_integer_ratio()  # int / int is correctly rounded
+    return n / d, (num * d - n * den) / (den * d)
+
+
+def _split(v):
+    """Dekker's split: v as an exact sum of two halves of 26 significant bits."""
+    c = v * 134217729.0  # 2**27 + 1
+    high = c - (c - v)
+    return high, v - high
+
+
+# per exponent e: the scale 10**(16 - e), its split, its remainder, and the text
+# of e as 4 bytes (sign, hundreds or NUL, tens, units).  fromiter frees each pair
+# at once: 581 pairs left on CPython's tuple free list moved a later tracemalloc peak.
+_SCALE, _SCALE_LO = np.fromiter((_ten(16 - e) for e in _EXPONENTS), (float, 2)).T
+_SCALE_HI, _SCALE_HI_LO = _split(_SCALE)
+_EXP_TEXT = np.array([(b"-" if e < 0 else b"+") + (b"%02d" % abs(e)).rjust(3, b"\0")
+                      for e in _EXPONENTS], "S4").view(np.uint32)
+_DIGITS = np.array([b"%04d" % k for k in range(10**4)], "S4").view(np.uint32)
+
+
+def _scientific(x, out):
+    """Write the text of ``"%.16e" % v`` for each value v of ``x`` into the
+    rows of ``out`` (uint8, 24 columns: the sign, D's 17 digits with the point
+    after the first, "e", the exponent's sign and three digits), with NUL
+    bytes in the columns a value's text leaves out."""
+    a = np.abs(x)
+    settled = (a >= 1e-282) & (a <= 1e294)  # false for nan; e, even one off, is in range
+    a[~settled] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k = e - _EXPONENTS.start
+    hi = a * _SCALE.take(k)
+    ah, al = _split(a)
+    bh, bl = _SCALE_HI.take(k), _SCALE_HI_LO.take(k)
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl  # a * _SCALE - hi, exactly
+    lo += a * _SCALE_LO.take(k)
+    r = np.rint(lo)  # hi, near 1e16 or more, is an even integer
+    settled &= ((hi - 1e16) + lo > 1e-9) & (np.abs(np.abs(lo - r) - 0.5) > 1e-9)
+    digits = hi.astype(np.int64) + r.astype(np.int64)
+    settled &= digits < 10**17
+    digits[x == 0] = 0  # e is 0 there too
+    settled |= x == 0
+    del a, ah, al, bh, bl, hi, lo, r  # free before the text's arrays are made
+    lead, rest = np.divmod(digits, 10**16)
+    high, low = np.divmod(rest, 10**8)
+    groups = np.empty((x.size, 4), np.int64)  # four digits each
+    groups[:, 0], groups[:, 1] = np.divmod(high, 10**4)
+    groups[:, 2], groups[:, 3] = np.divmod(low, 10**4)
+    out[:, 0] = 45 * np.signbit(x)  # "-"
+    out[:, 1] = 48 + lead
+    out[:, 2] = ord(".")
+    out[:, 3:19] = _DIGITS.take(groups).view(np.uint8)
+    out[:, 19] = ord("e")
+    out[:, 20:] = _EXP_TEXT.take(k)[:, None].view(np.uint8)
+    for i in np.flatnonzero(~settled).tolist():
+        out[i] = np.frombuffer((b"%.16e" % x[i]).ljust(24, b"\0"), np.uint8)
+
+
 def _write_csv(grids, files: dict):
     """Write each ``values`` of ``files`` (path -> values on the nodes of
     ``grids``) as CSV, in the layout of ``_read_csv``.
 
-    Each axis's coordinates are formatted once; the last axis's text ends in
-    a ``%.16e`` slot for the value, so a row's text is the product of the
-    axes' texts.  A chunk of rows is joined into one template, once for all
-    the files, and filled with one ``%`` per file (which gives the same text
-    as ``_FMT`` for every double).
+    Every field is the text of ``"%.16e" % v``, written by ``_scientific``.
+    A chunk of rows is a uint8 matrix with one row per CSV row: each axis's
+    field and ",", formatted once per call and gathered per row, then the
+    value field and a newline.  Only the value columns change from file to
+    file.  Dropping the NUL bytes leaves the chunk's text, one write per file.
     """
-    axes = [[f"{x:.16e}," for x in g.nodes.tolist()] for g in grids]
-    axes[-1] = [text + "%.16e\n" for text in axes[-1]]
-    rows = map("".join, itertools.product(*axes))
+    shape = tuple(g.nodes.size for g in grids)
+    axes = [np.empty((size, 25), np.uint8) for size in shape]
+    for g, text in zip(grids, axes):
+        _scientific(g.nodes, text[:, :24])
+        text[:, 24] = ord(",")
+    value = slice(25 * len(grids), -1)
     with contextlib.ExitStack() as stack:
-        out = [(stack.enter_context(open(path, "w", encoding="utf-8", newline="\n")),
-                np.reshape(values, -1)) for path, values in files.items()]
+        out = [(stack.enter_context(open(path, "wb")), np.reshape(values, -1))
+               for path, values in files.items()]
         for fh, _ in out:
-            fh.write(_header(grids) + "\n")
-        for start in range(0, math.prod(len(axis) for axis in axes), _WRITE_ROWS):
-            template = "".join(itertools.islice(rows, _WRITE_ROWS))
+            fh.write(f"{_header(grids)}\n".encode())
+        size = math.prod(shape)
+        for start in range(0, size, _WRITE_ROWS):
+            rows = np.unravel_index(np.arange(start, min(start + _WRITE_ROWS, size)), shape)
+            chunk = np.concatenate([text[i] for text, i in zip(axes, rows)]
+                                   + [np.empty((rows[0].size, 25), np.uint8)], axis=1)
+            chunk[:, -1] = ord("\n")
             for fh, values in out:
-                fh.write(template % tuple(values[start:start + _WRITE_ROWS].tolist()))
+                _scientific(values[start:start + len(chunk)], chunk[:, value])
+                fh.write(chunk[chunk != 0])
 
 
 def _diagnostics_dict(cfg: Config, sol) -> dict:
