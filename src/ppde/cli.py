@@ -139,7 +139,7 @@ def _first_fault(path: Path, grids, header: str) -> str:
     """
     width = len(grids) + 1
     shape = tuple(g.nodes.size for g in grids)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         rows = ((number, line.removesuffix("\n"))
                 for number, line in enumerate(fh, 1) if line.strip())
         next(rows)  # the header, checked already
@@ -164,11 +164,12 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
 
     The layout, which ``_write_csv`` writes too: one grid, header
     ``x,value``; two grids (x1, x2), header ``x1,x2,value`` and rows in
-    row-major order, x2 varying fastest.  The file is UTF-8 text whose
-    lines end in LF, CRLF or CR; blank and whitespace-only lines are
-    skipped.  Every field is read by numpy's parser, so spaces around a
-    field are allowed.  Each coordinate must be its grid node to within
-    1e-12 of the axis length, and each value must be finite.
+    row-major order, x2 varying fastest.  The file is UTF-8 text, with or
+    without a byte-order mark, whose lines end in LF, CRLF or CR; blank and
+    whitespace-only lines are skipped.  Every field is read by numpy's
+    parser, so spaces around a field are allowed.  Each coordinate must be
+    its grid node to within 1e-12 of the axis length, and each value must
+    be finite.
 
     The rows after the header are read by one ``np.loadtxt`` call and
     checked as whole columns.  Only a file that fails is read again, by
@@ -179,7 +180,7 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
     header = _header(grids)
     shape = tuple(g.nodes.size for g in grids)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             rows = filter(str.strip, fh)
             if next(rows, "").strip() != header:
                 raise ConfigError(f"{where}: {path} must start with header {header!r}")
@@ -244,7 +245,7 @@ def load_config(path) -> Config:
     path = Path(path)
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cp.read_file(fh)
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
@@ -400,7 +401,8 @@ def _write_csv(grids, files: dict):
     A chunk of rows is a uint8 matrix with one row per CSV row: each axis's
     field and ",", formatted once per call and gathered per row, then the
     value field and a newline.  Only the value columns change from file to
-    file.  Dropping the NUL bytes leaves the chunk's text, one write per file.
+    file.  Dropping the NUL bytes (``bytes.translate``, about twice as fast
+    as a boolean mask) leaves the chunk's text, one write per file.
     """
     shape = tuple(g.nodes.size for g in grids)
     axes = [np.empty((size, 25), np.uint8) for size in shape]
@@ -421,7 +423,7 @@ def _write_csv(grids, files: dict):
             chunk[:, -1] = ord("\n")
             for fh, values in out:
                 _scientific(values[start:start + len(chunk)], chunk[:, value])
-                fh.write(chunk[chunk != 0])
+                fh.write(chunk.tobytes().translate(None, b"\0"))
 
 
 def _diagnostics_dict(cfg: Config, sol) -> dict:

@@ -351,8 +351,8 @@ def check_compatibility(z: NonClassicalData) -> CompatibilityReport:
 
 
 def _terms(d, a: Coefficients):
-    """The products a_ij * d[i][j], one grid each, in summation order."""
-    return (getattr(a, name).values * d[i][j] for name, (i, j) in _TERMS.items())
+    """The products a_ij * d[i][j] of the live terms, one grid each, in summation order."""
+    return (v * d[i][j] for v, (i, j) in live_terms(a))
 
 
 def live_terms(a: Coefficients) -> list:
@@ -365,11 +365,12 @@ def lower_order(d, a: Coefficients) -> np.ndarray:
     """Coefficient-weighted sum of the eight non-principal derivatives d[i][j].
 
     Each d[i][j] is an array that broadcasts against the grid shape, such
-    as the entries of ``representation.trace_part``.
+    as the entries of ``representation.trace_part``.  Only the live terms
+    are summed; with none, the sum is the scalar 0.0.
     """
     terms = _terms(d, a)
-    first = next(terms)
-    return sum(terms, first)
+    first = next(terms, None)
+    return 0.0 if first is None else sum(terms, first)
 
 
 def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn2D:

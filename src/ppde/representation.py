@@ -156,15 +156,27 @@ def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
     Each grid is the trace part plus the w term.  Restricted to the edges
     x2 = 0 / x1 = 0 the derivative grids reproduce the trace inputs
     exactly: the defining integrals are empty there.
+
+    Each trace-part entry and each sweep of w is released as soon as its
+    output grid is made.  So the memory peaks at the first grid, made
+    while w, the trace part (up to six full grids), the two x1 sweeps of w
+    and the two x2 sweeps of the first are alive; the call ends holding
+    the nine grids alone.  With no live coefficient this is where a whole
+    Dirichlet solve peaks.
     """
     grid = w.grid
     trace = trace_part(t, grid)
     X1, X2 = _axes(grid)
-    w1 = orders(w.values, X1, grid.g1.h, axis=0)
+    w1 = list(orders(w.values, X1, grid.g1.h, axis=0))
     d = []
     for i in range(3):
-        w2 = orders(w1[i], X2, grid.g2.h, axis=1)
-        d.append([GridFn2D(grid, trace[i][j] + w2[j]) for j in range(3)])
+        w2 = list(orders(w1[i], X2, grid.g2.h, axis=1))
+        w1[i] = None
+        row = []
+        for j in range(3):
+            row.append(GridFn2D(grid, trace[i][j] + w2[j]))
+            trace[i][j] = w2[j] = None  # each released once its output grid exists
+        d.append(row)
     return DerivativeField(grid, d)
 
 

@@ -932,6 +932,21 @@ class TestConfigLoading:
         assert run(["check", "--config", str(cfg)]) == 2
         assert f"config error: cannot read config {cfg}: 'utf-8' codec" in capsys.readouterr().err
 
+    # Some editors start a UTF-8 file with the byte-order mark U+FEFF.
+    def test_config_with_byte_order_mark_is_read(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(("\ufeff" + AFFINE_2X2.lstrip()).encode())
+        assert run(["check", "--config", str(cfg)]) == 0
+
+    def test_csv_with_byte_order_mark_is_read(self, tmp_path):
+        cfg = write(tmp_path / "c.ini", AFFINE_2X2, 'z20 = "edge.csv"\n')
+        (tmp_path / "edge.csv").write_bytes("\ufeffx,value\n0,0.25\n0.5,0.5\n1,2\n".encode())
+        assert load_config(cfg).nonclassical.z20.values.tolist() == [0.25, 0.5, 2.0]
+        # a faulty file is read again by the same rules, and its line is named
+        (tmp_path / "edge.csv").write_bytes("\ufeffx,value\n0,0\n1,0\n0.5,0\n".encode())
+        with pytest.raises(ppde.cli.ConfigError, match=r"edge\.csv line 3: coordinates"):
+            load_config(cfg)
+
     @pytest.mark.parametrize("old, new, expected", [
         ("h1 = 1.0", "h1 = 0", "[domain] h1: grid length must be positive and finite, got 0.0"),
         ("h2 = 1.0", "h2 = -1", "[domain] h2: grid length must be positive and finite, got -1.0"),

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from ppde.problem import (
     NonClassicalData,
     nonclassical_to_classical,
 )
-from ppde.representation import TraceSet
+from ppde.representation import TraceSet, reconstruct_field
 from ppde.verify import manufactured_problem
 
 
@@ -147,17 +148,29 @@ class TestClosureSystem:
         # The closure march holds one order table per axis grid (one on this
         # square grid, shared with the march) and writes each w into its
         # known row.  At n = 64 with the benchmark's four-coefficient mix the
-        # assembly peaks at about 0.868 MB; one more 65 x 65 temporary alive
-        # across a march row (33 KB) exceeds the bound.
+        # assembly peaks in the march at about 0.869 MB; one more 65 x 65
+        # temporary alive across a march row (33 KB) exceeds the bound.
         assert traced_peak(assemble_closure_system, mixed64_problem()) <= 0.90e6
 
     def test_solve_peak_memory(self):
         # The whole solve, which the benchmark reports as peak_mb, peaks in
-        # reconstruct_field at about 0.896 MB on the same problem.  A final
-        # Goursat solve that keeps its known rows alive there reads 0.930 MB,
-        # one that also keeps its x2 order table 1.031 MB, and one whose
-        # march builds a second table and copies its rows 1.207 MB.
+        # the closure march at about 0.870 MB on the same problem.  The final
+        # Goursat solve's reconstruct_field, which read 0.896 MB while it
+        # held the whole trace part and every sweep of w to its end, now
+        # stays near 0.48 MB.
         assert traced_peak(solve_dirichlet, mixed64_problem()) <= 0.92e6
+
+    def test_coefficient_free_solve_peak_memory(self):
+        # With no coefficient the march is cheap, and the solve peaks in the
+        # final reconstruct_field at about 1.876 MB for n = 128: the field's
+        # nine 129 x 129 grids (1.20 MB) are made while w, the trace part and
+        # the first sweeps of w are alive.  It read 3.48 MB while the solve
+        # kept the closure system, every trace-part entry and every sweep
+        # alive to the end, and formed the products of all-zero coefficients;
+        # keeping the 0.54 MB closure system alone would exceed the bound.
+        g = unit_square(128)
+        p = manufactured_problem("sin(x1)*exp(x2) + x1^2*x2", Coefficients.zeros(g), g).problem
+        assert traced_peak(solve_dirichlet, p) <= 2.05e6
 
     def test_affine_consistency(self):
         # R(theta) from a direct solve matches matrix @ theta - offset
@@ -475,3 +488,59 @@ class TestSuperposition:
         both = solve(r1 + r2, s1 + s2, [a + b for a, b in zip(e1, e2)])
         each = solve(r1, s1, e1) + solve(r2, s2, e2)
         assert np.max(np.abs(both - each)) <= 1e-10 * (1.0 + np.max(np.abs(each)))
+
+
+class TestOutputsOwnTheirMemory:
+    """The solves release their work arrays early; what they return must
+    still be arrays of their own, and what they are given must be left as
+    it was, bit for bit."""
+
+    @staticmethod
+    def check(inputs, call):
+        before = [a.tobytes() for a in inputs]
+        outputs = call()
+        for a, b in itertools.combinations(outputs, 2):
+            assert not np.shares_memory(a, b)
+        for a, b in itertools.product(outputs, inputs):
+            assert not np.shares_memory(a, b)
+        assert [a.tobytes() for a in inputs] == before
+
+    @staticmethod
+    def case(exprs):
+        g = Grid2D(make_grid(1.0, 6), make_grid(0.7, 9))
+        case = manufactured_problem("sin(x1)*exp(x2) + x1^2*x2",
+                                    Coefficients.from_exprs(g, exprs), g)
+        p = case.problem
+        coeffs = [getattr(p.coeffs, name).values for name in COEFFICIENT_NAMES]
+        edges = [p.data.value(name) for name in
+                 NonClassicalData.X1_FUNCTIONS + NonClassicalData.X2_FUNCTIONS]
+        return case, [p.rhs.values, *coeffs, *edges, g.g1.nodes, g.g2.nodes]
+
+    @staticmethod
+    def grids(field):
+        return [fn.values for row in field.d for fn in row]
+
+    @pytest.mark.parametrize("exprs", [{}, {"a00": "1", "a21": "x1", "a12": "1+x2",
+                                            "a11": "sin(x1*x2)"}], ids=["free", "mixed"])
+    def test_solves(self, exprs):
+        case, inputs = self.case(exprs)
+        p = case.problem
+
+        def dirichlet():
+            s = solve_dirichlet(p)
+            return self.grids(s.field) + [s.theta]
+
+        self.check(inputs, dirichlet)
+        t = case.reference
+        traces = TraceSet(p.data.z00, p.data.z10, p.data.z01, t.d[1][1].values[0, 0],
+                          p.data.z20, GridFn1D(p.grid.g1, t.d[2][1].values[:, 0]),
+                          p.data.z02, GridFn1D(p.grid.g2, t.d[1][2].values[0, :]))
+        inputs += [traces.g1.values, traces.g2.values]
+
+        def goursat():
+            s = solve_goursat(GoursatProblem(traces, p.coeffs, p.rhs))
+            return self.grids(s.field) + [s.w.values]
+
+        self.check(inputs, goursat)
+        inputs.append(t.w.values)
+        self.check(inputs, lambda: self.grids(reconstruct_field(traces, t.w)))

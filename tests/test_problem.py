@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppde.dirichlet import _coefficient_norms
 from ppde.expr import parse
-from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
+from ppde.grid import Grid2D, GridFn1D, GridFn2D, lp_norm, make_grid, mixed_norm
 from ppde.problem import (
+    _TERMS,
     ALL_NODES,
     CLASSICAL,
     COEFFICIENT_NAMES,
@@ -379,6 +381,31 @@ class TestApplyOperator:
         _, _, field = extract_traces(parse("x1"), g)
         with pytest.raises(ValueError):
             apply_operator(field, Coefficients.zeros(unit_square(5)))
+
+    def test_no_live_term(self):
+        # With every coefficient zero no product is formed: lower_order is a
+        # zero that broadcasts, and subtracting it leaves every bit, signed
+        # zeros included.
+        g = unit_square(4)
+        _, _, field = extract_traces(parse("sin(x1)*exp(x2) - x1^2*x2"), g)
+        zero = lower_order(field.values, Coefficients.zeros(g))
+        np.testing.assert_array_equal(np.broadcast_to(zero, g.shape), np.zeros(g.shape))
+        rhs = np.random.default_rng(0).normal(size=g.shape)
+        rhs[0, :2] = -0.0, 0.0
+        assert (rhs - zero).tobytes() == rhs.tobytes()
+        out = apply_operator(field, Coefficients.zeros(g)).values
+        assert out.tobytes() == field.w.values.tobytes()
+
+    def test_coefficient_norms_of_zero_coefficients(self):
+        g = unit_square(4)
+        coeffs = Coefficients.from_exprs(g, {"a12": "1+x2", "a00": "x1"})
+        norms = _coefficient_norms(coeffs)
+        assert list(norms) == list(_TERMS)  # the --diag keys, in their order
+        assert norms["a12"] == mixed_norm(coeffs.a12, 2, np.inf) > 0.0
+        assert norms["a00"] == lp_norm(coeffs.a00, 2) > 0.0
+        for name in set(_TERMS) - {"a12", "a00"}:
+            assert norms[name] == 0.0 and not np.signbit(norms[name])
+            assert type(norms[name]) is float
 
 
 class TestCoefficients:
