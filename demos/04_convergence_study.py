@@ -8,6 +8,7 @@ near 2; polynomial cases of coordinate degree <= 2 are inside the
 quadrature exactness class and bottom out at roundoff immediately.
 """
 
+import tempfile
 from pathlib import Path
 
 from ppde import convergence_study
@@ -18,8 +19,7 @@ CASES = [
     ("x1^2*x2^2 + x1*x2", {"a00": "1"}, [8, 16, 32]),
 ]
 
-out_dir = Path(__file__).resolve().parent / "output"
-out_dir.mkdir(exist_ok=True)
+out_dir = Path(tempfile.mkdtemp(prefix="ppde_convergence_"))
 
 for k, (u, coeff_exprs, ns) in enumerate(CASES, start=1):
     print(f"u = {u}    coefficients: {coeff_exprs or 'none'}")

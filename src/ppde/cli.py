@@ -489,18 +489,30 @@ def _domain_block(grid: Grid2D) -> list[str]:
 
 
 def _cmd_convert(args) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
-    lines = _domain_block(cfg.grid)
+    """Write the config with its data block in the other formulation.
 
-    def side_csv(name: str, fn: GridFn1D) -> str:
+    The other sections carry over: the coefficients as expression text that
+    re-parses to the same trees, the right-hand side as a sibling CSV and
+    the ridge, so the converted config poses the same problem.
+    """
+    cfg = load_config(args.config)
+    if args.direction == "c2n" and cfg.classical is None:
+        raise ConfigError("direction c2n needs a [data.classical] block")
+    if args.direction == "n2c" and cfg.nonclassical is None:
+        raise ConfigError("direction n2c needs a [data.nonclassical] block")
+    out = Path(args.out)
+
+    def side_csv(name: str, fn: GridFn1D | GridFn2D) -> str:
         side = out.with_name(f"{out.stem}_{name}.csv")
-        _write_csv([fn.grid], {side: fn.values})
+        _write_csv([fn.grid.g1, fn.grid.g2] if isinstance(fn, GridFn2D) else [fn.grid],
+                   {side: fn.values})
         return side.name
 
+    lines = [*_domain_block(cfg.grid), "[coefficients]",
+             *(f'{name} = "{ex.to_string(e)}"' for name, e in cfg.coeff_exprs.items()), "",
+             "[rhs]", f'csv = "{side_csv("rhs", cfg.rhs)}"', "",
+             "[solver]", f"ridge = {cfg.ridge!r}", ""]
     if args.direction == "c2n":
-        if cfg.classical is None:
-            raise ConfigError("direction c2n needs a [data.classical] block")
         z = classical_to_nonclassical(cfg.classical)
         lines.append("[data.nonclassical]")
         for key in NonClassicalData.SCALARS:
@@ -508,8 +520,6 @@ def _cmd_convert(args) -> int:
         for key in NonClassicalData.X1_FUNCTIONS + NonClassicalData.X2_FUNCTIONS:
             lines.append(f'{key} = "{side_csv(key, getattr(z, key))}"')
     else:
-        if cfg.nonclassical is None:
-            raise ConfigError("direction n2c needs a [data.nonclassical] block")
         d = nonclassical_to_classical(cfg.nonclassical)
         lines.append("[data.classical]")
         for name in CLASSICAL:

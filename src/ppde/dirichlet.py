@@ -52,7 +52,6 @@ from .problem import (
     check_compatibility,
     classical_to_nonclassical,
     condition_values,
-    live_terms,
     lower_order,
 )
 from .representation import DerivativeField, TraceSet, line, trace_part
@@ -217,14 +216,13 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     for block, name, (ij, node) in zip(blocks, _CLOSURE, conditions):
         block[:, 0] = residual0[name]
         unit(*ij, *node, block[:, 1:])
-    live = live_terms(p.coeffs)
-    low = [(a, q, r) for a, (q, r) in live if r < 2]
+    low = [(a, q, r) for a, (q, r) in p.coeffs.live if r < 2]
     x1_orders, line2 = [q for _, q, _ in low], line(g2.nodes)
 
     def rows():
         for i in range(n1 + 1):
             # [R(0) | g2 | c | g1 = e_0 .. e_i], or R(0) alone with no live term.
-            row = np.zeros((n2 + 1, n2 + i + 4 if live else 1))
+            row = np.zeros((n2 + 1, n2 + i + 4 if p.coeffs.live else 1))
             row[:, 0] = known0[i]
             if low:  # -sum a[i] line(x2)[r] (line(x1)[q], F1[q][i, :i+1]), written in place
                 np.matmul(np.column_stack([-a[i] * line2[r] for a, _, r in low]),
@@ -240,7 +238,7 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     w_parts = [(block, q, r, i, j) for block, ((q, r), (i, j)) in zip(blocks, conditions)
                if not ((q < 2 and i == 0) or (r < 2 and j == 0))]
     try:
-        for k, w in enumerate(march(p.coeffs, rows(), F2, slice(1, n2 + 2) if live else None)):
+        for k, w in enumerate(march(p.coeffs, rows(), F2, slice(1, n2 + 2) if p.coeffs.live else None)):
             width = w.shape[1]
             for block, q, r, i, j in w_parts:
                 x2 = w[j] if r == 2 else F2[r][j] @ w
@@ -281,10 +279,10 @@ def _coefficient_norms(coeffs: Coefficients) -> dict:
     # D1^i D2^j u is expected to satisfy, evaluated with exponent 2 on the
     # grid: sup over x1 when i = 2, sup over x2 when j = 2, L2 otherwise.
     # Every such norm of a zero coefficient is 0.0, which is written as is.
-    norms = {}
+    norms, live = {}, {ij for _, ij in coeffs.live}
     for name, (i, j) in _TERMS.items():
         a = getattr(coeffs, name)
-        norms[name] = (0.0 if not np.any(a.values) else
+        norms[name] = (0.0 if (i, j) not in live else
                        mixed_norm(a, np.inf, 2) if i == 2 else
                        mixed_norm(a, 2, np.inf) if j == 2 else lp_norm(a, 2))
     return norms

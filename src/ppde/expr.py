@@ -397,7 +397,8 @@ def _diff(e: Expr, var: str) -> Expr:
 def to_string(e: Expr) -> str:
     """Fully parenthesized rendering; re-parses to an equivalent expression."""
     if isinstance(e, Num):
-        return repr(e.value)
+        # A literal beyond the float range parses to inf, whose repr is no literal.
+        return "1e999" if e.value == math.inf else repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):

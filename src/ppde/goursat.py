@@ -33,10 +33,12 @@ times at n = 128.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .grid import GridFn2D, order_table
-from .problem import Coefficients, apply_operator, live_terms, lower_order
+from .problem import Coefficients, apply_operator, lower_order
 from .representation import DerivativeField, TraceSet, reconstruct_field, trace_part
 
 __all__ = ["GoursatProblem", "GoursatSolution", "MarchingError", "march", "solve_goursat"]
@@ -119,7 +121,7 @@ def march(coeffs: Coefficients, known_rows, K, g2_columns=None):
     g2 = e_m: g2 is the x1 = 0 value of D1 D2^2 u, of field line(x1) K[., m],
     so their known rows are -F.  They come in as zero; the march subtracts F.
     """
-    live = live_terms(coeffs)
+    live = coeffs.live
     if not live:
         yield from known_rows
         return
@@ -223,8 +225,9 @@ def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
     full operator equation.
     """
     known = gp.rhs.values - lower_order(trace_part(gp.traces, gp.grid), gp.coeffs)
-    K = order_table(gp.grid.g2) if live_terms(gp.coeffs) else None  # unread when w = known
-    w_fn = GridFn2D(gp.grid, np.array(list(march(gp.coeffs, known[:, :, None], K)))[:, :, 0])
+    K = order_table(gp.grid.g2) if gp.coeffs.live else None  # unread when w = known
+    deque(march(gp.coeffs, known[:, :, None], K), maxlen=0)  # writes w into known, keeps no row
+    w_fn = GridFn2D(gp.grid, known)
     del K, known  # released before reconstruct_field, where a solve with coefficients peaks
     field = reconstruct_field(gp.traces, w_fn)
     residual = float(np.max(np.abs(apply_operator(field, gp.coeffs).values - gp.rhs.values)))

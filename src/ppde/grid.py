@@ -76,7 +76,7 @@ class Grid2D:
 
 
 class GridFn1D:
-    """Real values attached to the nodes of a Grid1D; treated as immutable."""
+    """Real values attached to the nodes of a Grid1D; ``values`` is a read-only copy."""
 
     def __init__(self, grid: Grid1D, values):
         values = np.asarray(values, dtype=float)
@@ -86,6 +86,7 @@ class GridFn1D:
             raise ValueError("grid function values must be finite")
         self.grid = grid
         self.values = values.copy()
+        self.values.setflags(write=False)
 
     @classmethod
     def zeros(cls, grid: Grid1D) -> "GridFn1D":
@@ -93,7 +94,7 @@ class GridFn1D:
 
 
 class GridFn2D:
-    """Real values on a Grid2D; entry (i, j) sits at (x1_i, x2_j)."""
+    """Real values on a Grid2D, entry (i, j) at (x1_i, x2_j); ``values`` is a read-only copy."""
 
     def __init__(self, grid: Grid2D, values):
         values = np.asarray(values, dtype=float)
@@ -103,6 +104,7 @@ class GridFn2D:
             raise ValueError("grid function values must be finite")
         self.grid = grid
         self.values = values.copy()
+        self.values.setflags(write=False)
 
     @classmethod
     def zeros(cls, grid: Grid2D) -> "GridFn2D":

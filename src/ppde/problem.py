@@ -51,7 +51,6 @@ __all__ = [
     "check_compatibility",
     "condition_values",
     "apply_operator",
-    "live_terms",
     "lower_order",
 ]
 
@@ -65,7 +64,10 @@ COEFFICIENT_NAMES = tuple(_TERMS)
 
 
 class Coefficients:
-    """The eight variable coefficients of the operator, sampled on one grid."""
+    """The eight variable coefficients of the operator, sampled on one grid.
+
+    ``live``: the (values, (i, j)) of each nonzero coefficient, in summation order.
+    """
 
     def __init__(self, a21, a12, a20, a02, a11, a10, a01, a00):
         fns = (a21, a12, a20, a02, a11, a10, a01, a00)
@@ -76,32 +78,31 @@ class Coefficients:
         (self.a21, self.a12, self.a20, self.a02,
          self.a11, self.a10, self.a01, self.a00) = fns
         self.grid = grid
+        self.live = tuple((f.values, ij) for f, ij in zip(fns, _TERMS.values()) if np.any(f.values))
 
     @classmethod
     def zeros(cls, grid: Grid2D) -> "Coefficients":
-        return cls(*[GridFn2D.zeros(grid) for _ in COEFFICIENT_NAMES])
+        return cls(*[GridFn2D.zeros(grid)] * len(COEFFICIENT_NAMES))
 
     @classmethod
     def from_exprs(cls, grid: Grid2D, exprs: dict) -> "Coefficients":
-        """Sample coefficients from expressions; missing names default to 0."""
+        """Sample coefficients from expressions; missing names share one zero grid."""
         unknown = set(exprs) - set(COEFFICIENT_NAMES)
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
         X1 = grid.g1.nodes[:, None]
         X2 = grid.g2.nodes[None, :]
-        fns = []
+        fns = dict.fromkeys(COEFFICIENT_NAMES, GridFn2D.zeros(grid))
         for name in COEFFICIENT_NAMES:
             e = exprs.get(name)
-            if e is None:
-                fns.append(GridFn2D.zeros(grid))
-            else:
+            if e is not None:
                 if isinstance(e, str):
                     e = ex.parse(e)
                 try:
-                    fns.append(GridFn2D(grid, ex.sample(e, X1, X2, grid.shape)))
+                    fns[name] = GridFn2D(grid, ex.sample(e, X1, X2, grid.shape))
                 except ValueError as err:
                     raise ValueError(f"coefficient {name}: {err}") from err
-        return cls(*fns)
+        return cls(**fns)
 
 
 class BoundaryFn:
@@ -352,13 +353,7 @@ def check_compatibility(z: NonClassicalData) -> CompatibilityReport:
 
 def _terms(d, a: Coefficients):
     """The products a_ij * d[i][j] of the live terms, one grid each, in summation order."""
-    return (v * d[i][j] for v, (i, j) in live_terms(a))
-
-
-def live_terms(a: Coefficients) -> list:
-    """(values, (i, j)) of each coefficient that is not identically zero, in summation order."""
-    return [(v, ij) for v, ij in ((getattr(a, name).values, ij) for name, ij in _TERMS.items())
-            if np.any(v)]
+    return (v * d[i][j] for v, (i, j) in a.live)
 
 
 def lower_order(d, a: Coefficients) -> np.ndarray:

@@ -635,6 +635,45 @@ class TestConvert:
             "1.0000000000000000e+00,-1.0000000000000000e+00\n"
         )
 
+    @pytest.mark.parametrize("direction, block", [
+        ("n2c", """
+        [data.nonclassical]
+        z10 = 0.5
+        z20 = "sin(x1)"
+        z20_h2 = "2"
+        z02_h1 = "2 + x2"
+        """),
+        ("c2n", """
+        [data.classical]
+        phi1.v1 = 0.25
+        phi2.v2 = "cos(x2)"
+        psi2.v0 = 1.0
+        psi2.v2 = "2*x1"
+        """),
+    ], ids=["n2c", "c2n"])
+    def test_converted_config_solves_to_the_same_bytes(self, tmp_path, direction, block):
+        # Every section besides the data block carries over: a live
+        # coefficient, a CSV right-hand side and the ridge each change u.
+        grids = [make_grid(1.0, 8)] * 2
+        rhs = np.random.default_rng(3).normal(size=(9, 9))
+        (tmp_path / "rhs.csv").write_text(reference_csv(grids, rhs))
+        cfg = write(tmp_path / "orig.ini", BASE.format(n=8), """
+        [coefficients]
+        a00 = "1"
+        a11 = "sin(x1*x2) - 0.5"
+
+        [rhs]
+        csv = "rhs.csv"
+
+        [solver]
+        ridge = 1e-3
+        """, block)
+        conv = tmp_path / "conv.ini"
+        assert run(["convert", "--config", cfg, "--direction", direction, "--out", str(conv)]) == 0
+        for config, out in ((cfg, "orig.csv"), (str(conv), "conv.csv")):
+            assert run(["solve", "--config", config, "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "conv.csv").read_bytes() == (tmp_path / "orig.csv").read_bytes()
+
     def test_direction_requires_matching_block(self, tmp_path):
         cfg = write(tmp_path / "nc.ini", BASE.format(n=4), """
         [data.nonclassical]
@@ -642,6 +681,7 @@ class TestConvert:
         """)
         assert run(["convert", "--config", cfg, "--direction", "c2n",
                     "--out", str(tmp_path / "x.ini")]) == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["nc.ini"]  # nothing written
 
     def test_converted_block_checks_clean(self, tmp_path):
         cfg = write(tmp_path / "traces.ini", BASE.format(n=16), """

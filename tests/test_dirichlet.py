@@ -351,6 +351,12 @@ class TestSolveDirichlet:
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
 
+    def test_solution_grids_are_read_only(self):
+        sol = solve_dirichlet(poly_case(4).problem)
+        for fn in (fn for row in sol.field.d for fn in row):
+            with pytest.raises(ValueError, match="read-only"):
+                fn.values[1, 1] = 0.0
+
     def test_closure_residual_and_field_converge(self):
         # with coefficient feedback both the minimized closure residual and
         # the recovered field converge at second order

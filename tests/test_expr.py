@@ -185,6 +185,11 @@ class TestPrinting:
         e2 = parse(to_string(e))
         assert evaluate(e2, 0.3, 0.4) == pytest.approx(evaluate(e, 0.3, 0.4), rel=1e-15)
 
+    def test_reparses_to_the_same_tree(self):
+        for text in ("x1/1e400 + 2.5e-3", "-(x2^3)*sin(x1 - 0.1)", "1 - 2 - 3"):
+            e = parse(text)
+            assert parse(to_string(e)) == e
+
     def test_negative_literal(self):
         e = differentiate(parse("cos(x1)"), "x1")  # folds to -sin(x1) shape
         assert evaluate(parse(to_string(e)), 0.7, 0.0) == pytest.approx(-np.sin(0.7))

@@ -12,7 +12,7 @@ from ppde import goursat
 from ppde.expr import parse
 from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid, order_table, orders
-from ppde.problem import Coefficients, apply_operator, live_terms, lower_order
+from ppde.problem import Coefficients, apply_operator, lower_order
 from ppde.representation import TraceSet, extract_traces, line, reconstruct_field
 
 
@@ -223,7 +223,7 @@ def test_march_supplies_the_g2_known_rows(n1, n2, seed):
     for subset in coefficient_subsets(ALL_COEFFICIENTS, seed=seed % 7):
         coeffs = Coefficients.from_exprs(g, subset)
         written = known.copy()
-        for a, (p, q) in live_terms(coeffs):
+        for a, (p, q) in coeffs.live:
             if p < 2:
                 written[:, :, g2_columns] -= (x1_line[p] * a)[:, :, None] * K[q]
         supplied = list(march(coeffs, known.copy(), K, g2_columns))

@@ -73,6 +73,18 @@ class TestGridFnValidation:
         with pytest.raises(ValueError):
             GridFn2D(g, np.zeros((2, 3)))
 
+    def test_values_are_a_read_only_copy(self):
+        source = np.array([0.0, 1.0, 2.0])
+        f1 = GridFn1D(make_grid(1.0, 2), source)
+        source[0] = 5.0  # the caller's array stays writable, and the copy does not follow
+        assert f1.values[0] == 0.0
+        f2 = GridFn2D(unit_square(2), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="read-only"):
+            f1.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            f2.values += 1.0
+        np.testing.assert_array_equal(f2.values, 1.0)
+
 
 class TestCumulativeIntegral:
     def test_constant_exact(self):

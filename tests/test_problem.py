@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppde.dirichlet import _coefficient_norms
+from _families import coefficient_subsets
+from ppde.dirichlet import _coefficient_norms, solve_dirichlet
 from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, lp_norm, make_grid, mixed_norm
 from ppde.problem import (
@@ -418,3 +419,35 @@ class TestCoefficients:
         fns4 = [GridFn2D.zeros(g4) for _ in range(7)]
         with pytest.raises(ValueError):
             Coefficients(*fns4, GridFn2D.zeros(g5))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(["0", "0*x1", "x1", "1 - x2", "-0.5", "x1*x2"]),
+                    min_size=8, max_size=8),
+           st.integers(0, 2**16))
+    def test_live_lists_the_nonzero_coefficients_in_term_order(self, texts, seed):
+        # "0" and "0*x1" are given but zero, so they are not live; "x1" is
+        # zero on one edge only, and is.
+        g = Grid2D(make_grid(1.0, 3), make_grid(0.5, 4))
+        for subset in coefficient_subsets(dict(zip(COEFFICIENT_NAMES, texts)), seed):
+            coeffs = Coefficients.from_exprs(g, subset)
+            names = [name for name in _TERMS if subset.get(name, "0") not in ("0", "0*x1")]
+            assert [ij for _, ij in coeffs.live] == [_TERMS[name] for name in names]
+            for (values, _), name in zip(coeffs.live, names):
+                assert values is getattr(coeffs, name).values
+
+    def test_absent_coefficients_share_one_zero_grid(self):
+        g = unit_square(6)
+        zeros = Coefficients.zeros(g)
+        assert all(getattr(zeros, name) is zeros.a00 for name in COEFFICIENT_NAMES)
+        shared = Coefficients.from_exprs(g, {"a11": "sin(x1*x2)"})
+        absent = [getattr(shared, name) for name in COEFFICIENT_NAMES if name != "a11"]
+        assert all(fn is absent[0] for fn in absent) and shared.a11 is not absent[0]
+        # A solve with the shared zero gives the bits of one with eight own grids,
+        # and leaves the zero as it was.
+        own = Coefficients(*(GridFn2D(g, getattr(shared, name).values) for name in COEFFICIENT_NAMES))
+        u = "sin(x1)*exp(x2) + x1^2*x2"
+        a, b = (solve_dirichlet(manufactured_problem(u, c, g).problem) for c in (shared, own))
+        assert a.theta.tobytes() == b.theta.tobytes()
+        assert a.field.u.values.tobytes() == b.field.u.values.tobytes()
+        assert repr(a.diagnostics) == repr(b.diagnostics)
+        np.testing.assert_array_equal(absent[0].values, 0.0)
