@@ -40,7 +40,6 @@ from .dirichlet import DirichletProblem, solve_classical, solve_dirichlet
 from .grid import Grid2D, GridFn1D, GridFn2D, make_grid
 from .problem import (
     CLASSICAL,
-    COEFFICIENT_NAMES,
     BoundaryFn,
     ClassicalData,
     Coefficients,
@@ -86,6 +85,16 @@ class Config:
 
 # ---------------------------------------------------------------------------
 # config reading
+
+# The config grammar: the keys of each section but [coefficients].
+_KEYS = {
+    "domain": ("h1", "h2", "n1", "n2"),
+    "rhs": ("expr", "csv"),
+    "data.nonclassical": (NonClassicalData.SCALARS + NonClassicalData.X1_FUNCTIONS
+                          + NonClassicalData.X2_FUNCTIONS),
+    "data.classical": tuple(f"{name}.v{k}" for name in CLASSICAL for k in range(3)),
+    "solver": ("tol", "max_iter", "ridge"),
+}
 
 def _unquote(raw: str) -> str:
     s = raw.strip()
@@ -201,10 +210,6 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: cannot read {path}: {err}") from err
 
 
-# Expression values become grid functions, which reject non-finite values
-# with an error naming the input; numpy's overflow warnings would only
-# repeat that error, so the evaluations here run under np.errstate.
-
 def _sample(e: ex.Expr, grid, where: str):
     """The GridFn1D or GridFn2D of an expression at the nodes of ``grid``.
 
@@ -216,19 +221,17 @@ def _sample(e: ex.Expr, grid, where: str):
     else:
         fn, x1, x2 = GridFn1D, grid.nodes, grid.nodes
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(grid, ex.sample(e, x1, x2, np.broadcast(x1, x2).shape))
+        return fn(grid, ex.sample(e, x1, x2, np.broadcast(x1, x2).shape))
     except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
 def _coefficients(exprs: dict, grid: Grid2D, where: str = "") -> Coefficients:
-    """The coefficients of ``exprs`` (one expression per name) at the nodes of ``grid``.
-
-    ``where`` follows the name in an error: ``[coefficients] <name><where>: ...``.
-    """
-    return Coefficients(*(_sample(exprs[name], grid, f"[coefficients] {name}{where}")
-                          for name in COEFFICIENT_NAMES))
+    """``Coefficients.from_exprs``, whose error reads ``[coefficients] <error><where>``."""
+    try:
+        return Coefficients.from_exprs(grid, exprs)
+    except ValueError as err:
+        raise ConfigError(f"[coefficients] {err}{where}") from err
 
 
 def _grid_fn(raw: str, grid, base_dir: Path, where: str):
@@ -243,7 +246,9 @@ def _grid_fn(raw: str, grid, base_dir: Path, where: str):
 def load_config(path) -> Config:
     """Read a problem definition; raises ConfigError naming the bad key."""
     path = Path(path)
-    cp = configparser.ConfigParser(interpolation=None)
+    # No header can name the default section "", so [DEFAULT] is an ordinary
+    # section, and an unknown one.
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8-sig") as fh:
             cp.read_file(fh)
@@ -251,19 +256,27 @@ def load_config(path) -> Config:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"malformed config {path}: {err}") from err
+    for section in cp.sections():
+        if section == "coefficients":
+            continue  # Coefficients.from_exprs checks its names
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"[{section}] {key}: unknown key")
     base_dir = path.parent
 
     domain = {key: _get(cp, "domain", key, kind=float if key[0] == "h" else int)
-              for key in ("h1", "h2", "n1", "n2")}
+              for key in _KEYS["domain"]}
     try:
         grid = Grid2D(*(make_grid(domain[f"h{k}"], domain[f"n{k}"]) for k in "12"))
     except ValueError as err:  # the first bad key in the order make_grid checks them
         key = next(key for key in ("h1", "n1", "h2", "n2") if not domain[key] > 0)
         raise ConfigError(f"[domain] {key}: {err}") from err
 
-    coeff_exprs = {name: _parse_expr(_get(cp, "coefficients", name, "0"),
-                                     f"[coefficients] {name}")
-                   for name in COEFFICIENT_NAMES}
+    given = cp.options("coefficients") if cp.has_section("coefficients") else []
+    coeff_exprs = {name: _parse_expr(_get(cp, "coefficients", name), f"[coefficients] {name}")
+                   for name in given}
     coeffs = _coefficients(coeff_exprs, grid)
 
     if cp.has_section("rhs") and cp.has_option("rhs", "csv"):
@@ -550,19 +563,21 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _manufactured_case(u: ex.Expr, coeffs: Coefficients, grid: Grid2D):
+def _manufactured_case(u: ex.Expr, coeffs: Coefficients, grid: Grid2D, ridge: float):
     """The ManufacturedCase of --u on ``grid``, whose data, reference and
-    right-hand side must be finite at its nodes."""
+    right-hand side must be finite at its nodes, solved with ``ridge``."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # see the note above _sample
-            return manufactured_problem(u, coeffs, grid)
+        case = manufactured_problem(u, coeffs, grid)
     except (ex.EvalDomainError, ValueError) as err:
         raise ConfigError(f"--u: {err} on the {grid.g1.n}x{grid.g2.n} grid") from err
+    p = case.problem
+    return dataclasses.replace(case, problem=DirichletProblem(p.grid, p.coeffs, p.rhs, p.data,
+                                                              ridge=ridge))
 
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    case = _manufactured_case(_parse_expr(args.u, "--u"), cfg.coeffs, cfg.grid)
+    case = _manufactured_case(_parse_expr(args.u, "--u"), cfg.coeffs, cfg.grid, cfg.ridge)
     sol = solve_dirichlet(case.problem)
     errors = {f"d{i}{j}": node_errors(sol.field.d[i][j], case.reference.d[i][j])
               for i in range(3) for j in range(3)}
@@ -591,7 +606,7 @@ def _cmd_convergence(args) -> int:
     for n in ns:  # every case is built, and so checked, before the first solve
         grid = Grid2D(make_grid(cfg.grid.g1.length, n), make_grid(cfg.grid.g2.length, n))
         coeffs = _coefficients(cfg.coeff_exprs, grid, f" on the {n}x{n} grid")
-        cases.append(_manufactured_case(u, coeffs, grid))
+        cases.append(_manufactured_case(u, coeffs, grid, cfg.ridge))
     table = convergence_table(cases)
     _write_text(args.out, table.as_csv())
     for row in table.rows:

@@ -274,8 +274,14 @@ def evaluate(e: Expr, x1, x2):
 
 
 def sample(e: Expr, x1, x2, shape=None):
-    """Evaluate and broadcast to ``shape`` (handy for constant expressions)."""
-    out = np.asarray(evaluate(e, x1, x2), dtype=float)
+    """Evaluate and broadcast to ``shape`` (handy for constant expressions).
+
+    A zero divisor raises EvalDomainError.  An overflow gives inf or nan, and
+    the grid function made of the samples rejects them with an error naming
+    the input; numpy's overflow warning would only repeat it, so none is given.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(evaluate(e, x1, x2), dtype=float)
     if shape is not None:
         out = np.broadcast_to(out, shape).copy()
     return out

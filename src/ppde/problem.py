@@ -86,22 +86,22 @@ class Coefficients:
 
     @classmethod
     def from_exprs(cls, grid: Grid2D, exprs: dict) -> "Coefficients":
-        """Sample coefficients from expressions; missing names share one zero grid."""
+        """Sample coefficients from expressions; missing names share one zero grid.
+
+        Raises ValueError "unknown coefficient names: [...]", or "<name>: <reason>"
+        for a coefficient that divides by zero or overflows at a node.
+        """
         unknown = set(exprs) - set(COEFFICIENT_NAMES)
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
-        X1 = grid.g1.nodes[:, None]
-        X2 = grid.g2.nodes[None, :]
+        x1, x2 = grid.g1.nodes[:, None], grid.g2.nodes[None, :]
         fns = dict.fromkeys(COEFFICIENT_NAMES, GridFn2D.zeros(grid))
-        for name in COEFFICIENT_NAMES:
-            e = exprs.get(name)
-            if e is not None:
-                if isinstance(e, str):
-                    e = ex.parse(e)
-                try:
-                    fns[name] = GridFn2D(grid, ex.sample(e, X1, X2, grid.shape))
-                except ValueError as err:
-                    raise ValueError(f"coefficient {name}: {err}") from err
+        for name in filter(exprs.__contains__, COEFFICIENT_NAMES):
+            e = ex.parse(exprs[name]) if isinstance(exprs[name], str) else exprs[name]
+            try:
+                fns[name] = GridFn2D(grid, ex.sample(e, x1, x2, grid.shape))
+            except (ex.EvalDomainError, ValueError) as err:
+                raise ValueError(f"{name}: {err}") from err
         return cls(**fns)
 
 
@@ -361,15 +361,20 @@ def lower_order(d, a: Coefficients) -> np.ndarray:
 
     Each d[i][j] is an array that broadcasts against the grid shape, such
     as the entries of ``representation.trace_part``.  Only the live terms
-    are summed; with none, the sum is the scalar 0.0.
+    are summed; with none, the sum is the scalar 0.0.  A product that
+    overflows gives inf or nan without a numpy warning; the march reports
+    the first row that is not finite.
     """
-    terms = _terms(d, a)
-    first = next(terms, None)
-    return 0.0 if first is None else sum(terms, first)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _terms(d, a)
+        first = next(terms, None)
+        return 0.0 if first is None else sum(terms, first)
 
 
 def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn2D:
-    """Pointwise value of (Vu) at every node, from the derivative grids."""
+    """Pointwise value of (Vu) at every node, from the derivative grids; an
+    overflow raises the GridFn2D's ValueError, and no numpy warning."""
     if a.grid != field.grid:
         raise ValueError("coefficients and field live on different grids")
-    return GridFn2D(field.grid, sum(_terms(field.values, a), field.w.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return GridFn2D(field.grid, sum(_terms(field.values, a), field.w.values))

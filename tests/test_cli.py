@@ -19,8 +19,14 @@ import ppde.cli
 import ppde.expr
 import ppde.verify
 from ppde.cli import load_config, run
-from ppde.grid import make_grid
-from ppde.problem import COEFFICIENT_NAMES, NonClassicalData
+from ppde.grid import Grid2D, make_grid
+from ppde.problem import (
+    CLASSICAL,
+    COEFFICIENT_NAMES,
+    Coefficients,
+    NonClassicalData,
+    nonclassical_to_classical,
+)
 
 BASE = """
 [domain]
@@ -190,6 +196,52 @@ class TestSolve:
         z00 = 0.0
         """)
         assert run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 3
+
+    def test_overflow_in_the_known_term_is_one_line_exit_3(self, tmp_path, capsys):
+        # a00 * u overflows where the trace part of u is 1e10
+        cfg = write(tmp_path / "big.ini", BASE.format(n=4), """
+        [coefficients]
+        a00 = "1e300"
+
+        [data.nonclassical]
+        z00 = 1e10
+        z00_h1 = 1e10
+        z00_h2 = 1e10
+        """)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")])
+        assert code == 3 and caught == []
+        assert capsys.readouterr().err == ("numerical failure: closure march failed: the march "
+                                           "produced non-finite values in row 0\n")
+
+    def test_peak_memory_of_a_coefficient_free_field_job(self, tmp_path):
+        # A classical config with CSV inputs at n = 64, as in the benchmark's
+        # cli64 jobs.  Measured here: 1,075,709 bytes when each absent
+        # coefficient was sampled into its own zero grid, 837,086 bytes with
+        # the one shared zero of Coefficients.from_exprs.
+        grid = Grid2D(make_grid(1.0, 64), make_grid(1.0, 64))
+        case = ppde.verify.manufactured_problem("sin(x1)*exp(x2) + x1^2*x2",
+                                                Coefficients.zeros(grid), grid)
+        classical = nonclassical_to_classical(case.problem.data)
+        ppde.cli._write_csv([grid.g1, grid.g2], {tmp_path / "rhs.csv": case.problem.rhs.values})
+        lines = [BASE.format(n=64), "[rhs]", 'csv = "rhs.csv"', "[data.classical]"]
+        for name in CLASSICAL:
+            fn = getattr(classical, name)
+            ppde.cli._write_csv([fn.v2.grid], {tmp_path / f"{name}_v2.csv": fn.v2.values})
+            lines += [f"{name}.v0 = {fn.v0!r}", f"{name}.v1 = {fn.v1!r}",
+                      f'{name}.v2 = "{name}_v2.csv"']
+        argv = ["solve", "--config", write(tmp_path / "c.ini", *lines), "--out",
+                str(tmp_path / "u.csv"), "--field", "--diag", str(tmp_path / "d.json")]
+        assert run(argv) == 0  # warm-up: one-time allocations are not the job's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.95e6
 
 
 # Values whose text or bits are easy to get wrong: signed zero, subnormals
@@ -493,8 +545,8 @@ class TestDeterminism:
                 out = tmp_path / f"t{threads}-{k}" / "u.csv"
                 out.parent.mkdir()
                 proc = subprocess.run(
-                    [sys.executable, "-m", "ppde", "solve", "--config", cfg, "--out", str(out),
-                     "--field", "--diag", str(out.parent / "diag.json")],
+                    [sys.executable, "-W", "error", "-m", "ppde", "solve", "--config", cfg,
+                     "--out", str(out), "--field", "--diag", str(out.parent / "diag.json")],
                     capture_output=True, env=env)
                 assert proc.returncode == 0, proc.stderr
                 outputs.append({f.name: f.read_bytes() for f in sorted(out.parent.iterdir())})
@@ -674,6 +726,20 @@ class TestConvert:
             assert run(["solve", "--config", config, "--out", str(tmp_path / out)]) == 0
         assert (tmp_path / "conv.csv").read_bytes() == (tmp_path / "orig.csv").read_bytes()
 
+    def test_writes_the_coefficients_the_config_gives(self, tmp_path):
+        cfg = write(tmp_path / "orig.ini", BASE.format(n=4), """
+        [coefficients]
+        a11 = "sin(x1*x2)"
+        a00 = "1"
+
+        [data.nonclassical]
+        z00 = 0.0
+        """)
+        conv = tmp_path / "conv.ini"
+        assert run(["convert", "--config", cfg, "--direction", "n2c", "--out", str(conv)]) == 0
+        assert load_config(conv).coeff_exprs == load_config(cfg).coeff_exprs
+        assert '[coefficients]\na11 = "sin((x1 * x2))"\na00 = "1.0"\n\n' in conv.read_text()
+
     def test_direction_requires_matching_block(self, tmp_path):
         cfg = write(tmp_path / "nc.ini", BASE.format(n=4), """
         [data.nonclassical]
@@ -764,8 +830,8 @@ class TestConvergenceCommand:
         out = tmp_path / "table.csv"
         assert run(["convergence", "--u", "x1*x2", "--config", cfg,
                     "--grids", "4,8,16", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "[coefficients] a00" in err and "16x16 grid" in err
+        assert capsys.readouterr().err == ("config error: [coefficients] a00: division by zero "
+                                           "while evaluating on the 16x16 grid\n")
         assert not out.exists()
 
     def test_each_coefficient_is_sampled_once_per_grid(self, tmp_path, monkeypatch):
@@ -809,6 +875,19 @@ class TestManufacturedCase:
         assert run([command[0], "--u", u, "--config", cfg, "--out", str(tmp_path / "t.csv"),
                     *command[1:]]) == 0
         assert intervals == expected
+
+    @pytest.mark.parametrize("command", [["verify"], ["convergence", "--grids", "8,16"]],
+                             ids=["verify", "convergence"])
+    def test_solver_ridge_is_used(self, tmp_path, command):
+        tables = {}
+        for ridge in ("", "0", "10"):
+            cfg = write(tmp_path / f"r{ridge}.ini", BASE.format(n=8), '[coefficients]\na00 = "1"\n',
+                        f"[solver]\nridge = {ridge}\n" if ridge else "")
+            out = tmp_path / f"t{ridge}.csv"
+            assert run([command[0], "--u", "x1^2*x2^2 + sin(x1)*x2", "--config", cfg,
+                        "--out", str(out), *command[1:]]) == 0
+            tables[ridge] = out.read_bytes()
+        assert tables["0"] == tables[""] != tables["10"]
 
     @pytest.mark.parametrize("command", [["verify"], ["convergence", "--grids", "8,16"]],
                              ids=["verify", "convergence"])
@@ -1017,6 +1096,29 @@ class TestConfigLoading:
         assert err.startswith(f"config error: {expected}") and "Traceback" not in err
         assert "offset 3" in err and not out.exists()
 
+    def test_absent_coefficients_share_one_zero_grid(self, tmp_path):
+        coeffs = load_config(write(tmp_path / "c.ini", BASE.format(n=4))).coeffs
+        assert len({id(getattr(coeffs, name)) for name in COEFFICIENT_NAMES}) == 1
+        assert coeffs.live == ()
+
+    @pytest.mark.parametrize("text, expected", [
+        ('[coefficients]\na00 = "1"\na03 = "1"\n',
+         "[coefficients] unknown coefficient names: ['a03']"),
+        ('[data.nonclassical]\nz20h2 = "2"\n', "[data.nonclassical] z20h2: unknown key"),
+        ("[data.classical]\nphi1.v3 = 0\n", "[data.classical] phi1.v3: unknown key"),
+        ('[rhs]\nexp = "1"\n', "[rhs] exp: unknown key"),
+        ("[solver]\ntol = 1e-10\nrigde = 1\n", "[solver] rigde: unknown key"),
+        ("[solve]\nridge = 1\n", "unknown section [solve]"),
+        ("[DEFAULT]\nz00 = 1\n", "unknown section [DEFAULT]"),
+        ("[DEFAULT]\n", "unknown section [DEFAULT]"),
+    ], ids=["coefficient", "nonclassical", "classical", "rhs", "solver", "section",
+            "default", "empty_default"])
+    def test_unknown_section_or_key_is_a_config_error(self, tmp_path, capsys, text, expected):
+        data = "" if "[data." in text else "[data.nonclassical]\nz00 = 0.0\n"
+        cfg = write(tmp_path / "c.ini", BASE.format(n=4), text, data)
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {expected}\n"
+
     def test_solver_section(self, tmp_path):
         cfg = write(tmp_path / "c.ini", BASE.format(n=4), """
         [solver]
@@ -1048,15 +1150,17 @@ class TestEntryPoint:
         cfg.write_bytes(f'# résumé\n{AFFINE_2X2}z20 = "edge.csv"\n'.encode())
         (tmp_path / "edge.csv").write_bytes("x,value\n\u00a0\n0,0\n0.5,0\n1,0\n".encode())
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
-        proc = subprocess.run([sys.executable, "-m", "ppde", "check", "--config", str(cfg)],
-                              capture_output=True, env=env)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ppde", "check", "--config", str(cfg)],
+            capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
     def test_module_invocation(self, tmp_path):
         cfg = quartic_solve_config(tmp_path, n=4)
         out = tmp_path / "u.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "ppde", "solve", "--config", cfg, "--out", str(out)],
+            [sys.executable, "-W", "error", "-m", "ppde", "solve", "--config", cfg,
+             "--out", str(out)],
             capture_output=True,
         )
         assert proc.returncode == 0

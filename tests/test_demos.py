@@ -23,6 +23,7 @@ def test_demo_exits_cleanly(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
     before = demos_tree()
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert demos_tree() == before

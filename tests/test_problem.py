@@ -414,6 +414,16 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             Coefficients.from_exprs(unit_square(4), {"a99": "1"})
 
+    def test_division_by_zero_names_the_coefficient(self):
+        # x1 = 0.25 is a node of the 4x4 grid
+        with pytest.raises(ValueError, match=r"^a00: division by zero while evaluating$"):
+            Coefficients.from_exprs(unit_square(4), {"a00": "1/(x1-0.25)"})
+
+    def test_overflow_names_the_coefficient_without_a_warning(self):
+        # pytest turns a numpy overflow warning into an error (pyproject)
+        with pytest.raises(ValueError, match=r"^a21: grid function values must be finite$"):
+            Coefficients.from_exprs(unit_square(4), {"a00": "1", "a21": "exp(1000*x1)"})
+
     def test_shared_grid_enforced(self):
         g4, g5 = unit_square(4), unit_square(5)
         fns4 = [GridFn2D.zeros(g4) for _ in range(7)]

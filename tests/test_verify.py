@@ -57,6 +57,14 @@ class TestManufacturedProblem:
         X2 = g.g2.nodes[None, :]
         np.testing.assert_allclose(case.problem.rhs.values, 4 + X1**2 * X2**2, atol=1e-13)
 
+    def test_rhs_overflow_is_a_value_error_without_a_warning(self):
+        # u and a00 are finite on the grid; their product in the rhs is not.
+        # pytest turns a numpy overflow warning into an error (pyproject).
+        g = unit_square(4)
+        coeffs = Coefficients.from_exprs(g, {"a00": "1e300"})
+        with pytest.raises(ValueError, match="grid function values must be finite"):
+            manufactured_problem("1e10*exp(x1)", coeffs, g)
+
     def test_zero(self):
         g = unit_square(4)
         case = manufactured_problem("0", Coefficients.zeros(g), g)
