@@ -210,22 +210,6 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: cannot read {path}: {err}") from err
 
 
-def _sample(e: ex.Expr, grid, where: str):
-    """The GridFn1D or GridFn2D of an expression at the nodes of ``grid``.
-
-    On a Grid1D the expression is evaluated with x1 = x2 = x, so it may be
-    written in either variable.
-    """
-    if isinstance(grid, Grid2D):
-        fn, x1, x2 = GridFn2D, grid.g1.nodes[:, None], grid.g2.nodes[None, :]
-    else:
-        fn, x1, x2 = GridFn1D, grid.nodes, grid.nodes
-    try:
-        return fn(grid, ex.sample(e, x1, x2, np.broadcast(x1, x2).shape))
-    except (ex.EvalDomainError, ValueError) as err:
-        raise ConfigError(f"{where}: {err}") from err
-
-
 def _coefficients(exprs: dict, grid: Grid2D, where: str = "") -> Coefficients:
     """``Coefficients.from_exprs``, whose error reads ``[coefficients] <error><where>``."""
     try:
@@ -237,7 +221,11 @@ def _coefficients(exprs: dict, grid: Grid2D, where: str = "") -> Coefficients:
 def _grid_fn(raw: str, grid, base_dir: Path, where: str):
     """Grid-function entry on a Grid1D or a Grid2D: an expression or a CSV path."""
     if not raw.endswith(".csv"):
-        return _sample(_parse_expr(raw, where), grid, where)
+        e = _parse_expr(raw, where)
+        try:
+            return ex.sample(e, grid)
+        except (ex.EvalDomainError, ValueError) as err:
+            raise ConfigError(f"{where}: {err}") from err
     if isinstance(grid, Grid2D):
         return GridFn2D(grid, _read_csv(raw, [grid.g1, grid.g2], base_dir, where).reshape(grid.shape))
     return GridFn1D(grid, _read_csv(raw, [grid], base_dir, where))

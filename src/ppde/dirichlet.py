@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .goursat import GoursatProblem, MarchingError, march, solve_goursat
-from .grid import Grid2D, GridFn1D, GridFn2D, lp_norm, mixed_norm, order_table
+from .grid import (Grid2D, GridFn1D, GridFn2D, NonFiniteError, lp_norm, mixed_norm,
+                   order_table, stage)
 from .problem import (
     _TERMS,
     CONDITIONS,
@@ -114,11 +115,9 @@ class ClosureSystem:
         if offset.shape != (rows,):
             raise ValueError(f"closure offset must have length {rows}")
         if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(offset))):
-            raise ValueError("closure system entries must be finite")
+            raise NonFiniteError("closure system entries must be finite")
         self.matrix = matrix
         self.offset = offset
-        self.n1 = n1
-        self.n2 = n2
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,12 @@ class Diagnostics:
     goursat_iterations: int
     coefficient_norms: dict
     agreement: AgreementReport | None = None
+
+    def __post_init__(self):
+        values = [self.closure_residual, self.equation_residual,
+                  *self.condition_residuals.values(), *self.coefficient_norms.values()]
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteError("diagnostics must be finite")
 
 
 class Solution:
@@ -165,6 +170,7 @@ def _signed_residuals(d, data: NonClassicalData) -> dict:
 _CLOSURE = ("z01_h1", "z10_h2", "z20_h2", "z02_h1")
 
 
+@stage("closure assembly")
 def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     """Assemble the affine far-edge residual map R(theta) = matrix @ theta - offset.
 
@@ -269,6 +275,16 @@ def _solve_least_squares(system: ClosureSystem, ridge: float) -> np.ndarray:
     return theta
 
 
+def _norm(r: np.ndarray) -> float:
+    """The 2-norm of r: np.linalg.norm's value, or, where its sum of squares
+    overflows, max |r| times the norm of r / max |r|."""
+    norm = float(np.linalg.norm(r))
+    if math.isinf(norm):
+        scale = np.max(np.abs(r))
+        norm = float(scale * np.linalg.norm(r / scale))
+    return norm
+
+
 def _condition_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
     return {name: float(np.max(np.abs(r)))
             for name, r in _signed_residuals(field.values, data).items()}
@@ -307,18 +323,21 @@ def solve_dirichlet(p: DirichletProblem) -> Solution:
     """
     compat = check_compatibility(p.data)
     system = assemble_closure_system(p)
-    theta = _solve_least_squares(system, p.ridge)
-    closure_residual = float(np.linalg.norm(system.matrix @ theta - system.offset))
+    with stage("closure solve"):
+        theta = _solve_least_squares(system, p.ridge)
+        closure_residual = _norm(system.matrix @ theta - system.offset)
+        traces = _traces(p, theta)
     del system  # released before the final solve
-    final = solve_goursat(GoursatProblem(_traces(p, theta), p.coeffs, p.rhs))
-    diagnostics = Diagnostics(
-        compat=compat,
-        closure_residual=closure_residual,
-        equation_residual=final.residual,
-        condition_residuals=_condition_residuals(final.field, p.data),
-        goursat_iterations=final.iterations,
-        coefficient_norms=_coefficient_norms(p.coeffs),
-    )
+    final = solve_goursat(GoursatProblem(traces, p.coeffs, p.rhs))
+    with stage("diagnostics"):
+        diagnostics = Diagnostics(
+            compat=compat,
+            closure_residual=closure_residual,
+            equation_residual=final.residual,
+            condition_residuals=_condition_residuals(final.field, p.data),
+            goursat_iterations=final.iterations,
+            coefficient_norms=_coefficient_norms(p.coeffs),
+        )
     return Solution(final.field, theta, diagnostics)
 
 
@@ -337,6 +356,7 @@ def solve_classical(coeffs: Coefficients, rhs: GridFn2D, d: ClassicalData,
     return Solution(s.field, s.theta, diagnostics)
 
 
+@stage("residual report")
 def residual_report(s: Solution, p: DirichletProblem) -> Diagnostics:
     """Recompute the a-posteriori residuals of a solution; idempotent."""
     if s.field.grid != p.grid:

@@ -13,7 +13,8 @@ Grammar (standard precedence, left associative binary operators):
 The only variables are x1 and x2.  Exponents must be nonnegative integer
 literals, which keeps every expression smooth wherever its denominators do
 not vanish and makes symbolic differentiation closed on the grammar.
-Evaluation accepts scalars or numpy arrays.
+Evaluation accepts scalars or numpy arrays; ``sample`` evaluates on the nodes
+of a grid.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .grid import Grid2D, GridFn1D, GridFn2D
 
 __all__ = [
     "Expr",
@@ -36,6 +39,7 @@ __all__ = [
     "EvalDomainError",
     "parse",
     "evaluate",
+    "sample",
     "differentiate",
     "to_string",
 ]
@@ -262,7 +266,7 @@ def evaluate(e: Expr, x1, x2):
             raise EvalDomainError("division by zero while evaluating", e.pos)
         return a / b
     if isinstance(e, Pow):
-        return evaluate(e.base, x1, x2) ** e.exponent
+        return _power(evaluate(e.base, x1, x2), e.exponent)
     if isinstance(e, Call):
         a = evaluate(e.arg, x1, x2)
         if e.func == "sin":
@@ -273,18 +277,33 @@ def evaluate(e: Expr, x1, x2):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def sample(e: Expr, x1, x2, shape=None):
-    """Evaluate and broadcast to ``shape`` (handy for constant expressions).
+def _power(a, k: int):
+    """a ** k, where a Python float overflows to inf as numpy's floats do,
+    not to OverflowError."""
+    return (np.float64(a) if isinstance(a, float) else a) ** k
 
-    A zero divisor raises EvalDomainError.  An overflow gives inf or nan, and
-    the grid function made of the samples rejects them with an error naming
-    the input; numpy's overflow warning would only repeat it, so none is given.
+
+def sample(e: Expr, grid):
+    """The grid function of ``e`` at the nodes of ``grid``.
+
+    On a Grid2D the result is a GridFn2D, with x1 and x2 the node
+    coordinates of the two axes.  On a Grid1D it is a GridFn1D, with x1 and
+    x2 both the node coordinate, so an edge function may be written in
+    either variable.  This is the one place where an expression meets grid
+    nodes.
+
+    A zero divisor raises EvalDomainError.  An overflow gives inf or nan,
+    which the grid function rejects with a ValueError that the caller
+    reports under the input's name; numpy's overflow warning would only
+    repeat it, so none is given.
     """
+    if isinstance(grid, Grid2D):
+        fn, x1, x2 = GridFn2D, grid.g1.nodes[:, None], grid.g2.nodes[None, :]
+    else:
+        fn, x1, x2 = GridFn1D, grid.nodes, grid.nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(evaluate(e, x1, x2), dtype=float)
-    if shape is not None:
-        out = np.broadcast_to(out, shape).copy()
-    return out
+        values = evaluate(e, x1, x2)
+    return fn(grid, np.broadcast_to(values, np.broadcast_shapes(x1.shape, x2.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +373,11 @@ def _pow(base: Expr, k: int) -> Expr:
         return _num(1.0)
     if k == 1:
         return base
-    if isinstance(base, Num) and math.isfinite(base.value**k):
-        return _num(base.value**k)
+    if isinstance(base, Num):
+        with np.errstate(over="ignore"):
+            value = _power(base.value, k)
+        if math.isfinite(value):
+            return _num(value)
     return Pow(base, k)
 
 

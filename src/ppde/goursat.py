@@ -37,7 +37,7 @@ from collections import deque
 
 import numpy as np
 
-from .grid import GridFn2D, order_table
+from .grid import GridFn2D, NumericalError, order_table, stage
 from .problem import Coefficients, apply_operator, lower_order
 from .representation import DerivativeField, TraceSet, reconstruct_field, trace_part
 
@@ -58,7 +58,7 @@ _BLOCK = 16
 _DENSE_WORK = 10_000
 
 
-class MarchingError(np.linalg.LinAlgError):
+class MarchingError(NumericalError):
     """The row march met a vanishing pivot or produced non-finite values."""
 
 
@@ -218,14 +218,17 @@ def _check_pivots(system: np.ndarray, i: int) -> None:
         raise MarchingError(f"vanishing pivot {system[j, j]:.3e} at node ({i}, {j}) of the march")
 
 
+@stage("Goursat solve")
 def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
     """Solve the discrete Volterra equation for w by one march.
 
     Returns w, the reconstructed field and the sup-norm residual of the
     full operator equation.
     """
-    known = gp.rhs.values - lower_order(trace_part(gp.traces, gp.grid), gp.coeffs)
-    K = order_table(gp.grid.g2) if gp.coeffs.live else None  # unread when w = known
+    live = gp.coeffs.live  # with none, w = known = rhs: the trace part and K are unread
+    known = gp.rhs.values - (lower_order(trace_part(gp.traces, gp.grid), gp.coeffs)
+                             if live else 0.0)
+    K = order_table(gp.grid.g2) if live else None
     deque(march(gp.coeffs, known[:, :, None], K), maxlen=0)  # writes w into known, keeps no row
     w_fn = GridFn2D(gp.grid, known)
     del K, known  # released before reconstruct_field, where a solve with coefficients peaks

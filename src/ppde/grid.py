@@ -5,15 +5,24 @@ verification norms) is built on the composite trapezoid rule over the
 equispaced grids defined here, so the exactness classes of that rule
 (affine integrands for plain integrals, constant integrands for the
 (x - t)-weighted remainder integral) propagate through the whole package.
+
+It also holds the package's rule for values that are not finite: every
+object that must hold finite values rejects others with NonFiniteError, a
+ValueError about its input; inside a ``stage`` of a solve or a check the
+same fault is a NumericalError naming the stage.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
 __all__ = [
+    "NonFiniteError",
+    "NumericalError",
+    "stage",
     "Grid1D",
     "Grid2D",
     "GridFn1D",
@@ -25,6 +34,31 @@ __all__ = [
     "lp_norm",
     "mixed_norm",
 ]
+
+
+class NonFiniteError(ValueError):
+    """The values an object is made of are not all finite."""
+
+
+class NumericalError(np.linalg.LinAlgError):
+    """A stage of a solve or a check produced values that are not finite,
+    or met a vanishing pivot."""
+
+
+@contextlib.contextmanager
+def stage(name: str):
+    """Run one stage of a solve or a check, named ``name`` in its errors.
+
+    An overflow inside gives inf or nan without a numpy warning, and the
+    object made of them raises NonFiniteError, which leaves the stage as
+    NumericalError "<name> produced non-finite values".  Inputs are made
+    outside any stage, so a non-finite input stays a ValueError about it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except NonFiniteError as err:
+            raise NumericalError(f"{name} produced non-finite values") from err
 
 
 class Grid1D:
@@ -83,7 +117,7 @@ class GridFn1D:
         if values.shape != (grid.n + 1,):
             raise ValueError(f"values shape {values.shape} does not match grid with {grid.n + 1} nodes")
         if not np.all(np.isfinite(values)):
-            raise ValueError("grid function values must be finite")
+            raise NonFiniteError("grid function values must be finite")
         self.grid = grid
         self.values = values.copy()
         self.values.setflags(write=False)
@@ -101,7 +135,7 @@ class GridFn2D:
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} does not match grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("grid function values must be finite")
+            raise NonFiniteError("grid function values must be finite")
         self.grid = grid
         self.values = values.copy()
         self.values.setflags(write=False)

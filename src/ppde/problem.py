@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D, orders
+from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D, NonFiniteError, orders, stage
 from .representation import DerivativeField
 
 __all__ = [
@@ -94,12 +94,11 @@ class Coefficients:
         unknown = set(exprs) - set(COEFFICIENT_NAMES)
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
-        x1, x2 = grid.g1.nodes[:, None], grid.g2.nodes[None, :]
         fns = dict.fromkeys(COEFFICIENT_NAMES, GridFn2D.zeros(grid))
         for name in filter(exprs.__contains__, COEFFICIENT_NAMES):
             e = ex.parse(exprs[name]) if isinstance(exprs[name], str) else exprs[name]
             try:
-                fns[name] = GridFn2D(grid, ex.sample(e, x1, x2, grid.shape))
+                fns[name] = ex.sample(e, grid)
             except (ex.EvalDomainError, ValueError) as err:
                 raise ValueError(f"{name}: {err}") from err
         return cls(**fns)
@@ -110,42 +109,26 @@ class BoundaryFn:
 
     def __init__(self, v0: float, v1: float, v2: GridFn1D):
         if not (math.isfinite(float(v0)) and math.isfinite(float(v1))):
-            raise ValueError("boundary values v0, v1 must be finite")
+            raise NonFiniteError("boundary values v0, v1 must be finite")
         self.v0 = float(v0)
         self.v1 = float(v1)
         self.v2 = v2
 
     @classmethod
     def from_expr(cls, e, grid: Grid1D, var: str) -> "BoundaryFn":
-        """Build the triple from a univariate expression in ``var`` exactly."""
+        """Build the triple exactly from an expression in ``var`` alone.
+
+        The derivatives are taken in ``var``.  v0 and v1 are their values at
+        x1 = x2 = 0, and v2 is sampled by ``expr.sample``, which binds x1 and
+        x2 both to the node coordinate.
+        """
         if isinstance(e, str):
             e = ex.parse(e)
         d1 = ex.differentiate(e, var)
         d2 = ex.differentiate(d1, var)
-
-        def at(expr_node, x):
-            if var == "x1":
-                return ex.evaluate(expr_node, x, 0.0)
-            return ex.evaluate(expr_node, 0.0, x)
-
-        v2 = np.broadcast_to(np.asarray(at(d2, grid.nodes), dtype=float), grid.nodes.shape)
-        return cls(float(at(e, 0.0)), float(at(d1, 0.0)), GridFn1D(grid, v2))
-
-    @classmethod
-    def from_samples(cls, grid: Grid1D, values) -> "BoundaryFn":
-        """Build the triple from node samples by second-order differences."""
-        f = np.asarray(values, dtype=float)
-        if f.shape != (grid.n + 1,):
-            raise ValueError("samples must cover every grid node")
-        if grid.n < 3:
-            raise ValueError("second differences need at least 3 intervals")
-        h = grid.h
-        v1 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-        d2 = np.empty_like(f)
-        d2[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h**2
-        d2[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
-        d2[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h**2
-        return cls(f[0], v1, GridFn1D(grid, d2))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which cls rejects
+            v0, v1 = ex.evaluate(e, 0.0, 0.0), ex.evaluate(d1, 0.0, 0.0)
+        return cls(v0, v1, ex.sample(d2, grid))
 
 
 class ClassicalData:
@@ -209,7 +192,7 @@ class NonClassicalData:
                  z20: GridFn1D, z02: GridFn1D, z20_h2: GridFn1D, z02_h1: GridFn1D):
         for name, v in zip(self.SCALARS, (z00, z10, z01, z00_h1, z01_h1, z00_h2, z10_h2)):
             if not math.isfinite(float(v)):
-                raise ValueError(f"scalar {name} must be finite")
+                raise NonFiniteError(f"scalar {name} must be finite")
         if z20.grid != z20_h2.grid:
             raise ValueError("z20 and z20_h2 must share the x1 grid")
         if z02.grid != z02_h1.grid:
@@ -266,6 +249,10 @@ CLASSICAL = {
 class _Residuals:
     """Signed residuals, one per dataclass field; ``dataclasses.asdict`` names them."""
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, dataclasses.asdict(self).values())):
+            raise NonFiniteError("residuals must be finite")
+
     def max_abs(self) -> float:
         return max(abs(value) for value in dataclasses.asdict(self).values())
 
@@ -307,6 +294,7 @@ def _far_ends(d: ClassicalData) -> tuple[float, float, float, float]:
     return tuple(float(boundary_values(f).values[-1]) for f in (d.phi1, d.phi2, d.psi1, d.psi2))
 
 
+@stage("agreement check")
 def check_agreement(d: ClassicalData) -> AgreementReport:
     """Evaluate the four corner agreement residuals of classical data."""
     phi1, phi2, psi1, psi2 = _far_ends(d)
@@ -339,6 +327,7 @@ def nonclassical_to_classical(z: NonClassicalData) -> ClassicalData:
                             for name, triple in CLASSICAL.items()})
 
 
+@stage("compatibility check")
 def check_compatibility(z: NonClassicalData) -> CompatibilityReport:
     """Corner Taylor residuals of non-classical data.
 

@@ -46,7 +46,7 @@ from . import expr as ex
 
 # cumtrapz is bound here, unused, because perfbench/tracing.py wraps the
 # name ppde.representation.cumtrapz and fails if it is missing.
-from .grid import Grid2D, GridFn1D, GridFn2D, cumtrapz, orders  # noqa: F401
+from .grid import Grid2D, GridFn1D, GridFn2D, NonFiniteError, cumtrapz, orders  # noqa: F401
 
 __all__ = ["TraceSet", "DerivativeField", "line", "trace_part", "reconstruct_field",
            "extract_traces"]
@@ -71,7 +71,7 @@ class TraceSet:
                  p: GridFn1D, g1: GridFn1D, q: GridFn1D, g2: GridFn1D):
         for name, v in (("u00", u00), ("u10", u10), ("u01", u01), ("c", c)):
             if not math.isfinite(float(v)):
-                raise ValueError(f"trace scalar {name} must be finite")
+                raise NonFiniteError(f"trace scalar {name} must be finite")
         if p.grid != g1.grid:
             raise ValueError("p and g1 must share the x1 grid")
         if q.grid != g2.grid:
@@ -187,23 +187,17 @@ def extract_traces(u: ex.Expr, grid: Grid2D) -> tuple[TraceSet, GridFn2D, Deriva
     the nodes (up to roundoff) and serves as the reference in manufactured
     solution tests.
     """
-    X1, X2 = _axes(grid)
-    shape = grid.shape
-
     d1 = [u]
     for _ in range(2):
         d1.append(ex.differentiate(d1[-1], "x1"))
-    sym = []
+    d = []
     for i in range(3):
         row = [d1[i]]
         for _ in range(2):
             row.append(ex.differentiate(row[-1], "x2"))
-        sym.append(row)
-
-    vals = [[ex.sample(sym[i][j], X1, X2, shape) for j in range(3)] for i in range(3)]
-    field = DerivativeField(
-        grid, [[GridFn2D(grid, vals[i][j]) for j in range(3)] for i in range(3)]
-    )
+        d.append([ex.sample(e, grid) for e in row])
+    field = DerivativeField(grid, d)
+    vals = field.values
     traces = TraceSet(
         u00=vals[0][0][0, 0],
         u10=vals[1][0][0, 0],
@@ -214,4 +208,4 @@ def extract_traces(u: ex.Expr, grid: Grid2D) -> tuple[TraceSet, GridFn2D, Deriva
         q=GridFn1D(grid.g2, vals[0][2][0, :]),
         g2=GridFn1D(grid.g2, vals[1][2][0, :]),
     )
-    return traces, GridFn2D(grid, vals[2][2]), field
+    return traces, field.w, field

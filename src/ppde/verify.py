@@ -38,8 +38,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    u: ex.Expr
-    coeffs: Coefficients
     problem: DirichletProblem
     reference: DerivativeField
 
@@ -87,7 +85,7 @@ def manufactured_problem(u, coeffs: Coefficients, grid: Grid2D) -> ManufacturedC
     _, _, reference = extract_traces(u, grid)
     rhs = apply_operator(reference, coeffs)
     problem = DirichletProblem(grid, coeffs, rhs, NonClassicalData.from_field(reference))
-    return ManufacturedCase(u=u, coeffs=coeffs, problem=problem, reference=reference)
+    return ManufacturedCase(problem=problem, reference=reference)
 
 
 def _order(e_coarse: float, e_fine: float) -> float:

@@ -215,6 +215,64 @@ class TestSolve:
         assert capsys.readouterr().err == ("numerical failure: closure march failed: the march "
                                            "produced non-finite values in row 0\n")
 
+    # Overflow outside the march, each a numerical failure (exit 3) with one
+    # stderr line and no numpy warning: in the compatibility check (the
+    # x1 sweeps of z20 on a long side), in the final Goursat solve, in the
+    # closure assembly, and in the agreement check of classical data.
+    @pytest.mark.parametrize("command, domain, body, stage, warned", [
+        ("check", (10, 1, 4, 4), '[data.nonclassical]\nz20 = "1e308"\n',
+         "compatibility check", []),
+        ("solve", (10, 1, 4, 4), '[data.nonclassical]\nz20 = "1e308"\n',
+         "compatibility check", []),
+        # The closure of this grid reads a lower rank than it has, and says so.
+        ("solve", (1e80, 1e80, 8, 8), '[rhs]\nexpr = "1"\n[data.nonclassical]\nz00 = 1\n',
+         "Goursat solve", ["closure system rank 2 < 19 unknowns: minimum-norm solution returned"]),
+        ("solve", (1e200, 1e200, 8, 8), '[rhs]\nexpr = "1"\n[data.nonclassical]\nz00 = 1\n',
+         "closure assembly", []),
+        ("check", (10, 1, 4, 4), '[data.classical]\npsi1.v2 = "1e308"\n', "agreement check", []),
+    ], ids=["compat_check", "compat_solve", "final_solve", "closure_assembly", "agreement_check"])
+    def test_overflow_outside_the_march_is_one_line_exit_3(self, tmp_path, capsys, command,
+                                                           domain, body, stage, warned):
+        h1, h2, n1, n2 = domain
+        cfg = write(tmp_path / "big.ini", f"[domain]\nh1 = {h1}\nh2 = {h2}\nn1 = {n1}\nn2 = {n2}\n",
+                    body)
+        out = ["--out", str(tmp_path / "u.csv"), "--diag", str(tmp_path / "d.json")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([command, "--config", cfg, *(out if command == "solve" else [])])
+        assert (code, [str(w.message) for w in caught]) == (3, warned)
+        assert capsys.readouterr() == ("", f"numerical failure: {stage} produced non-finite "
+                                           "values\n")
+
+    def test_closure_residual_whose_sum_of_squares_overflows_is_finite(self, tmp_path, capsys):
+        # Every residual entry is finite, but near 1e200: the square of the
+        # plain 2-norm overflows.
+        cfg = write(tmp_path / "big.ini", BASE.format(n=8), """
+        [coefficients]
+        a00 = "1"
+        a21 = "x1"
+
+        [rhs]
+        expr = "1e200*(1+x1*x2)"
+
+        [data.nonclassical]
+        z00 = 1e200
+        z20_h2 = "1e200"
+        z02 = "1e200*x2"
+        """)
+        diag = tmp_path / "d.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv"),
+                        "--diag", str(diag)])
+        assert (code, caught, capsys.readouterr().err) == (0, [], "")
+
+        def strict(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        residual = json.loads(diag.read_text(), parse_constant=strict)["closure_residual"]
+        assert 1e190 < residual < 1e210
+
     def test_peak_memory_of_a_coefficient_free_field_job(self, tmp_path):
         # A classical config with CSV inputs at n = 64, as in the benchmark's
         # cli64 jobs.  Measured here: 1,075,709 bytes when each absent
@@ -775,7 +833,7 @@ class TestVerifyCommand:
         d00_max = float(lines[1].split(",")[1])
         assert d00_max <= 1e-9
 
-    @pytest.mark.parametrize("u", ["exp(1000*x1)", "1/x1"])
+    @pytest.mark.parametrize("u", ["exp(1000*x1)", "1/x1", "10^400*x1"])
     def test_u_not_finite_on_the_grid_is_a_config_error(self, tmp_path, capsys, u):
         cfg = write(tmp_path / "v.ini", BASE.format(n=4))
         out = tmp_path / "table.csv"
@@ -840,10 +898,10 @@ class TestConvergenceCommand:
         calls = []
         sample = ppde.expr.sample
 
-        def counted(e, x1, x2, shape=None):
+        def counted(e, grid):
             if ppde.expr.to_string(e) in strings:
-                calls.append((ppde.expr.to_string(e), np.broadcast(x1, x2).shape))
-            return sample(e, x1, x2, shape)
+                calls.append((ppde.expr.to_string(e), grid.shape))
+            return sample(e, grid)
 
         monkeypatch.setattr(ppde.expr, "sample", counted)
         cfg = write(tmp_path / "conv.ini", BASE.format(n=3), "[coefficients]",
@@ -865,10 +923,10 @@ class TestManufacturedCase:
         intervals = []
         sample = ppde.expr.sample
 
-        def counted(e, x1, x2, shape=None):
+        def counted(e, grid):
             if ppde.expr.to_string(e) == text:  # u itself, the first of its nine derivatives
-                intervals.append(np.broadcast(x1, x2).shape[0] - 1)
-            return sample(e, x1, x2, shape)
+                intervals.append(grid.g1.n)
+            return sample(e, grid)
 
         monkeypatch.setattr(ppde.expr, "sample", counted)
         cfg = write(tmp_path / "m.ini", BASE.format(n=8))
@@ -1016,6 +1074,9 @@ class TestConfigLoading:
         ('[coefficients]\na00 = "exp(1000*x1)"\n[data.nonclassical]\nz00 = 0.0\n',
          "[coefficients] a00: "),
         ('[data.nonclassical]\nz20 = "exp(1000*x1) - exp(1000*x1)"\n', "[data.nonclassical] z20"),
+        # a power of a constant overflows as numpy's do, to inf
+        ('[rhs]\nexpr = "10^400"\n[data.nonclassical]\nz00 = 0.0\n',
+         "[rhs] expr: grid function values must be finite"),
         # the other rejected inputs: each names its file or key
         ('[data.nonclassical]\nz20 = "header.csv"\n', "header.csv must start with header 'x,value'"),
         ('[data.nonclassical]\nz20 = "rows.csv"\n', "rows.csv must have 5 x,value rows"),
@@ -1030,7 +1091,8 @@ class TestConfigLoading:
         ("[data.nonclassical]\nz00 = x\n", "[data.nonclassical] z00: not a number"),
         ('[data.nonclassical]\nz20 = "latin1.csv"\n', "latin1.csv: 'utf-8' codec can't decode byte 0xe9"),
     ], ids=["scalar", "edge_csv", "coefficient", "coefficient_pole", "rhs", "tol", "ridge",
-            "coefficient_overflow", "edge_expr_overflow", "csv_header", "csv_rows",
+            "coefficient_overflow", "edge_expr_overflow", "power_overflow", "csv_header",
+            "csv_rows",
             "csv_columns", "csv_unreadable", "tol_zero", "max_iter_zero", "max_iter_not_int",
             "ridge_negative", "scalar_not_number", "csv_not_utf8"])
     def test_non_finite_input_is_a_config_error(self, tmp_path, capsys, body, expected):

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _families import coefficient_subsets
@@ -494,6 +495,39 @@ class TestSuperposition:
         both = solve(r1 + r2, s1 + s2, [a + b for a, b in zip(e1, e2)])
         each = solve(r1, s1, e1) + solve(r2, s2, e2)
         assert np.max(np.abs(both - each)) <= 1e-10 * (1.0 + np.max(np.abs(each)))
+
+
+class TestScaledData:
+    """Data and right-hand side near the end of the float range."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, 308), live=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(k=308, live=False, seed=0)
+    @example(k=308, live=True, seed=0)
+    def test_finite_outputs_or_a_linalg_error(self, k, live, seed):
+        # A numpy warning would fail the test (pyproject), and so would a
+        # ValueError: only LinAlgError may leave the solve.
+        g = unit_square(6)
+        coeffs = Coefficients.from_exprs(
+            g, {"a00": "1", "a21": "x1", "a12": "1+x2", "a11": "sin(x1*x2)"} if live else {})
+        rng = np.random.default_rng(seed)
+        rhs, scalars = rng.uniform(-1, 1, g.shape), rng.uniform(-1, 1, 7)
+        edges = rng.uniform(-1, 1, (4, 7))
+        scale = 10.0**k
+        z20, z02, z20_h2, z02_h1 = (GridFn1D(axis, scale * e)
+                                    for axis, e in zip((g.g1, g.g2, g.g1, g.g2), edges))
+        data = NonClassicalData(*(scale * scalars), z20=z20, z02=z02, z20_h2=z20_h2, z02_h1=z02_h1)
+        try:
+            sol = solve_dirichlet(DirichletProblem(g, coeffs, GridFn2D(g, scale * rhs), data))
+        except np.linalg.LinAlgError:
+            assert k >= 300  # only near the end of the float range
+            return
+        d = sol.diagnostics
+        assert np.all(np.isfinite(sol.theta))
+        assert all(np.all(np.isfinite(f.values)) for row in sol.field.d for f in row)
+        assert np.all(np.isfinite([d.closure_residual, d.equation_residual,
+                                   *dataclasses.asdict(d.compat).values(),
+                                   *d.condition_residuals.values(), *d.coefficient_norms.values()]))
 
 
 class TestOutputsOwnTheirMemory:

@@ -11,8 +11,10 @@ from ppde.expr import (
     differentiate,
     evaluate,
     parse,
+    sample,
     to_string,
 )
+from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
 
 
 def d(text, var):
@@ -99,7 +101,36 @@ class TestEvaluate:
             assert evaluate(e, float(x), float(y)) == pytest.approx(v, rel=1e-15)
 
 
+class TestSample:
+    def test_grid1d_binds_both_variables_to_the_node(self):
+        g = make_grid(2.0, 4)
+        f = sample(parse("x1 + x2"), g)
+        assert isinstance(f, GridFn1D) and f.grid == g
+        np.testing.assert_array_equal(f.values, 2 * g.nodes)
+
+    @pytest.mark.parametrize("text", ["3", "x1 - 2*x2", "sin(x1)*exp(x2)"])
+    def test_grid2d_fills_the_whole_grid(self, text):
+        g = Grid2D(make_grid(1.0, 3), make_grid(0.5, 5))
+        f = sample(parse(text), g)
+        assert isinstance(f, GridFn2D) and f.grid == g
+        x1, x2 = np.meshgrid(g.g1.nodes, g.g2.nodes, indexing="ij")
+        np.testing.assert_array_equal(f.values, evaluate(parse(text), x1, x2) + np.zeros(g.shape))
+
+    @pytest.mark.parametrize("text", ["exp(1000*x1)", "1e200*1e200", "10^400", "(x1 - 2)^2000"])
+    def test_overflow_is_a_value_error_without_a_warning(self, text):
+        # pytest turns a numpy overflow warning into an error (pyproject)
+        with pytest.raises(ValueError, match="^grid function values must be finite$"):
+            sample(parse(text), make_grid(1.0, 4))
+
+    def test_zero_divisor(self):
+        with pytest.raises(EvalDomainError):
+            sample(parse("1/x1"), make_grid(1.0, 4))
+
+
 class TestDifferentiate:
+    def test_power_of_a_constant_beyond_the_float_range_is_kept(self):
+        assert to_string(d("10^400*x1", "x1")) == "(10.0^400)"
+
     def test_power_rule(self):
         e = d("x1^2*x2", "x1")
         assert evaluate(e, 1.0, 1.0) == 2.0

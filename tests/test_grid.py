@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from ppde.goursat import MarchingError
 from ppde.grid import (
     Grid2D,
     GridFn1D,
     GridFn2D,
+    NonFiniteError,
+    NumericalError,
     lp_norm,
     make_grid,
     mixed_norm,
     orders,
+    stage,
 )
 
 
@@ -237,3 +241,25 @@ class TestMixedNorm:
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             mixed_norm(GridFn2D.zeros(unit_square(4)), 0.5, 2)
+
+
+class TestStage:
+    def test_non_finite_values_in_a_stage_are_a_numerical_error(self):
+        # the overflow itself gives no warning (pyproject makes one an error)
+        with pytest.raises(NumericalError, match="^sweep produced non-finite values$"):
+            with stage("sweep"):
+                GridFn1D(make_grid(1.0, 2), np.full(3, 1e308) * 10)
+
+    def test_outside_a_stage_they_are_a_value_error(self):
+        with pytest.raises(NonFiniteError, match="^grid function values must be finite$"):
+            GridFn1D(make_grid(1.0, 2), [0.0, np.inf, 0.0])
+        assert issubclass(NonFiniteError, ValueError)
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(ValueError, match="shape"):
+            with stage("sweep"):
+                GridFn1D(make_grid(1.0, 2), [0.0])
+
+    def test_one_base_class_for_numerical_failures(self):
+        assert issubclass(NumericalError, np.linalg.LinAlgError)
+        assert issubclass(MarchingError, NumericalError)

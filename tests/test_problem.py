@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from _families import coefficient_subsets
 from ppde.dirichlet import _coefficient_norms, solve_dirichlet
-from ppde.expr import parse
+from ppde.expr import differentiate, evaluate, parse
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, lp_norm, make_grid, mixed_norm
 from ppde.problem import (
     _TERMS,
@@ -92,24 +92,35 @@ class TestBoundaryFnConstructors:
         assert (f.v0, f.v1) == (0.0, 0.0)
         np.testing.assert_allclose(f.v2.values, 2.0, atol=1e-14)
 
-    def test_from_samples_quadratic_exact(self):
-        g = make_grid(1.0, 8)
-        f = BoundaryFn.from_samples(g, 3 + 0.5 * g.nodes + g.nodes**2)
-        assert f.v0 == 3.0
-        assert f.v1 == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(f.v2.values, 2.0, atol=1e-10)
+    # The expressions that the tests give from_expr, each in its variable.
+    @pytest.mark.parametrize("text, var", [
+        ("1 + 2*x2 + x2^3", "x2"), ("x1^2", "x1"), ("x2", "x2"), ("1 + x2", "x2"),
+        ("x1", "x1"), ("1 + x1", "x1"), ("x2^2", "x2"), ("1 + x2^2", "x2"),
+        ("1 + x1^2", "x1"), ("sin(x1)*exp(x1)", "x1"), ("3", "x2"),
+    ])
+    def test_from_expr_of_one_variable_binds_the_other_to_zero(self, text, var):
+        # With the other variable at 0 (evaluate's own binding) the triple is the same.
+        g = make_grid(0.8, 7)
+        e = parse(text)
+        d1 = differentiate(e, var)
+        d2 = differentiate(d1, var)
 
-    def test_from_samples_second_order(self):
-        errs = []
-        for n in (32, 64):
-            g = make_grid(1.0, n)
-            f = BoundaryFn.from_samples(g, np.sin(g.nodes))
-            errs.append(np.max(np.abs(f.v2.values + np.sin(g.nodes))))
-        assert np.log2(errs[0] / errs[1]) >= 1.5
+        def at(node, x):
+            return evaluate(node, x, 0.0) if var == "x1" else evaluate(node, 0.0, x)
 
-    def test_from_samples_needs_nodes(self):
-        with pytest.raises(ValueError):
-            BoundaryFn.from_samples(make_grid(1.0, 2), [0.0, 1.0, 2.0])
+        f = BoundaryFn.from_expr(text, g, var)
+        assert (f.v0, f.v1) == (at(e, 0.0), at(d1, 0.0))
+        np.testing.assert_array_equal(f.v2.values, np.broadcast_to(at(d2, g.nodes), g.nodes.shape))
+
+    def test_from_expr_of_two_variables_samples_v2_at_x1_equal_x2(self):
+        g = make_grid(1.0, 4)
+        f = BoundaryFn.from_expr("x1*x2^2", g, "x2")  # f'' = 2 x1, at x1 = x2 = x
+        assert (f.v0, f.v1) == (0.0, 0.0)
+        np.testing.assert_array_equal(f.v2.values, 2 * g.nodes)
+
+    def test_from_expr_overflow_is_a_value_error_without_a_warning(self):
+        with pytest.raises(ValueError, match="^boundary values v0, v1 must be finite$"):
+            BoundaryFn.from_expr("10^400 + x1", make_grid(1.0, 4), "x1")
 
 
 class TestCheckAgreement:
