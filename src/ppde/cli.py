@@ -28,6 +28,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import shutil
 import sys
 import warnings
@@ -318,9 +319,29 @@ def load_config(path) -> Config:
 # ---------------------------------------------------------------------------
 # output writers
 
+@contextlib.contextmanager
+def _output(path):
+    """Open ``path`` to write bytes from offset 0: the flags, mode and errors
+    of ``open(path, "wb")`` without its truncation on open.  On close the
+    file is cut to the bytes written, or to none if the write raised, so no
+    tail of an older file survives.  On ext4 a truncation, even to the
+    file's own length, costs more than rewriting in place a CSV that the
+    file held moments before, so the cut is made only where the file is
+    longer than the bytes written."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.truncate(0)
+            raise
+        if os.fstat(fd).st_size > fh.tell():  # bytes still buffered lie below tell()
+            fh.truncate()
+
+
 def _write_text(path, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with _output(path) as fh:
+        fh.write(text.encode())
 
 
 # _scientific: for |x| in the table's range, e = floor(log10 |x|) and hi + lo =
@@ -412,7 +433,7 @@ def _write_csv(grids, files: dict):
         text[:, 24] = ord(",")
     value = slice(25 * len(grids), -1)
     with contextlib.ExitStack() as stack:
-        out = [(stack.enter_context(open(path, "wb")), np.reshape(values, -1))
+        out = [(stack.enter_context(_output(path)), np.reshape(values, -1))
                for path, values in files.items()]
         for fh, _ in out:
             fh.write(f"{_header(grids)}\n".encode())
@@ -471,8 +492,9 @@ def _cmd_solve(args) -> int:
         files.update({out.with_name(f"{out.stem}_d{i}{j}{out.suffix}"): sol.field.d[i][j].values
                       for i in range(3) for j in range(3) if (i, j) != (0, 0)})
     _write_csv([cfg.grid.g1, cfg.grid.g2], files)
-    if args.field:
-        shutil.copyfile(out, out.with_name(f"{out.stem}_d00{out.suffix}"))
+    if args.field:  # in chunks: the whole file is never held
+        with open(out, "rb") as src, _output(out.with_name(f"{out.stem}_d00{out.suffix}")) as dst:
+            shutil.copyfileobj(src, dst)
     if args.diag:
         _write_text(args.diag, json.dumps(_diagnostics_dict(cfg, sol), indent=2, sort_keys=True) + "\n")
     return 0

@@ -31,6 +31,7 @@ __all__ = [
     "cumtrapz",
     "orders",
     "order_table",
+    "scaled_norm",
     "lp_norm",
     "mixed_norm",
 ]
@@ -196,6 +197,17 @@ def _check_exponent(p) -> float:
     return p
 
 
+def scaled_norm(norm, a) -> float:
+    """``norm(a)`` for a positively homogeneous norm of the finite array a,
+    or, where that overflows, max |a| times ``norm(a / max |a|)``."""
+    with np.errstate(over="ignore"):
+        value = float(norm(a))
+        if math.isinf(value):
+            scale = np.max(np.abs(a))
+            value = float(scale * norm(a / scale))
+    return value
+
+
 def lp_norm(f: GridFn1D | GridFn2D, p) -> float:
     """Discrete L_p norm of a grid function.
 
@@ -206,17 +218,21 @@ def lp_norm(f: GridFn1D | GridFn2D, p) -> float:
     p : float
         Exponent in [1, inf].  For finite p the integral is evaluated with
         the (product) trapezoid rule; p = inf returns the exact maximum of
-        the absolute node values.
+        the absolute node values.  A norm whose integral overflows is
+        taken from the grid scaled by its maximum (``scaled_norm``).
     """
     p = _check_exponent(p)
+    a = np.abs(f.values)
     if math.isinf(p):
-        return float(np.max(np.abs(f.values)))
-    a = np.abs(f.values) ** p
+        return float(np.max(a))
     if isinstance(f, GridFn1D):
-        total = np.trapezoid(a, dx=f.grid.h)
+        def norm(v):
+            return np.trapezoid(v**p, dx=f.grid.h) ** (1.0 / p)
     else:
-        total = np.trapezoid(np.trapezoid(a, dx=f.grid.g2.h, axis=1), dx=f.grid.g1.h)
-    return float(total ** (1.0 / p))
+        def norm(v):
+            return np.trapezoid(np.trapezoid(v**p, dx=f.grid.g2.h, axis=1),
+                                dx=f.grid.g1.h) ** (1.0 / p)
+    return scaled_norm(norm, a)
 
 
 def mixed_norm(f: GridFn2D, inner_exponent, outer_exponent) -> float:
@@ -224,15 +240,18 @@ def mixed_norm(f: GridFn2D, inner_exponent, outer_exponent) -> float:
 
     The inner exponent always pairs with x1 and the outer with x2, i.e.
     the exponent list is read positionally against the variable list
-    (x1, x2).  The discrete sup norm is the max over grid nodes.
+    (x1, x2).  The discrete sup norm is the max over grid nodes.  A norm
+    that overflows is taken as ``lp_norm``'s is.
     """
     pi = _check_exponent(inner_exponent)
     po = _check_exponent(outer_exponent)
-    a = np.abs(f.values)
-    if math.isinf(pi):
-        inner = np.max(a, axis=0)
-    else:
-        inner = np.trapezoid(a**pi, dx=f.grid.g1.h, axis=0) ** (1.0 / pi)
-    if math.isinf(po):
-        return float(np.max(inner))
-    return float(np.trapezoid(inner**po, dx=f.grid.g2.h) ** (1.0 / po))
+
+    def norm(v):
+        if math.isinf(pi):
+            inner = np.max(v, axis=0)
+        else:
+            inner = np.trapezoid(v**pi, dx=f.grid.g1.h, axis=0) ** (1.0 / pi)
+        if math.isinf(po):
+            return np.max(inner)
+        return np.trapezoid(inner**po, dx=f.grid.g2.h) ** (1.0 / po)
+    return scaled_norm(norm, np.abs(f.values))

@@ -126,6 +126,27 @@ def _axes(grid: Grid2D):
     return grid.g1.nodes[:, None], grid.g2.nodes[None, :]
 
 
+def _trace_terms(t: TraceSet, grid: Grid2D):
+    """(scalar, x1 factor, x2 factor) of each of the eight trace terms of u,
+    in the order of the module docstring: 8 one-dimensional sweeps."""
+    if t.p.grid != grid.g1 or t.q.grid != grid.g2:
+        raise ValueError("trace grids do not match the grid")
+    X1, X2 = _axes(grid)
+    line1, line2 = line(X1), line(X2)
+    p, g1 = (orders(f.values[:, None], X1, grid.g1.h) for f in (t.p, t.g1))
+    q, g2 = (orders(f.values[None, :], X2, grid.g2.h, axis=1) for f in (t.q, t.g2))
+    return (
+        (t.u00, _CONSTANT, _CONSTANT), (t.u10, line1, _CONSTANT),
+        (t.u01, _CONSTANT, line2), (t.c, line1, line2),
+        (1.0, p, _CONSTANT), (1.0, g1, line2), (1.0, _CONSTANT, q), (1.0, line1, g2),
+    )
+
+
+def _trace_entry(terms, i: int, j: int):
+    """D1^i D2^j of the trace terms ``terms``: 0 where none has that order."""
+    return sum(s * a[i] * b[j] for s, a, b in terms if i < len(a) and j < len(b))
+
+
 def trace_part(t: TraceSet, grid: Grid2D):
     """D1^i D2^j of the eight trace terms of u, as d[i][j] for i, j in {0, 1, 2}.
 
@@ -133,21 +154,8 @@ def trace_part(t: TraceSet, grid: Grid2D):
     D1^2 D2^2 part, so d[2][2] is 0.  This is the field of the traces with
     w = 0, computed in 8 one-dimensional sweeps.
     """
-    if t.p.grid != grid.g1 or t.q.grid != grid.g2:
-        raise ValueError("trace grids do not match the grid")
-    X1, X2 = _axes(grid)
-    line1, line2 = line(X1), line(X2)
-    p, g1 = (orders(f.values[:, None], X1, grid.g1.h) for f in (t.p, t.g1))
-    q, g2 = (orders(f.values[None, :], X2, grid.g2.h, axis=1) for f in (t.q, t.g2))
-    # (scalar, x1 factor, x2 factor): the eight trace terms of u, in the
-    # order of the module docstring.
-    terms = (
-        (t.u00, _CONSTANT, _CONSTANT), (t.u10, line1, _CONSTANT),
-        (t.u01, _CONSTANT, line2), (t.c, line1, line2),
-        (1.0, p, _CONSTANT), (1.0, g1, line2), (1.0, _CONSTANT, q), (1.0, line1, g2),
-    )
-    return [[sum(s * a[i] * b[j] for s, a, b in terms if i < len(a) and j < len(b))
-             for j in range(3)] for i in range(3)]
+    terms = _trace_terms(t, grid)
+    return [[_trace_entry(terms, i, j) for j in range(3)] for i in range(3)]
 
 
 def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
@@ -157,15 +165,15 @@ def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
     x2 = 0 / x1 = 0 the derivative grids reproduce the trace inputs
     exactly: the defining integrals are empty there.
 
-    Each trace-part entry and each sweep of w is released as soon as its
-    output grid is made.  So the memory peaks at the first grid, made
-    while w, the trace part (up to six full grids), the two x1 sweeps of w
-    and the two x2 sweeps of the first are alive; the call ends holding
-    the nine grids alone.  With no live coefficient this is where a whole
-    Dirichlet solve peaks.
+    Each trace-part entry is formed only when its output grid is made, and
+    each sweep of w is released as soon as its output grid is made.  So the
+    memory peaks at the first grid, made while w, its entry of the trace
+    part, the two x1 sweeps of w and the two x2 sweeps of the first are
+    alive; the call ends holding the nine grids alone.  With no live
+    coefficient this is where a whole Dirichlet solve peaks.
     """
     grid = w.grid
-    trace = trace_part(t, grid)
+    terms = _trace_terms(t, grid)
     X1, X2 = _axes(grid)
     w1 = list(orders(w.values, X1, grid.g1.h, axis=0))
     d = []
@@ -174,8 +182,8 @@ def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
         w1[i] = None
         row = []
         for j in range(3):
-            row.append(GridFn2D(grid, trace[i][j] + w2[j]))
-            trace[i][j] = w2[j] = None  # each released once its output grid exists
+            row.append(GridFn2D(grid, _trace_entry(terms, i, j) + w2[j]))
+            w2[j] = None  # each released once its output grid exists
         d.append(row)
     return DerivativeField(grid, d)
 

@@ -302,6 +302,105 @@ class TestSolve:
         assert peak < 0.95e6
 
 
+def output_argvs(cfg, out):
+    """argv of each subcommand that writes files, with its outputs in ``out``."""
+    u = ["--u", "x1^2*x2^2 + x1*x2", "--config", cfg]
+    return {
+        "solve": ["solve", "--config", cfg, "--out", str(out / "u.csv"), "--field",
+                  "--diag", str(out / "d.json")],
+        "convert": ["convert", "--config", cfg, "--direction", "n2c", "--out", str(out / "c.ini")],
+        "verify": ["verify", *u, "--out", str(out / "v.csv")],
+        "convergence": ["convergence", *u, "--grids", "4,8", "--out", str(out / "t.csv")],
+    }
+
+
+def written(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestOutputFiles:
+    """Outputs are overwritten in place and cut to their new length on close."""
+
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        (tmp_path / "in").mkdir()
+        return quartic_solve_config(tmp_path / "in", n=4)
+
+    def fresh(self, cfg, out, command):
+        out.mkdir()
+        assert run(output_argvs(cfg, out)[command]) == 0
+        return written(out)
+
+    @pytest.mark.parametrize("command", ["solve", "convert", "verify", "convergence"])
+    @pytest.mark.parametrize("old_size", [400_000, 3], ids=["longer", "shorter"])
+    def test_existing_output_ends_with_exactly_the_new_bytes(self, tmp_path, cfg, command,
+                                                             old_size):
+        expected = self.fresh(cfg, tmp_path / "fresh", command)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in expected:
+            (out / name).write_bytes(b"9" * old_size)
+        assert run(output_argvs(cfg, out)[command]) == 0
+        assert written(out) == expected
+
+    def test_second_field_job_into_the_same_paths_equals_a_fresh_one(self, tmp_path, cfg):
+        expected = self.fresh(cfg, tmp_path / "fresh", "solve")
+        out = tmp_path / "out"
+        out.mkdir()
+        bigger = quartic_solve_config(tmp_path, n=8)  # longer outputs first
+        assert run(output_argvs(bigger, out)["solve"]) == 0
+        assert run(output_argvs(cfg, out)["solve"]) == 0
+        assert written(out) == expected
+
+    def test_symlinked_output_stays_a_link_to_the_new_bytes(self, tmp_path, cfg):
+        expected = self.fresh(cfg, tmp_path / "fresh", "solve")
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"9" * 400_000)
+        (out / "u.csv").symlink_to(target)
+        assert run(output_argvs(cfg, out)["solve"]) == 0
+        assert (out / "u.csv").is_symlink()
+        assert target.read_bytes() == expected["u.csv"]
+
+    def test_existing_output_keeps_its_mode(self, tmp_path, cfg):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("u.csv", "u_d00.csv", "d.json"):
+            (out / name).write_bytes(b"9" * 400_000)
+            (out / name).chmod(0o640)
+        assert run(output_argvs(cfg, out)["solve"]) == 0
+        for name in ("u.csv", "u_d00.csv", "d.json"):
+            assert (out / name).stat().st_mode & 0o777 == 0o640
+
+    def test_write_that_raises_leaves_the_file_empty(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 4)
+        scientific, calls = ppde.cli._scientific, []
+
+        def failing(x, out):  # the axis, then the first chunk, then a fault
+            calls.append(x.size)
+            if len(calls) == 3:
+                raise RuntimeError("formatting failed")
+            scientific(x, out)
+
+        monkeypatch.setattr(ppde.cli, "_scientific", failing)
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"9" * 400_000)
+        g = make_grid(1.0, 8)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            ppde.cli._write_csv([g], {path: np.arange(9.0)})
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("option", ["--out", "--diag"])
+    def test_output_path_that_is_a_directory_is_exit_4(self, tmp_path, cfg, capsys, option):
+        out = tmp_path / "out"
+        (out / "x").mkdir(parents=True)
+        argv = output_argvs(cfg, out)["solve"]
+        argv[argv.index(option) + 1] = str(out / "x")
+        assert run(argv) == 4
+        assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{out / 'x'}'\n"
+
+
 # Values whose text or bits are easy to get wrong: signed zero, subnormals
 # and the ends of the double range.
 AWKWARD = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 4, 1e308, -1e308,
@@ -833,6 +932,18 @@ class TestVerifyCommand:
         d00_max = float(lines[1].split(",")[1])
         assert d00_max <= 1e-9
 
+    def test_error_whose_square_overflows_has_a_finite_l2_norm(self, tmp_path, capsys):
+        cfg = write(tmp_path / "v.ini", BASE.format(n=8))
+        out = tmp_path / "table.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["verify", "--u", "1e200*(sin(x1)*exp(x2))", "--config", cfg,
+                        "--out", str(out)])
+        assert (code, caught, capsys.readouterr().err) == (0, [], "")
+        d00 = out.read_text().splitlines()[1].split(",")
+        assert d00[:2] == ["d00", "3.0058721774758702e+197"]
+        assert 1e196 < float(d00[2]) < 1e198
+
     @pytest.mark.parametrize("u", ["exp(1000*x1)", "1/x1", "10^400*x1"])
     def test_u_not_finite_on_the_grid_is_a_config_error(self, tmp_path, capsys, u):
         cfg = write(tmp_path / "v.ini", BASE.format(n=4))
@@ -852,6 +963,17 @@ class TestConvergenceCommand:
         assert lines[0] == "n,max_error,l2_error,observed_order"
         order = float(lines[2].split(",")[3])
         assert order >= 1.8
+
+    def test_error_whose_square_overflows_has_a_finite_l2_norm(self, tmp_path, capsys):
+        cfg = write(tmp_path / "conv.ini", BASE.format(n=8))
+        out = tmp_path / "table.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["convergence", "--u", "1e200*(sin(x1)*exp(x2))", "--config", cfg,
+                        "--grids", "8,16", "--out", str(out)])
+        assert (code, caught, capsys.readouterr().err) == (0, [], "")
+        for line in out.read_text().splitlines()[1:]:
+            assert 1e195 < float(line.split(",")[2]) < 1e198
 
     def test_bad_grids(self, tmp_path):
         cfg = write(tmp_path / "conv.ini", BASE.format(n=8))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,17 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(GridFn1D.zeros(g), p)
 
+    # |1e160|**p overflows; the norm is 1e160 times the norm of the ones grid.
+    @pytest.mark.parametrize("two_d", [False, True])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_grid_whose_power_overflows(self, two_d, p):
+        g = Grid2D(make_grid(2.0, 6), make_grid(3.0, 5)) if two_d else make_grid(2.0, 6)
+        fn, shape = (GridFn2D, g.shape) if two_d else (GridFn1D, g.nodes.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = lp_norm(fn(g, np.full(shape, 1e160)), p)
+        assert norm == 1e160 * lp_norm(fn(g, np.ones(shape)), p)
+
 
 class TestMixedNorm:
     def test_zero(self):
@@ -241,6 +254,14 @@ class TestMixedNorm:
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             mixed_norm(GridFn2D.zeros(unit_square(4)), 0.5, 2)
+
+    @pytest.mark.parametrize("exponents", [(np.inf, 2), (2, np.inf), (2, 3)])
+    def test_grid_whose_power_overflows(self, exponents):
+        g = Grid2D(make_grid(2.0, 6), make_grid(3.0, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = mixed_norm(GridFn2D(g, np.full(g.shape, -1e160)), *exponents)
+        assert norm == 1e160 * mixed_norm(GridFn2D(g, np.ones(g.shape)), *exponents)
 
 
 class TestStage:
