@@ -30,6 +30,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -327,15 +328,20 @@ def _output(path):
     tail of an older file survives.  On ext4 a truncation, even to the
     file's own length, costs more than rewriting in place a CSV that the
     file held moments before, so the cut is made only where the file is
-    longer than the bytes written."""
+    longer than the bytes written.  Only a regular file is cut: a pipe, a
+    terminal or a device such as ``/dev/stdout`` is written as ``"wb"``
+    writes it, since it has no length to cut (``O_TRUNC`` ignores it too)."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     with open(fd, "wb") as fh:
+        old = os.fstat(fd)  # writing from offset 0 lengthens it only to tell()
+        regular = stat.S_ISREG(old.st_mode)
         try:
             yield fh
         except BaseException:
-            fh.truncate(0)
+            if regular:
+                fh.truncate(0)
             raise
-        if os.fstat(fd).st_size > fh.tell():  # bytes still buffered lie below tell()
+        if regular and old.st_size > fh.tell():
             fh.truncate()
 
 

@@ -391,6 +391,52 @@ class TestOutputFiles:
             ppde.cli._write_csv([g], {path: np.arange(9.0)})
         assert path.read_bytes() == b""
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "convergence"])
+    def test_outputs_sent_to_pipes_get_the_bytes_of_files(self, tmp_path, cfg, command):
+        expected = self.fresh(cfg, tmp_path / "fresh", command)
+        argv = output_argvs(cfg, tmp_path / "fresh")[command]
+        if command == "solve":  # --field writes siblings of --out, which a pipe has not
+            argv.remove("--field")
+            expected = {name: expected[name] for name in ("u.csv", "d.json")}
+        pipes = {}
+        for name in expected:  # each output is small enough for a pipe's buffer
+            pipes[name] = os.pipe()
+            argv[argv.index(str(tmp_path / "fresh" / name))] = f"/dev/fd/{pipes[name][1]}"
+        try:
+            code = run(argv)
+        finally:
+            for _, w in pipes.values():
+                os.close(w)
+        got = {}
+        for name, (r, _) in pipes.items():
+            with open(r, "rb") as fh:
+                got[name] = fh.read()
+        assert (code, got) == (0, expected)
+
+    def test_write_into_a_pipe_that_raises_keeps_its_own_error(self, monkeypatch):
+        monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 4)
+        scientific, calls = ppde.cli._scientific, []
+
+        def failing(x, out):  # the axis, then the first chunk, then a fault
+            calls.append(x.size)
+            if len(calls) == 3:
+                raise RuntimeError("formatting failed")
+            scientific(x, out)
+
+        monkeypatch.setattr(ppde.cli, "_scientific", failing)
+        r, w = os.pipe()
+        try:
+            with pytest.raises(RuntimeError, match="formatting failed"):
+                ppde.cli._write_csv([make_grid(1.0, 8)], {f"/dev/fd/{w}": np.arange(9.0)})
+        finally:
+            os.close(w)
+            os.close(r)
+
+    def test_output_to_dev_null_is_exit_0(self, cfg, capsys):
+        argv = ["solve", "--config", cfg, "--out", os.devnull, "--diag", os.devnull]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("option", ["--out", "--diag"])
     def test_output_path_that_is_a_directory_is_exit_4(self, tmp_path, cfg, capsys, option):
         out = tmp_path / "out"
