@@ -258,11 +258,14 @@ def load_config(path) -> Config:
 
     domain = {key: _get(cp, "domain", key, kind=float if key[0] == "h" else int)
               for key in _KEYS["domain"]}
-    try:
-        grid = Grid2D(*(make_grid(domain[f"h{k}"], domain[f"n{k}"]) for k in "12"))
-    except ValueError as err:  # the first bad key in the order make_grid checks them
-        key = next(key for key in ("h1", "n1", "h2", "n2") if not domain[key] > 0)
-        raise ConfigError(f"[domain] {key}: {err}") from err
+    axes = []
+    for k in "12":
+        h, n = domain[f"h{k}"], domain[f"n{k}"]
+        try:
+            axes.append(make_grid(h, n))
+        except ValueError as err:  # make_grid checks the (finite) length first
+            raise ConfigError(f"[domain] {'n' if h > 0 else 'h'}{k}: {err}") from err
+    grid = Grid2D(*axes)
 
     given = cp.options("coefficients") if cp.has_section("coefficients") else []
     coeff_exprs = {name: _parse_expr(_get(cp, "coefficients", name), f"[coefficients] {name}")

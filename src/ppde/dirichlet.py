@@ -39,7 +39,7 @@ import numpy as np
 
 from .goursat import GoursatProblem, MarchingError, march, solve_goursat
 from .grid import (Grid2D, GridFn1D, GridFn2D, NonFiniteError, lp_norm, mixed_norm,
-                   order_table, scaled_norm, stage)
+                   order_tables, scaled_norm, stage)
 from .problem import (
     _TERMS,
     CONDITIONS,
@@ -186,16 +186,15 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     fields of c and g1 share the x2 factor line(x2), so their known rows
     are one rank-one product per live term a D1^q D2^r with r < 2, summed
     by one matrix product U @ V per row.  Each axis grid has one order
-    table (F1 is F2 on a square grid); the march reads F2 and writes w into
-    its rows.  The condition rows are views of one array, into which the
+    table (F1 is F2 on a square grid); the march reads both and writes w
+    into its rows.  The condition rows are views of one array, into which the
     march's w parts are summed; the tables are released before its columns
     are copied into the public order, so the closure holds at most the
     system and its one copy there.
     """
     g1, g2 = p.grid.g1, p.grid.g2
     n1, n2 = g1.n, g2.n
-    tables = {g: order_table(g) for g in {g1, g2}}
-    F1, F2 = tables[g1], tables[g2]
+    F1, F2 = order_tables(p.grid)
 
     def unit(q, r, i, j, row):
         """Write D1^q D2^r u of the unit-trace fields at the nodes (i, j), one row per node.
@@ -243,8 +242,9 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     # 2 is the identity, which picks row k itself.
     w_parts = [(block, q, r, i, j) for block, ((q, r), (i, j)) in zip(blocks, conditions)
                if not ((q < 2 and i == 0) or (r < 2 and j == 0))]
+    g2_columns = slice(1, n2 + 2) if p.coeffs.live else None
     try:
-        for k, w in enumerate(march(p.coeffs, rows(), F2, slice(1, n2 + 2) if p.coeffs.live else None)):
+        for k, w in enumerate(march(p.coeffs, rows(), F1, F2, g2_columns)):
             width = w.shape[1]
             for block, q, r, i, j in w_parts:
                 x2 = w[j] if r == 2 else F2[r][j] @ w
@@ -254,7 +254,7 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
                     block[:, :width] += F1[q][i, k] * x2
     except MarchingError as err:
         raise MarchingError(f"closure march failed: {err}") from err
-    del tables, F1, F2, known0  # released before the copy into the public layout [c | g1 | g2]
+    del F1, F2, known0  # released before the copy into the public layout [c | g1 | g2]
     matrix = system[:, np.r_[n2 + 2:n1 + n2 + 4, 1:n2 + 2]]
     return ClosureSystem(matrix, -system[:, 0], n1, n2)
 

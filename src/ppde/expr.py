@@ -7,14 +7,22 @@ Grammar (standard precedence, left associative binary operators):
     unary      := '-' unary | power
     power      := atom   { '^' nonnegative-integer-literal }
     atom       := number | 'x1' | 'x2'
-                | ('sin' | 'cos' | 'exp') '(' expression ')'
+                | function '(' expression ')'
                 | '(' expression ')'
 
-The only variables are x1 and x2.  Exponents must be nonnegative integer
-literals, which keeps every expression smooth wherever its denominators do
-not vanish and makes symbolic differentiation closed on the grammar.
-Evaluation accepts scalars or numpy arrays; ``sample`` evaluates on the nodes
-of a grid.
+The only variables are x1 and x2, and the functions are the rows of
+``FUNCTIONS``.  Exponents must be nonnegative integer literals, which keeps
+every expression smooth wherever its denominators do not vanish and makes
+symbolic differentiation closed on the grammar.  Evaluation accepts scalars
+or numpy arrays; ``sample`` evaluates on the nodes of a grid.
+
+Evaluation, differentiation and printing recurse once per level of the
+tree, so ``parse`` rejects a tree deeper than ``MAX_DEPTH`` levels, or with
+more than ``MAX_DEPTH`` parentheses open at once.  A derivative turns each
+level into at most three (a quotient's into '/', '-' and '*'), and four
+turn it into at most 15 (3, 6, 10, 15), so the fourth derivatives that
+``representation.extract_traces`` samples stay within 15 * MAX_DEPTH = 750
+levels, below Python's default recursion limit of 1000.
 """
 
 from __future__ import annotations
@@ -45,7 +53,14 @@ __all__ = [
 ]
 
 VARIABLES = ("x1", "x2")
-FUNCTIONS = ("sin", "cos", "exp")
+# The grammar's functions: name -> (numpy function, derivative rule).  The
+# rule maps the argument a and its derivative da to the derivative of the call.
+FUNCTIONS = {
+    "sin": (np.sin, lambda a, da: _mul(Call("cos", a), da)),
+    "cos": (np.cos, lambda a, da: _neg(_mul(Call("sin", a), da))),
+    "exp": (np.exp, lambda a, da: _mul(Call("exp", a), da)),
+}
+MAX_DEPTH = 50
 
 
 class ParseError(ValueError):
@@ -148,6 +163,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -184,11 +200,13 @@ class _Parser:
                 return node
 
     def unary(self) -> Expr:
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Neg(self.unary(), pos=pos)
-        return self.power()
+        signs = []
+        while self.peek()[:2] == ("op", "-"):
+            signs.append(self.advance()[2])
+        node = self.power()
+        for pos in reversed(signs):
+            node = Neg(node, pos=pos)
+        return node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -221,15 +239,21 @@ class _Parser:
                 return Var(value, pos=pos)
             if value in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expression()
-                self.expect_op(")")
-                return Call(value, arg, pos=pos)
+                return Call(value, self.group(pos), pos=pos)
             raise ParseError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            node = self.expression()
-            self.expect_op(")")
-            return node
+            return self.group(pos)
         raise ParseError("expected a number, variable or parenthesized expression", pos)
+
+    def group(self, pos: int) -> Expr:
+        """The expression closed by ')' after the '(' just read, the parser's one recursion."""
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise ParseError(f"more than {MAX_DEPTH} parentheses open", pos)
+        node = self.expression()
+        self.expect_op(")")
+        self.open -= 1
+        return node
 
 
 def parse(text: str) -> Expr:
@@ -239,6 +263,14 @@ def parse(text: str) -> Expr:
     kind, value, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {value!r}", pos)
+    # A tree has fewer nodes than the tokens it is parsed from, so only a
+    # long input can be too deep.
+    stack = [(node, 1)] if len(p.tokens) > MAX_DEPTH else []
+    while stack:
+        e, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", e.pos)
+        stack += [(child, depth + 1) for child in vars(e).values() if isinstance(child, Expr)]
     return node
 
 
@@ -268,12 +300,7 @@ def evaluate(e: Expr, x1, x2):
     if isinstance(e, Pow):
         return _power(evaluate(e.base, x1, x2), e.exponent)
     if isinstance(e, Call):
-        a = evaluate(e.arg, x1, x2)
-        if e.func == "sin":
-            return np.sin(a)
-        if e.func == "cos":
-            return np.cos(a)
-        return np.exp(a)
+        return FUNCTIONS[e.func][0](evaluate(e.arg, x1, x2))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -410,12 +437,7 @@ def _diff(e: Expr, var: str) -> Expr:
         inner = _diff(e.base, var)
         return _mul(_mul(_num(e.exponent), _pow(e.base, e.exponent - 1)), inner)
     if isinstance(e, Call):
-        inner = _diff(e.arg, var)
-        if e.func == "sin":
-            return _mul(Call("cos", e.arg), inner)
-        if e.func == "cos":
-            return _neg(_mul(Call("sin", e.arg), inner))
-        return _mul(Call("exp", e.arg), inner)
+        return FUNCTIONS[e.func][1](e.arg, _diff(e.arg, var))
     raise TypeError(f"not an expression node: {e!r}")
 
 

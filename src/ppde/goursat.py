@@ -13,10 +13,11 @@ rule the discrete equation (I + A) w = known is lower-triangular in the
 node order, so it is solved exactly by marching over the x1 rows (Brunner,
 Volterra Integral Equations, CUP 2017): row i is an (n2+1) x (n2+1)
 lower-triangular system whose right-hand side depends on the rows before
-it only through two running x1 sums, of w and of x1 * w.  Every kernel
-comes from the order table of ``ppde.representation``.  A vanishing
-diagonal pivot or a non-finite row is reported as a MarchingError naming
-the node or the row, never silently accepted.
+it only through two running x1 sums, of w and of x1 * w.  Every kernel and
+every weight comes from the order tables of the two axes
+(``grid.order_table``).  A vanishing diagonal pivot or a non-finite row is
+reported as a MarchingError naming the node or the row, never silently
+accepted.
 
 A row system is solved as the triangular system it is, by forward
 substitution in blocks of about 16 rows: the inverses of a row's diagonal
@@ -37,7 +38,7 @@ from collections import deque
 
 import numpy as np
 
-from .grid import GridFn2D, NumericalError, order_table, stage
+from .grid import GridFn2D, NumericalError, order_tables, stage
 from .problem import Coefficients, apply_operator, lower_order
 from .representation import DerivativeField, TraceSet, reconstruct_field, trace_part
 
@@ -92,7 +93,7 @@ class GoursatSolution:
         self.residual = residual
 
 
-def march(coeffs: Coefficients, known_rows, K, g2_columns=None):
+def march(coeffs: Coefficients, known_rows, K1, K2, g2_columns=None):
     """Solve (I + A) w = known row by row; yields w[i] for each known[i].
 
     A = lower_order o reconstruct_field(zero traces, .) is the feedback of
@@ -101,24 +102,27 @@ def march(coeffs: Coefficients, known_rows, K, g2_columns=None):
     that join at row i count as zero in every row before it, so their x1
     sums start at row i.  w[i] is written into known[i], which is yielded:
     the caller hands over C-ordered rows it owns.  With every coefficient
-    zero, w = known, the rows pass through untouched and K is not read.
+    zero, w = known, the rows pass through untouched and the tables are not
+    read.
 
     With zero traces D1^p D2^q u is the w term of the order table: the
-    order-p x1 factor of w, then the order-q x2 factor of that.  Along a
-    row the x2 orders are the caller's K = order_table(g2) = (R, L, I), of
-    int_0^{x2} (x2 - b) db, int_0^{x2} db and the identity.  Along x1,
-    order 2 is the row w[i] itself, order 1 is C = s0 + (h1/2) w[i] and
-    order 0 is R = x1 C - S = x1 s0 - s1, where s0 and s1 are the trapezoid
-    sums of w and x1 * w over the rows before i.  Summing the live terms
-    a_pq K[q] by p gives the row kernels G[p], so the row system is
-    I + G[2] + (h1/2) G[1] with right-hand side known - G[1] s0 - G[0] R,
+    order-p x1 factor of w, then the order-q x2 factor of that.  K1 and K2
+    are the order tables (R, C, I) of the two axes (``grid.order_table``).
+    Along a row the x2 orders are K2, of int_0^{x2} (x2 - b) db,
+    int_0^{x2} db and the identity.  Along x1, order 2 is the row w[i]
+    itself, order 1 is C = s0 + C1[i, i] w[i] and order 0 is
+    R = x1 C - S = x1 s0 - s1, where s0 and s1 sum C1[k + 1, k] w[k] and
+    C1[k + 1, k] x1_k w[k] over the rows k before i, with C1 = K1[1]: each
+    row of C1 is a running sum plus its diagonal.  Summing the live terms
+    a_pq K2[q] by p gives the row kernels G[p], so the row system is
+    I + G[2] + C1[i, i] G[1] with right-hand side known - G[1] s0 - G[0] R,
     taken as known - F s0 + G[0] s1 with the feed matrix F = G[1] + x1 G[0]
     so that the cancelling difference x1 s0 - s1 is never formed.  The row
-    system is lower-triangular (K[q] is), and is solved as such.  The march
+    system is lower-triangular (K2[q] is), and is solved as such.  The march
     keeps O(n2 * k) state.
 
     The slice ``g2_columns`` names the closure's columns of the unit traces
-    g2 = e_m: g2 is the x1 = 0 value of D1 D2^2 u, of field line(x1) K[., m],
+    g2 = e_m: g2 is the x1 = 0 value of D1 D2^2 u, of field line(x1) K2[., m],
     so their known rows are -F.  They come in as zero; the march subtracts F.
     """
     live = coeffs.live
@@ -126,19 +130,20 @@ def march(coeffs: Coefficients, known_rows, K, g2_columns=None):
         yield from known_rows
         return
     g1, n2 = coeffs.grid.g1, coeffs.grid.g2.n
+    C1 = K1[1]
     diagonal = np.diag_indices(n2 + 1)
     solve = _LowerSolver(n2 + 1)
     # The x1 sums of w and x1 * w without their w[i] terms; a column that
     # joins the march late has none in the rows before it.
     s0 = s1 = np.zeros((n2 + 1, 0))
     for i, (x, w) in enumerate(zip(g1.nodes, known_rows)):
-        G = [_row_kernel(K, [(a[i], q) for a, (p, q) in live if p == order]) for order in range(3)]
-        # The pivots are 1 + (a21 + a11 h1/2) h2/2 + a12 h1/2 (L and R have
-        # an empty first row, and R a zero diagonal).
-        half = 0.5 * g1.h if i else 0.0
+        G = [_row_kernel(K2, [(a[i], q) for a, (p, q) in live if p == order])
+             for order in range(3)]
+        # The pivot at node (i, j) is 1 + (a21 + a11 C1[i, i]) C2[j, j] + a12 C1[i, i],
+        # with C2 = K2[1] (R has a zero diagonal).
         system = G[2]
         system[diagonal] += 1.0
-        system += half * G[1]
+        system += C1[i, i] * G[1]
         _check_pivots(system, i)
         k = s0.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -152,9 +157,9 @@ def march(coeffs: Coefficients, known_rows, K, g2_columns=None):
             solve(system, w)
         if not np.all(np.isfinite(w)):
             raise MarchingError(f"the march produced non-finite values in row {i}")
-        weight = g1.h if i else 0.5 * g1.h
-        s0 = _widen(s0, weight * w)
-        s1 = _widen(s1, (weight * x) * w)
+        if i < g1.n:  # the rows after i weigh row i by C1[i + 1, i]
+            s0 = _widen(s0, C1[i + 1, i] * w)
+            s1 = _widen(s1, (C1[i + 1, i] * x) * w)
         yield w
 
 
@@ -225,13 +230,14 @@ def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
     Returns w, the reconstructed field and the sup-norm residual of the
     full operator equation.
     """
-    live = gp.coeffs.live  # with none, w = known = rhs: the trace part and K are unread
+    live = gp.coeffs.live  # with none, w = known = rhs: the trace part and tables are unread
     known = gp.rhs.values - (lower_order(trace_part(gp.traces, gp.grid), gp.coeffs)
                              if live else 0.0)
-    K = order_table(gp.grid.g2) if live else None
-    deque(march(gp.coeffs, known[:, :, None], K), maxlen=0)  # writes w into known, keeps no row
+    tables = order_tables(gp.grid) if live else (None, None)
+    # The march writes w into known and keeps no row.
+    deque(march(gp.coeffs, known[:, :, None], *tables), maxlen=0)
     w_fn = GridFn2D(gp.grid, known)
-    del K, known  # released before reconstruct_field, where a solve with coefficients peaks
+    del tables, known  # released before reconstruct_field, where a solve with coefficients peaks
     field = reconstruct_field(gp.traces, w_fn)
     residual = float(np.max(np.abs(apply_operator(field, gp.coeffs).values - gp.rhs.values)))
     return GoursatSolution(w_fn, field, residual)

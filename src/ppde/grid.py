@@ -31,6 +31,7 @@ __all__ = [
     "cumtrapz",
     "orders",
     "order_table",
+    "order_tables",
     "scaled_norm",
     "lp_norm",
     "mixed_norm",
@@ -62,6 +63,10 @@ def stage(name: str):
             raise NumericalError(f"{name} produced non-finite values") from err
 
 
+# The most float64 nodes whose byte count numpy can state (as an intp).
+_MAX_NODES = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 class Grid1D:
     """Equispaced grid of ``n`` intervals on the interval [0, length]."""
 
@@ -72,6 +77,8 @@ class Grid1D:
         n = int(n)
         if n < 1:
             raise ValueError(f"number of intervals must be >= 1, got {n}")
+        if n >= _MAX_NODES:
+            raise ValueError(f"number of intervals is too large for an array of nodes, got {n}")
         self.length = length
         self.n = n
         self.nodes = np.linspace(0.0, length, n + 1)
@@ -168,26 +175,37 @@ def cumtrapz(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return out
 
 
-def orders(f, x, h: float, axis: int = 0):
+def orders(f, g: Grid1D, axis: int = 0):
     """Orders 0, 1 and 2 of the part whose second derivative is f: (R[f], C[f], f).
 
     C[f](x) = int_0^x f(t) dt and the Taylor remainder
     R[f](x) = int_0^x (x - t) f(t) dt = x C[f](x) - int_0^x t f(t) dt, by
-    cumulative trapezoid along ``axis``.  ``x`` holds the nodes of that axis,
-    shaped to broadcast against ``f``; any other axes of ``f`` are carried
-    along.  R and C start at exactly 0; C is exact for affine f and R for
-    constant f.
+    cumulative trapezoid along ``axis`` of f, which holds the nodes of the
+    axis grid g; any other axes of ``f`` are carried along.  R and C start
+    at exactly 0; C is exact for affine f and R for constant f.
     """
-    c = cumtrapz(f, h, axis)
-    m = cumtrapz(x * f, h, axis)
+    x = g.nodes.reshape([-1 if k == axis else 1 for k in range(np.ndim(f))])
+    c = cumtrapz(f, g.h, axis)
+    m = cumtrapz(x * f, g.h, axis)
     return x * c - m, c, f
 
 
 def order_table(g: Grid1D) -> np.ndarray:
-    """The read-only stack (R, C, I) of orders(I) on g's nodes: table[q] @ f is order q."""
-    table = np.array(orders(np.eye(g.n + 1), g.nodes[:, None], g.h))
+    """The read-only stack (R, C, I) of orders(I) on g's nodes: table[q] @ f is order q.
+
+    Each row of C is a running sum plus a diagonal, C[i, k] == C[k + 1, k]
+    for every i > k: ``goursat.march`` reads its x1 weights from C so, and a
+    rule that breaks this must change the march too.
+    """
+    table = np.array(orders(np.eye(g.n + 1), g))
     table.setflags(write=False)
     return table
+
+
+def order_tables(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """The order tables of the x1 and the x2 axis: one table for both on equal axes."""
+    table = order_table(grid.g1)
+    return table, (table if grid.g2 == grid.g1 else order_table(grid.g2))
 
 
 def _check_exponent(p) -> float:

@@ -284,9 +284,8 @@ class CompatibilityReport(_Residuals):
 
 def boundary_values(f: BoundaryFn) -> GridFn1D:
     """Evaluate the Taylor form v0 + x v1 + int_0^x (x - t) v2(t) dt."""
-    x = f.v2.grid.nodes
-    rem = orders(f.v2.values, x, f.v2.grid.h)[0]
-    return GridFn1D(f.v2.grid, f.v0 + x * f.v1 + rem)
+    g = f.v2.grid
+    return GridFn1D(g, f.v0 + g.nodes * f.v1 + orders(f.v2.values, g)[0])
 
 
 def _far_ends(d: ClassicalData) -> tuple[float, float, float, float]:

@@ -28,9 +28,9 @@ their products are skipped.  The same table gives ``goursat.march`` its row
 kernels and the closure in ``dirichlet`` its unit-trace right-hand sides.
 
 The eight trace terms form the trace part (``trace_part``): the field of
-the traces with w = 0, kept as arrays that broadcast against the grid.
-It takes two
-one-dimensional cumulative-trapezoid sweeps per trace function, 8 in all.
+the traces with w = 0, kept as arrays that broadcast against the grid.  It
+takes two one-dimensional cumulative-trapezoid sweeps per trace function, 8
+in all.
 ``reconstruct_field`` adds the w term, eight 2D sweeps over w (two along x1
 and then two along x2 for each of its three x1 orders), and wraps the nine
 sums; a full reconstruction is 16 sweeps, O(n1*n2) work in all.  The
@@ -122,19 +122,14 @@ class DerivativeField:
         return [[fn.values for fn in row] for row in self.d]
 
 
-def _axes(grid: Grid2D):
-    return grid.g1.nodes[:, None], grid.g2.nodes[None, :]
-
-
 def _trace_terms(t: TraceSet, grid: Grid2D):
     """(scalar, x1 factor, x2 factor) of each of the eight trace terms of u,
     in the order of the module docstring: 8 one-dimensional sweeps."""
     if t.p.grid != grid.g1 or t.q.grid != grid.g2:
         raise ValueError("trace grids do not match the grid")
-    X1, X2 = _axes(grid)
-    line1, line2 = line(X1), line(X2)
-    p, g1 = (orders(f.values[:, None], X1, grid.g1.h) for f in (t.p, t.g1))
-    q, g2 = (orders(f.values[None, :], X2, grid.g2.h, axis=1) for f in (t.q, t.g2))
+    line1, line2 = line(grid.g1.nodes[:, None]), line(grid.g2.nodes[None, :])
+    p, g1 = (orders(f.values[:, None], grid.g1) for f in (t.p, t.g1))
+    q, g2 = (orders(f.values[None, :], grid.g2, axis=1) for f in (t.q, t.g2))
     return (
         (t.u00, _CONSTANT, _CONSTANT), (t.u10, line1, _CONSTANT),
         (t.u01, _CONSTANT, line2), (t.c, line1, line2),
@@ -174,11 +169,10 @@ def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
     """
     grid = w.grid
     terms = _trace_terms(t, grid)
-    X1, X2 = _axes(grid)
-    w1 = list(orders(w.values, X1, grid.g1.h, axis=0))
+    w1 = list(orders(w.values, grid.g1))
     d = []
     for i in range(3):
-        w2 = list(orders(w1[i], X2, grid.g2.h, axis=1))
+        w2 = list(orders(w1[i], grid.g2, axis=1))
         w1[i] = None
         row = []
         for j in range(3):

@@ -1326,6 +1326,36 @@ class TestConfigLoading:
         assert err.startswith(f"config error: {expected}") and "Traceback" not in err
         assert "offset 3" in err and not out.exists()
 
+    @pytest.mark.parametrize("text", ["(" * 400 + "x1" + ")" * 400, "-" * 3000 + "x1",
+                                      "+".join(["x1"] * 2000), "x1" + "^1" * 2000],
+                             ids=["parentheses", "signs", "sum", "powers"])
+    @pytest.mark.parametrize("place", ["coefficient", "rhs", "edge", "verify_u"])
+    def test_expression_too_deep_is_a_config_error(self, tmp_path, capsys, place, text):
+        args, body, expected = {
+            "coefficient": (["solve"], f'[coefficients]\na11 = "{text}"\n[data.nonclassical]\n',
+                            "[coefficients] a11: "),
+            "rhs": (["solve"], f'[rhs]\nexpr = "{text}"\n[data.nonclassical]\n', "[rhs] expr: "),
+            "edge": (["solve"], f'[data.nonclassical]\nz02_h1 = "{text}"\n',
+                     "[data.nonclassical] z02_h1: "),
+            "verify_u": (["verify", f"--u={text}"], "", "--u: "),  # "=": a "-" starts an option
+        }[place]
+        cfg = write(tmp_path / "c.ini", BASE.format(n=4), body)
+        out = tmp_path / "out.csv"
+        assert run([*args, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {expected}") and "offset" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("n", ["100000000000000000000", "4611686018427387904",
+                                   "9223372036854775807"])
+    def test_interval_count_numpy_cannot_size_is_a_config_error(self, tmp_path, capsys, n):
+        cfg = write(tmp_path / "c.ini", BASE.format(n=4).replace("n1 = 4", f"n1 = {n}"),
+                    "[data.nonclassical]\n")
+        assert run(["check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: [domain] n1: number of intervals is too large for an "
+                       f"array of nodes, got {n}\n")
+
     def test_absent_coefficients_share_one_zero_grid(self, tmp_path):
         coeffs = load_config(write(tmp_path / "c.ini", BASE.format(n=4))).coeffs
         assert len({id(getattr(coeffs, name)) for name in COEFFICIENT_NAMES}) == 1

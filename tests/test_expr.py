@@ -3,6 +3,7 @@ import pytest
 
 from _families import central_difference, random_expr
 from ppde.expr import (
+    MAX_DEPTH,
     BinOp,
     EvalDomainError,
     ParseError,
@@ -15,6 +16,7 @@ from ppde.expr import (
     to_string,
 )
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
+from ppde.representation import extract_traces
 
 
 def d(text, var):
@@ -174,6 +176,39 @@ class TestDifferentiate:
             for _ in range(10):
                 x1, x2 = rng.uniform(0, 1, size=2)
                 assert abs(evaluate(ab, x1, x2) - evaluate(ba, x1, x2)) < 1e-12
+
+
+# Expressions of exactly MAX_DEPTH levels (or open parentheses) made by
+# repeating one step k times; k + 1 steps make one level too many.
+DEEPEST = {
+    "signs": lambda k: "-" * k + "x1",
+    "sum": lambda k: "+".join(["x1*x2"] * k),
+    "powers": lambda k: "x1" + "^1" * k,
+    "quotients": lambda k: "x1*x2" + "/2" * k,
+    "parentheses": lambda k: "(" * k + "x1*x2" + ")" * k,
+    "calls": lambda k: "exp(" * k + "x1" + ")" * k,
+}
+STEPS = {"signs": MAX_DEPTH - 1, "sum": MAX_DEPTH - 1, "powers": MAX_DEPTH - 1,
+         "quotients": MAX_DEPTH - 2, "parentheses": MAX_DEPTH, "calls": MAX_DEPTH - 1}
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", DEEPEST)
+    def test_one_level_more_than_the_deepest_is_rejected_at_an_offset(self, shape):
+        text = DEEPEST[shape](STEPS[shape])
+        e = parse(text)
+        assert parse(to_string(e)) == e  # so convert writes what it reads back
+        with pytest.raises(ParseError, match=f"than {MAX_DEPTH} (levels|parentheses open)"):
+            parse(DEEPEST[shape](STEPS[shape] + 1))
+
+    # An exp tower of MAX_DEPTH levels overflows.
+    @pytest.mark.parametrize("shape", [s for s in DEEPEST if s != "calls"])
+    def test_fourth_derivatives_of_the_deepest_trees_sample(self, shape):
+        # extract_traces differentiates u four times and samples every
+        # derivative; the deepest accepted trees must not recurse out.
+        g = Grid2D(make_grid(1.0, 3), make_grid(0.7, 2))
+        traces, w, field = extract_traces(parse(DEEPEST[shape](STEPS[shape])), g)
+        assert w.values.shape == g.shape
 
 
 class TestDerivativeAgainstFiniteDifferences:

@@ -11,7 +11,7 @@ from _families import coefficient_subsets
 from ppde import goursat
 from ppde.expr import parse
 from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
-from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid, order_table, orders
+from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid, order_table, order_tables, orders
 from ppde.problem import Coefficients, apply_operator, lower_order
 from ppde.representation import TraceSet, extract_traces, line, reconstruct_field
 
@@ -186,7 +186,7 @@ def test_columns_that_join_late(n1, n2, seed):
     # until its start row.  The march overwrites its rows, so each subset
     # marches a copy of the known rows.
     g = Grid2D(make_grid(1.0, n1), make_grid(0.7, n2))
-    K = order_table(g.g2)
+    K1, K2 = order_tables(g)
     rng = np.random.default_rng(seed)
     start = np.sort(rng.integers(0, n1 + 1, size=rng.integers(1, 6)))
     start[0] = 0
@@ -195,8 +195,8 @@ def test_columns_that_join_late(n1, n2, seed):
     widths = [int(np.sum(start <= i)) for i in range(n1 + 1)]
     for subset in coefficient_subsets(ALL_COEFFICIENTS, seed=seed % 7):
         coeffs = Coefficients.from_exprs(g, subset)
-        grown = list(march(coeffs, (known[i, :, :k].copy() for i, k in enumerate(widths)), K))
-        padded = list(march(coeffs, known.copy(), K))
+        grown = list(march(coeffs, (known[i, :, :k].copy() for i, k in enumerate(widths)), K1, K2))
+        padded = list(march(coeffs, known.copy(), K1, K2))
         for i, (w, full) in enumerate(zip(grown, padded)):
             assert w.shape == (n2 + 1, widths[i]) and w.flags.c_contiguous
             assert full.flags.c_contiguous
@@ -207,8 +207,8 @@ def test_columns_that_join_late(n1, n2, seed):
 @settings(max_examples=25, deadline=None)
 @given(n1=st.integers(1, 8), n2=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_march_supplies_the_g2_known_rows(n1, n2, seed):
-    # The field of the unit trace g2 = e_m is line(x1) x K[., m], so the
-    # known rows of its column are -sum a line(x1)[p] K[q][:, m] over the
+    # The field of the unit trace g2 = e_m is line(x1) x K2[., m], so the
+    # known rows of its column are -sum a line(x1)[p] K2[q][:, m] over the
     # live terms a D1^p D2^q: minus the feed matrix G[1] + x1 G[0].  Named
     # to the march as zero columns, they must give what marching those
     # known rows written out gives.  Each subset marches a copy of the
@@ -218,16 +218,16 @@ def test_march_supplies_the_g2_known_rows(n1, n2, seed):
     g2_columns = slice(1, n2 + 2)  # with one other column on each side
     known = rng.normal(size=(n1 + 1, n2 + 1, n2 + 3))
     known[:, :, g2_columns] = 0.0
-    K = order_table(g.g2)
+    K1, K2 = order_tables(g)
     x1_line = line(g.g1.nodes[:, None])
     for subset in coefficient_subsets(ALL_COEFFICIENTS, seed=seed % 7):
         coeffs = Coefficients.from_exprs(g, subset)
         written = known.copy()
         for a, (p, q) in coeffs.live:
             if p < 2:
-                written[:, :, g2_columns] -= (x1_line[p] * a)[:, :, None] * K[q]
-        supplied = list(march(coeffs, known.copy(), K, g2_columns))
-        for i, (w, full) in enumerate(zip(supplied, march(coeffs, written, K))):
+                written[:, :, g2_columns] -= (x1_line[p] * a)[:, :, None] * K2[q]
+        supplied = list(march(coeffs, known.copy(), K1, K2, g2_columns))
+        for i, (w, full) in enumerate(zip(supplied, march(coeffs, written, K1, K2))):
             assert w.flags.c_contiguous and full.flags.c_contiguous
             np.testing.assert_allclose(w, full, rtol=0, atol=1e-13, err_msg=f"{subset} row {i}")
         assert len(supplied) == n1 + 1
@@ -236,22 +236,25 @@ def test_march_supplies_the_g2_known_rows(n1, n2, seed):
 @pytest.mark.parametrize("exprs", [{}, ALL_COEFFICIENTS], ids=["no_coefficient", "all_eight"])
 def test_march_writes_w_into_the_rows_it_is_given(exprs):
     # Each w is the known row object handed in, overwritten; the order
-    # table K is read-only and read only.
+    # tables K1 and K2 are read-only and read only.
     g = Grid2D(make_grid(1.0, 6), make_grid(0.7, 9))
     coeffs = Coefficients.from_exprs(g, exprs)
     known = np.random.default_rng(14).normal(size=(7, 10, 3))
-    K = order_table(g.g2)
-    np.testing.assert_array_equal(K, orders(np.eye(10), g.g2.nodes[:, None], g.g2.h))
-    assert not K.flags.writeable
-    K_before = K.copy()
+    K1, K2 = order_tables(g)
+    np.testing.assert_array_equal(K1, order_table(g.g1))
+    np.testing.assert_array_equal(K2, orders(np.eye(10), g.g2))
+    assert not K1.flags.writeable and not K2.flags.writeable
+    before = K1.copy(), K2.copy()
     rows = list(known.copy())
-    expected = [w.copy() for w in march(coeffs, known.copy(), K)]
-    for row, w, e in zip(rows, march(coeffs, iter(rows), K), expected, strict=True):
+    expected = [w.copy() for w in march(coeffs, known.copy(), K1, K2)]
+    for row, w, e in zip(rows, march(coeffs, iter(rows), K1, K2), expected, strict=True):
         assert w is row and w.flags.c_contiguous
         np.testing.assert_array_equal(w, e)
-    np.testing.assert_array_equal(K, K_before)
-    if not exprs:  # without a live coefficient K is not read, so solve_goursat passes None
-        assert all(w is row for w, row in zip(march(coeffs, iter(rows), None), rows, strict=True))
+    for K, K_before in zip((K1, K2), before):
+        np.testing.assert_array_equal(K, K_before)
+    if not exprs:  # without a live coefficient no table is read, so solve_goursat passes None
+        assert all(w is row for w, row in zip(march(coeffs, iter(rows), None, None), rows,
+                                               strict=True))
 
 
 @pytest.mark.parametrize("m, k", [(9, 3), (33, 1), (41, 60), (65, 1), (65, 132), (129, 1)])

@@ -1,8 +1,11 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ppde
 from ppde.goursat import MarchingError
 from ppde.grid import (
     Grid2D,
@@ -13,6 +16,7 @@ from ppde.grid import (
     lp_norm,
     make_grid,
     mixed_norm,
+    order_table,
     orders,
     stage,
 )
@@ -30,12 +34,12 @@ def fn2(grid, f):
 
 def cumulative(f):
     """Node values of int_0^x f(t) dt for a GridFn1D f."""
-    return orders(f.values, f.grid.nodes, f.grid.h)[1]
+    return orders(f.values, f.grid)[1]
 
 
 def remainder(f):
     """Node values of int_0^x (x - t) f(t) dt for a GridFn1D f."""
-    return orders(f.values, f.grid.nodes, f.grid.h)[0]
+    return orders(f.values, f.grid)[0]
 
 
 def unit_square(n):
@@ -55,6 +59,11 @@ class TestMakeGrid:
     def test_invalid(self, length, n):
         with pytest.raises(ValueError):
             make_grid(length, n)
+
+    @pytest.mark.parametrize("n", [10**20, 2**62, 2**63 - 1])
+    def test_count_numpy_cannot_size_is_rejected_before_any_allocation(self, n):
+        with pytest.raises(ValueError, match=f"too large for an array of nodes, got {n}$"):
+            make_grid(1.0, n)
 
     def test_invariants(self):
         g = make_grid(0.7, 13)
@@ -150,16 +159,51 @@ class TestCumulativeIntegrals2D:
         rng = np.random.default_rng(11)
         g = Grid2D(make_grid(1.3, 6), make_grid(0.7, 4))
         values = rng.normal(size=g.shape)
-        X1 = g.g1.nodes[:, None]
-        X2 = g.g2.nodes[None, :]
-        along_x1 = orders(values, X1, g.g1.h, axis=0)
-        along_x2 = orders(values, X2, g.g2.h, axis=1)
+        along_x1 = orders(values, g.g1, axis=0)
+        along_x2 = orders(values, g.g2, axis=1)
         for j in range(g.shape[1]):
-            for got, want in zip(along_x1, orders(values[:, j], g.g1.nodes, g.g1.h)):
+            for got, want in zip(along_x1, orders(values[:, j], g.g1)):
                 np.testing.assert_array_equal(got[:, j], want)
         for i in range(g.shape[0]):
-            for got, want in zip(along_x2, orders(values[i, :], g.g2.nodes, g.g2.h)):
+            for got, want in zip(along_x2, orders(values[i, :], g.g2)):
                 np.testing.assert_array_equal(got[i, :], want)
+
+
+@pytest.mark.parametrize("length, n", [(1.0, 1), (1.0, 2), (0.7, 5), (1.3, 16), (2.0, 33)])
+class TestOrderTable:
+    def test_exact_for_affine_and_constant_integrands(self, length, n):
+        g = make_grid(length, n)
+        R, C, I = order_table(g)
+        x = g.nodes
+        np.testing.assert_array_equal(I, np.eye(n + 1))
+        np.testing.assert_allclose(C @ (3.0 - 2.0 * x), 3.0 * x - x**2, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(C @ np.ones(n + 1), x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(R @ np.full(n + 1, 2.0), x**2, rtol=0, atol=1e-14)
+
+    def test_lower_triangular_with_an_empty_first_row(self, length, n):
+        table = order_table(make_grid(length, n))
+        for T in table:
+            assert np.all(np.triu(T, 1) == 0.0)
+        assert np.all(table[:2, 0] == 0.0)
+        assert np.all(np.diagonal(table[0]) == 0.0)
+
+    def test_each_row_of_C_is_a_running_sum_plus_a_diagonal(self, length, n):
+        # goursat.march reads its x1 weights as C[i, i] and C[k + 1, k]:
+        # the latter must be every later row's weight of node k, bit for bit.
+        C = order_table(make_grid(length, n))[1]
+        for k in range(n):
+            assert np.all(C[k + 1:, k] == C[k + 1, k]), k
+
+
+def test_only_grid_reads_the_spacing():
+    # grid.py alone knows that the grid is uniform and the quadrature
+    # trapezoidal: no other module of the package reads an attribute h.
+    readers = []
+    for path in sorted(Path(ppde.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "h" and path.name != "grid.py":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert not readers
 
 
 class TestLinearity:
