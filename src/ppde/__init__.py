@@ -16,7 +16,6 @@ from .dirichlet import (
     DirichletProblem,
     Solution,
     assemble_closure_system,
-    residual_report,
     solve_classical,
     solve_dirichlet,
 )

@@ -486,6 +486,13 @@ def _diagnostics_dict(cfg: Config, sol) -> dict:
 # subcommands
 
 def _cmd_solve(args) -> int:
+    out = Path(args.out)
+    field = {(i, j): out.with_name(f"{out.stem}_d{i}{j}{out.suffix}")
+             for i in range(3) for j in range(3)} if args.field else {}
+    # A file holds one output; a pipe or a device, such as /dev/stdout, may take several.
+    if args.diag and (os.path.isfile(args.diag) or not os.path.exists(args.diag)):
+        if os.path.abspath(args.diag) in {os.path.abspath(path) for path in (out, *field.values())}:
+            raise ConfigError(f"--diag {args.diag} would overwrite a solution output")
     cfg = load_config(args.config)
     if cfg.classical is None and cfg.nonclassical is None:
         raise ConfigError("solve needs a [data.nonclassical] or [data.classical] block")
@@ -495,14 +502,12 @@ def _cmd_solve(args) -> int:
         sol = solve_dirichlet(DirichletProblem(cfg.grid, cfg.coeffs, cfg.rhs, cfg.nonclassical,
                                                ridge=cfg.ridge))
 
-    out = Path(args.out)
-    files = {out: sol.field.u.values}
-    if args.field:  # field.u is d[0][0]: its file is a copy of out
-        files.update({out.with_name(f"{out.stem}_d{i}{j}{out.suffix}"): sol.field.d[i][j].values
-                      for i in range(3) for j in range(3) if (i, j) != (0, 0)})
+    # field.u is d[0][0]: its file is a copy of out
+    files = {out: sol.field.u.values, **{path: sol.field.d[i][j].values
+                                         for (i, j), path in field.items() if (i, j) != (0, 0)}}
     _write_csv([cfg.grid.g1, cfg.grid.g2], files)
     if args.field:  # in chunks: the whole file is never held
-        with open(out, "rb") as src, _output(out.with_name(f"{out.stem}_d00{out.suffix}")) as dst:
+        with open(out, "rb") as src, _output(field[0, 0]) as dst:
             shutil.copyfileobj(src, dst)
     if args.diag:
         _write_text(args.diag, json.dumps(_diagnostics_dict(cfg, sol), indent=2, sort_keys=True) + "\n")
@@ -573,10 +578,9 @@ def _cmd_check(args) -> int:
         rep = check_agreement(cfg.classical)
     else:
         rep = check_compatibility(cfg.nonclassical)
-    worst = 0.0
     for name, value in dataclasses.asdict(rep).items():
         print(f"{name} = {_FMT.format(value)}")
-        worst = max(worst, abs(value))
+    worst = rep.max_abs()
     ok = worst <= args.tol
     print(f"max |residual| = {_FMT.format(worst)} ({'<=' if ok else '>'} tol {args.tol:g})")
     return 0 if ok else 1

@@ -38,20 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .goursat import GoursatProblem, MarchingError, march, solve_goursat
-from .grid import (Grid2D, GridFn1D, GridFn2D, NonFiniteError, lp_norm, mixed_norm,
-                   order_tables, scaled_norm, stage)
+from .grid import Grid2D, GridFn1D, GridFn2D, NonFiniteError, order_tables, scaled_norm, stage
 from .problem import (
-    _TERMS,
     CONDITIONS,
     AgreementReport,
     ClassicalData,
     Coefficients,
     CompatibilityReport,
     NonClassicalData,
-    apply_operator,
     check_agreement,
     check_compatibility,
     classical_to_nonclassical,
+    coefficient_norms,
     condition_values,
     lower_order,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "assemble_closure_system",
     "solve_dirichlet",
     "solve_classical",
-    "residual_report",
 ]
 
 
@@ -104,16 +101,15 @@ class ClosureSystem:
 
     Unknown layout: [c, g1 at the x1 nodes, g2 at the x2 nodes].  Row
     layout: the conditions of ``_CLOSURE`` in turn, one row per node that
-    ``problem.CONDITIONS`` gives each of them.
+    ``problem.CONDITIONS`` gives each of them: two corner rows and one per
+    node of each axis, one row more than the unknowns.
     """
 
-    def __init__(self, matrix: np.ndarray, offset: np.ndarray, n1: int, n2: int):
-        rows = 2 + (n1 + 1) + (n2 + 1)
-        cols = 1 + (n1 + 1) + (n2 + 1)
-        if matrix.shape != (rows, cols):
-            raise ValueError(f"closure matrix must be {rows}x{cols}, got {matrix.shape}")
-        if offset.shape != (rows,):
-            raise ValueError(f"closure offset must have length {rows}")
+    def __init__(self, matrix: np.ndarray, offset: np.ndarray):
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] + 1:
+            raise ValueError(f"closure matrix must have one row more than columns, got {matrix.shape}")
+        if offset.shape != matrix.shape[:1]:
+            raise ValueError(f"closure offset must have one entry per row, got {offset.shape}")
         if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(offset))):
             raise NonFiniteError("closure system entries must be finite")
         self.matrix = matrix
@@ -256,7 +252,7 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
         raise MarchingError(f"closure march failed: {err}") from err
     del F1, F2, known0  # released before the copy into the public layout [c | g1 | g2]
     matrix = system[:, np.r_[n2 + 2:n1 + n2 + 4, 1:n2 + 2]]
-    return ClosureSystem(matrix, -system[:, 0], n1, n2)
+    return ClosureSystem(matrix, -system[:, 0])
 
 
 def _solve_least_squares(system: ClosureSystem, ridge: float) -> np.ndarray:
@@ -278,20 +274,6 @@ def _solve_least_squares(system: ClosureSystem, ridge: float) -> np.ndarray:
 def _condition_residuals(field: DerivativeField, data: NonClassicalData) -> dict:
     return {name: float(np.max(np.abs(r)))
             for name, r in _signed_residuals(field.values, data).items()}
-
-
-def _coefficient_norms(coeffs: Coefficients) -> dict:
-    # Informational: the sup/integrability pattern that the coefficient of
-    # D1^i D2^j u is expected to satisfy, evaluated with exponent 2 on the
-    # grid: sup over x1 when i = 2, sup over x2 when j = 2, L2 otherwise.
-    # Every such norm of a zero coefficient is 0.0, which is written as is.
-    norms, live = {}, {ij for _, ij in coeffs.live}
-    for name, (i, j) in _TERMS.items():
-        a = getattr(coeffs, name)
-        norms[name] = (0.0 if (i, j) not in live else
-                       mixed_norm(a, np.inf, 2) if i == 2 else
-                       mixed_norm(a, 2, np.inf) if j == 2 else lp_norm(a, 2))
-    return norms
 
 
 def solve_dirichlet(p: DirichletProblem) -> Solution:
@@ -326,7 +308,7 @@ def solve_dirichlet(p: DirichletProblem) -> Solution:
             equation_residual=final.residual,
             condition_residuals=_condition_residuals(final.field, p.data),
             goursat_iterations=final.iterations,
-            coefficient_norms=_coefficient_norms(p.coeffs),
+            coefficient_norms=coefficient_norms(p.coeffs),
         )
     return Solution(final.field, theta, diagnostics)
 
@@ -345,18 +327,3 @@ def solve_classical(coeffs: Coefficients, rhs: GridFn2D, d: ClassicalData,
     diagnostics = dataclasses.replace(s.diagnostics, agreement=check_agreement(d))
     return Solution(s.field, s.theta, diagnostics)
 
-
-@stage("residual report")
-def residual_report(s: Solution, p: DirichletProblem) -> Diagnostics:
-    """Recompute the a-posteriori residuals of a solution; idempotent."""
-    if s.field.grid != p.grid:
-        raise ValueError("solution and problem grids differ")
-    equation_residual = float(
-        np.max(np.abs(apply_operator(s.field, p.coeffs).values - p.rhs.values))
-    )
-    return dataclasses.replace(
-        s.diagnostics,
-        compat=check_compatibility(p.data),
-        equation_residual=equation_residual,
-        condition_residuals=_condition_residuals(s.field, p.data),
-    )

@@ -16,9 +16,13 @@ every expression smooth wherever its denominators do not vanish and makes
 symbolic differentiation closed on the grammar.  Evaluation accepts scalars
 or numpy arrays; ``sample`` evaluates on the nodes of a grid.
 
-Evaluation, differentiation and printing recurse once per level of the
-tree, so ``parse`` rejects a tree deeper than ``MAX_DEPTH`` levels, or with
-more than ``MAX_DEPTH`` parentheses open at once.  A derivative turns each
+A derivative refers to its operands and their derivatives again, so its
+tree shares subtrees; each call of ``evaluate`` or ``differentiate`` visits
+each distinct node once, however many paths lead to it, and ``evaluate``
+keeps a shared node's value only until its last use.  Evaluation,
+differentiation and printing recurse once per level of the tree, so
+``parse`` rejects a tree deeper than ``MAX_DEPTH`` levels, or with more
+than ``MAX_DEPTH`` parentheses open at once.  A derivative turns each
 level into at most three (a quotient's into '/', '-' and '*'), and four
 turn it into at most 15 (3, 6, 10, 15), so the fourth derivatives that
 ``representation.extract_traces`` samples stay within 15 * MAX_DEPTH = 750
@@ -279,29 +283,67 @@ def parse(text: str) -> Expr:
 
 def evaluate(e: Expr, x1, x2):
     """Evaluate ``e`` at (x1, x2); the arguments may be scalars or arrays."""
+    return _evaluate(e, x1, x2, {}, _references(e))
+
+
+def _references(e: Expr) -> dict:
+    """id(node) -> the number of references to each inner node of ``e``, one
+    of them ``e``'s own; a Num or Var is no key."""
+    refs, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Num, Var)):
+            continue
+        if id(node) in refs:
+            refs[id(node)] += 1
+            continue
+        refs[id(node)] = 1
+        if isinstance(node, BinOp):
+            stack += [node.left, node.right]
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+        elif isinstance(node, (Neg, Call)):
+            stack.append(node.arg)
+    return refs
+
+
+def _evaluate(e: Expr, x1, x2, memo: dict, refs: dict):
+    """The value of ``e``.  ``memo`` maps id(node) to the value of a node
+    evaluated in this call until the last of its references in ``refs``
+    reads it, so no value outlives its last use; the tree keeps every node,
+    and so its id, alive."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
         return x1 if e.name == "x1" else x2
+    key = id(e)
+    refs[key] -= 1
+    if key in memo:
+        return memo[key] if refs[key] else memo.pop(key)
     if isinstance(e, Neg):
-        return -evaluate(e.arg, x1, x2)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, x1, x2)
-        b = evaluate(e.right, x1, x2)
+        value = -_evaluate(e.arg, x1, x2, memo, refs)
+    elif isinstance(e, BinOp):
+        a = _evaluate(e.left, x1, x2, memo, refs)
+        b = _evaluate(e.right, x1, x2, memo, refs)
         if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if np.any(b == 0.0):
+            value = a + b
+        elif e.op == "-":
+            value = a - b
+        elif e.op == "*":
+            value = a * b
+        elif np.any(b == 0.0):
             raise EvalDomainError("division by zero while evaluating", e.pos)
-        return a / b
-    if isinstance(e, Pow):
-        return _power(evaluate(e.base, x1, x2), e.exponent)
-    if isinstance(e, Call):
-        return FUNCTIONS[e.func][0](evaluate(e.arg, x1, x2))
-    raise TypeError(f"not an expression node: {e!r}")
+        else:
+            value = a / b
+    elif isinstance(e, Pow):
+        value = _power(_evaluate(e.base, x1, x2, memo, refs), e.exponent)
+    elif isinstance(e, Call):
+        value = FUNCTIONS[e.func][0](_evaluate(e.arg, x1, x2, memo, refs))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if refs[key]:
+        memo[key] = value
+    return value
 
 
 def _power(a, k: int):
@@ -412,33 +454,41 @@ def differentiate(e: Expr, var: str) -> Expr:
     """Exact partial derivative of ``e`` with respect to ``var`` (x1 or x2)."""
     if var not in VARIABLES:
         raise ValueError(f"variable must be one of {VARIABLES}, got {var!r}")
-    return _diff(e, var)
+    return _diff(e, var, {})
 
 
-def _diff(e: Expr, var: str) -> Expr:
+def _diff(e: Expr, var: str, memo: dict) -> Expr:
+    """The derivative of ``e``; ``memo`` maps id(node) to the derivative of
+    each node differentiated in this call, which the tree keeps alive."""
     if isinstance(e, Num):
         return _num(0.0)
     if isinstance(e, Var):
         return _num(1.0 if e.name == var else 0.0)
+    key = id(e)
+    if key in memo:
+        return memo[key]
     if isinstance(e, Neg):
-        return _neg(_diff(e.arg, var))
-    if isinstance(e, BinOp):
-        da = _diff(e.left, var)
-        db = _diff(e.right, var)
+        d = _neg(_diff(e.arg, var, memo))
+    elif isinstance(e, BinOp):
+        da = _diff(e.left, var, memo)
+        db = _diff(e.right, var, memo)
         if e.op == "+":
-            return _add(da, db)
-        if e.op == "-":
-            return _sub(da, db)
-        if e.op == "*":
-            return _add(_mul(da, e.right), _mul(e.left, db))
-        num = _sub(_mul(da, e.right), _mul(e.left, db))
-        return _div(num, _pow(e.right, 2))
-    if isinstance(e, Pow):
-        inner = _diff(e.base, var)
-        return _mul(_mul(_num(e.exponent), _pow(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Call):
-        return FUNCTIONS[e.func][1](e.arg, _diff(e.arg, var))
-    raise TypeError(f"not an expression node: {e!r}")
+            d = _add(da, db)
+        elif e.op == "-":
+            d = _sub(da, db)
+        elif e.op == "*":
+            d = _add(_mul(da, e.right), _mul(e.left, db))
+        else:
+            d = _div(_sub(_mul(da, e.right), _mul(e.left, db)), _pow(e.right, 2))
+    elif isinstance(e, Pow):
+        inner = _diff(e.base, var, memo)
+        d = _mul(_mul(_num(e.exponent), _pow(e.base, e.exponent - 1)), inner)
+    elif isinstance(e, Call):
+        d = FUNCTIONS[e.func][1](e.arg, _diff(e.arg, var, memo))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[key] = d
+    return d
 
 
 # ---------------------------------------------------------------------------

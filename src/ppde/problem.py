@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D, NonFiniteError, orders, stage
+from .grid import (Grid1D, Grid2D, GridFn1D, GridFn2D, NonFiniteError, lp_norm, mixed_norm,
+                   orders, stage)
 from .representation import DerivativeField
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "classical_to_nonclassical",
     "nonclassical_to_classical",
     "check_compatibility",
+    "coefficient_norms",
     "condition_values",
     "apply_operator",
     "lower_order",
@@ -102,6 +104,23 @@ class Coefficients:
             except (ex.EvalDomainError, ValueError) as err:
                 raise ValueError(f"{name}: {err}") from err
         return cls(**fns)
+
+
+def coefficient_norms(coeffs: Coefficients) -> dict:
+    """Informational norms of the coefficients, keyed by name in summation order.
+
+    Each is the sup/integrability pattern that the coefficient of D1^i D2^j
+    u is expected to satisfy, evaluated with exponent 2 on the grid: sup
+    over x1 when i = 2, sup over x2 when j = 2, L2 otherwise.  Every such
+    norm of a zero coefficient is 0.0, which is written as is.
+    """
+    norms, live = {}, {ij for _, ij in coeffs.live}
+    for name, (i, j) in _TERMS.items():
+        a = getattr(coeffs, name)
+        norms[name] = (0.0 if (i, j) not in live else
+                       mixed_norm(a, np.inf, 2) if i == 2 else
+                       mixed_norm(a, 2, np.inf) if j == 2 else lp_norm(a, 2))
+    return norms
 
 
 class BoundaryFn:

@@ -52,6 +52,11 @@ def coefficient_subsets(exprs: dict, seed: int) -> list:
     return [{}] + [{name: e} for name, e in exprs.items()] + [mix, exprs]
 
 
+# 22 levels whose derivatives share subtrees along a great many paths:
+# walked once per path, their fourth derivatives take minutes to sample.
+NESTED_QUOTIENTS = "x1*x2" + "/(1+x1+x2)" * 19
+
+
 def random_expr(rng, depth=0) -> str:
     """General random expression text for derivative spot checks."""
     choices = ["num", "var", "add", "sub", "mul", "pow", "call"]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _families import NESTED_QUOTIENTS
 import ppde.cli
 import ppde.expr
 import ppde.verify
@@ -431,6 +433,17 @@ class TestOutputFiles:
         finally:
             os.close(w)
             os.close(r)
+
+    @pytest.mark.parametrize("diag", ["u.csv", "u_d00.csv", "u_d12.csv"])
+    def test_diag_onto_a_solution_output_is_a_config_error(self, tmp_path, cfg, capsys, diag):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = output_argvs(cfg, out)["solve"]
+        argv[argv.index("--diag") + 1] = str(out / diag)
+        assert run(argv) == 2
+        err = f"config error: --diag {out / diag} would overwrite a solution output\n"
+        assert capsys.readouterr().err == err
+        assert written(out) == {}
 
     def test_output_to_dev_null_is_exit_0(self, cfg, capsys):
         argv = ["solve", "--config", cfg, "--out", os.devnull, "--diag", os.devnull]
@@ -989,6 +1002,13 @@ class TestVerifyCommand:
         d00 = out.read_text().splitlines()[1].split(",")
         assert d00[:2] == ["d00", "3.0058721774758702e+197"]
         assert 1e196 < float(d00[2]) < 1e198
+
+    def test_nested_quotients_verify_in_seconds(self, tmp_path):
+        cfg = write(tmp_path / "v.ini", BASE.format(n=4))
+        start = time.perf_counter()
+        assert run(["verify", "--u", NESTED_QUOTIENTS, "--config", cfg,
+                    "--out", str(tmp_path / "table.csv")]) == 0
+        assert time.perf_counter() - start < 5.0
 
     @pytest.mark.parametrize("u", ["exp(1000*x1)", "1/x1", "10^400*x1"])
     def test_u_not_finite_on_the_grid_is_a_config_error(self, tmp_path, capsys, u):

@@ -13,7 +13,6 @@ from ppde.dirichlet import (
     DirichletProblem,
     _solve_least_squares,
     assemble_closure_system,
-    residual_report,
     solve_classical,
     solve_dirichlet,
 )
@@ -287,9 +286,13 @@ class TestSolveDirichlet:
                                                   tol=p.tol, ridge=1e-12))
         assert np.max(np.abs(plain.theta - ridged.theta)) <= 1e-6
 
+    @pytest.mark.parametrize("matrix, offset", [((5, 5), (5,)), ((6, 5), (5,)), ((6,), (6,))])
+    def test_closure_shape_is_checked(self, matrix, offset):
+        with pytest.raises(ValueError, match="closure"):
+            ClosureSystem(np.zeros(matrix), np.zeros(offset))
+
     def test_rank_collapse_warns_not_fatal(self):
-        n = 1
-        system = ClosureSystem(np.zeros((6, 5)), np.zeros(6), n, n)
+        system = ClosureSystem(np.zeros((6, 5)), np.zeros(6))
         with pytest.warns(RuntimeWarning, match="rank"):
             theta = _solve_least_squares(system, 0.0)
         np.testing.assert_array_equal(theta, np.zeros(5))
@@ -299,7 +302,7 @@ class TestSolveDirichlet:
         rng = np.random.default_rng(4)
         matrix = rng.normal(size=(6, 5))
         matrix[:, 4] = matrix[:, 3]
-        system = ClosureSystem(matrix, rng.normal(size=6), 1, 1)
+        system = ClosureSystem(matrix, rng.normal(size=6))
         with pytest.warns(RuntimeWarning, match="rank 4 < 5"):
             _solve_least_squares(system, 0.0)
 
@@ -443,32 +446,6 @@ class TestEquivalence:
         rhs = GridFn2D(g, X1**2 + X2**2)
         sol = solve_classical(coeffs, rhs, d, g)
         assert np.max(np.abs(sol.field.u.values - (X1**2 + X2**2))) <= 10 * g.g1.h**2
-
-
-class TestResidualReport:
-    def test_idempotent(self):
-        case = poly_case(8)
-        sol = solve_dirichlet(case.problem)
-        rep = residual_report(sol, case.problem)
-        assert rep.compat == sol.diagnostics.compat
-        assert rep.equation_residual == sol.diagnostics.equation_residual
-        assert rep.condition_residuals == sol.diagnostics.condition_residuals
-        assert rep.closure_residual == sol.diagnostics.closure_residual
-
-    def test_zero_solution(self):
-        g = unit_square(4)
-        problem = DirichletProblem(g, Coefficients.zeros(g), GridFn2D.zeros(g),
-                                   NonClassicalData.zeros(g))
-        sol = solve_dirichlet(problem)
-        rep = residual_report(sol, problem)
-        assert rep.equation_residual == 0.0
-        assert all(v == 0.0 for v in rep.condition_residuals.values())
-
-    def test_grid_mismatch(self):
-        case = poly_case(8)
-        sol = solve_dirichlet(case.problem)
-        with pytest.raises(ValueError):
-            residual_report(sol, poly_case(4).problem)
 
 
 class TestSuperposition:

@@ -195,15 +195,29 @@ class TestOrderTable:
             assert np.all(C[k + 1:, k] == C[k + 1, k]), k
 
 
+def package_nodes():
+    """(file name, node) for every AST node of every module of the package."""
+    for path in sorted(Path(ppde.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_only_grid_reads_the_spacing():
     # grid.py alone knows that the grid is uniform and the quadrature
     # trapezoidal: no other module of the package reads an attribute h.
-    readers = []
-    for path in sorted(Path(ppde.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "h" and path.name != "grid.py":
-                readers.append(f"{path.name}:{node.lineno}")
+    readers = [f"{name}:{node.lineno}" for name, node in package_nodes()
+               if isinstance(node, ast.Attribute) and node.attr == "h" and name != "grid.py"]
     assert not readers
+
+
+def test_no_module_imports_a_private_name():
+    # An underscore name is its own module's business: a rule that another
+    # module needs gets a public name in the module that owns it.
+    imports = [f"{name}:{node.lineno} {alias.name}" for name, node in package_nodes()
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "ppde")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not imports
 
 
 class TestLinearity:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _families import coefficient_subsets
-from ppde.dirichlet import _coefficient_norms, solve_dirichlet
+from ppde.dirichlet import solve_dirichlet
 from ppde.expr import differentiate, evaluate, parse
 from ppde.grid import Grid2D, GridFn1D, GridFn2D, lp_norm, make_grid, mixed_norm
 from ppde.problem import (
@@ -22,6 +22,7 @@ from ppde.problem import (
     check_agreement,
     check_compatibility,
     classical_to_nonclassical,
+    coefficient_norms,
     lower_order,
     nonclassical_to_classical,
 )
@@ -411,7 +412,7 @@ class TestApplyOperator:
     def test_coefficient_norms_of_zero_coefficients(self):
         g = unit_square(4)
         coeffs = Coefficients.from_exprs(g, {"a12": "1+x2", "a00": "x1"})
-        norms = _coefficient_norms(coeffs)
+        norms = coefficient_norms(coeffs)
         assert list(norms) == list(_TERMS)  # the --diag keys, in their order
         assert norms["a12"] == mixed_norm(coeffs.a12, 2, np.inf) > 0.0
         assert norms["a00"] == lp_norm(coeffs.a00, 2) > 0.0
