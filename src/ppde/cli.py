@@ -485,14 +485,26 @@ def _diagnostics_dict(cfg: Config, sol) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _would_overwrite(path, others) -> bool:
+    """Whether writing ``path`` would replace the file of one of ``others``,
+    through a link or not.  A file holds one output; a pipe or a device, such
+    as /dev/stdout, may take several.  A path that names no file yet, or a
+    dangling link, is compared by the name it resolves to."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        real = os.path.realpath(path)
+        return any(os.path.realpath(other) == real for other in others)
+    return stat.S_ISREG(st.st_mode) and any(
+        os.path.exists(other) and os.path.samestat(st, os.stat(other)) for other in others)
+
+
 def _cmd_solve(args) -> int:
     out = Path(args.out)
     field = {(i, j): out.with_name(f"{out.stem}_d{i}{j}{out.suffix}")
              for i in range(3) for j in range(3)} if args.field else {}
-    # A file holds one output; a pipe or a device, such as /dev/stdout, may take several.
-    if args.diag and (os.path.isfile(args.diag) or not os.path.exists(args.diag)):
-        if os.path.abspath(args.diag) in {os.path.abspath(path) for path in (out, *field.values())}:
-            raise ConfigError(f"--diag {args.diag} would overwrite a solution output")
+    if args.diag and _would_overwrite(args.diag, (out, *field.values())):
+        raise ConfigError(f"--diag {args.diag} would overwrite a solution output")
     cfg = load_config(args.config)
     if cfg.classical is None and cfg.nonclassical is None:
         raise ConfigError("solve needs a [data.nonclassical] or [data.classical] block")

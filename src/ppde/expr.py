@@ -10,11 +10,14 @@ Grammar (standard precedence, left associative binary operators):
                 | function '(' expression ')'
                 | '(' expression ')'
 
-The only variables are x1 and x2, and the functions are the rows of
-``FUNCTIONS``.  Exponents must be nonnegative integer literals, which keeps
-every expression smooth wherever its denominators do not vanish and makes
-symbolic differentiation closed on the grammar.  Evaluation accepts scalars
-or numpy arrays; ``sample`` evaluates on the nodes of a grid.
+The only variables are x1 and x2.  The functions are the rows of
+``FUNCTIONS``, and the binary operators the rows of ``OPERATORS``, in the
+precedence levels of ``PRECEDENCE`` (expression's, then term's); the
+parser reads one left-associative chain per level.  Exponents must be
+nonnegative integer literals, which keeps every expression smooth wherever
+its denominators do not vanish and makes symbolic differentiation closed on
+the grammar.  Evaluation accepts scalars or numpy arrays; ``sample``
+evaluates on the nodes of a grid.
 
 A derivative refers to its operands and their derivatives again, so its
 tree shares subtrees; each call of ``evaluate`` or ``differentiate`` visits
@@ -32,6 +35,7 @@ levels, below Python's default recursion limit of 1000.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -64,6 +68,17 @@ FUNCTIONS = {
     "cos": (np.cos, lambda a, da: _neg(_mul(Call("sin", a), da))),
     "exp": (np.exp, lambda a, da: _mul(Call("exp", a), da)),
 }
+# The grammar's binary operators: symbol -> (function, derivative rule).  The
+# rule maps the operands a, b and their derivatives da, db to the derivative
+# of the operation.  PRECEDENCE lists the symbols by level, loosest first.
+OPERATORS = {
+    "+": (operator.add, lambda a, b, da, db: _add(da, db)),
+    "-": (operator.sub, lambda a, b, da, db: _sub(da, db)),
+    "*": (operator.mul, lambda a, b, da, db: _add(_mul(da, b), _mul(a, db))),
+    "/": (operator.truediv,
+          lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2))),
+}
+PRECEDENCE = ("+-", "*/")
 MAX_DEPTH = 50
 
 
@@ -133,7 +148,7 @@ class Call(Expr):
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPS = "+-*/^()"
+_OPS = "".join(OPERATORS) + "^()"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -183,23 +198,17 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def expression(self) -> Expr:
-        node = self.term()
+    def chain(self, level: int = 0) -> Expr:
+        """A left-associative chain of the operators of PRECEDENCE[level]
+        between operands that bind tighter; past the last level, a unary."""
+        if level == len(PRECEDENCE):
+            return self.unary()
+        node = self.chain(level + 1)
         while True:
             kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
+            if kind == "op" and value in PRECEDENCE[level]:
                 self.advance()
-                node = BinOp(value, node, self.term(), pos=pos)
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinOp(value, node, self.unary(), pos=pos)
+                node = BinOp(value, node, self.chain(level + 1), pos=pos)
             else:
                 return node
 
@@ -254,7 +263,7 @@ class _Parser:
         self.open += 1
         if self.open > MAX_DEPTH:
             raise ParseError(f"more than {MAX_DEPTH} parentheses open", pos)
-        node = self.expression()
+        node = self.chain()
         self.expect_op(")")
         self.open -= 1
         return node
@@ -263,7 +272,7 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree; raises ParseError with offset."""
     p = _Parser(text)
-    node = p.expression()
+    node = p.chain()
     kind, value, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {value!r}", pos)
@@ -325,16 +334,9 @@ def _evaluate(e: Expr, x1, x2, memo: dict, refs: dict):
     elif isinstance(e, BinOp):
         a = _evaluate(e.left, x1, x2, memo, refs)
         b = _evaluate(e.right, x1, x2, memo, refs)
-        if e.op == "+":
-            value = a + b
-        elif e.op == "-":
-            value = a - b
-        elif e.op == "*":
-            value = a * b
-        elif np.any(b == 0.0):
+        if e.op == "/" and np.any(b == 0.0):
             raise EvalDomainError("division by zero while evaluating", e.pos)
-        else:
-            value = a / b
+        value = OPERATORS[e.op][0](a, b)
     elif isinstance(e, Pow):
         value = _power(_evaluate(e.base, x1, x2, memo, refs), e.exponent)
     elif isinstance(e, Call):
@@ -386,9 +388,19 @@ def _is_const(e: Expr, v: float) -> bool:
     return isinstance(e, Num) and e.value == v
 
 
+def _literal(op: str, a: Expr, b: Expr) -> Num | None:
+    """``a op b`` as a literal if a and b are literals and it is finite;
+    a zero divisor is not folded."""
+    if isinstance(a, Num) and isinstance(b, Num) and (op != "/" or b.value != 0.0):
+        value = OPERATORS[op][0](a.value, b.value)
+        if math.isfinite(value):
+            return _num(value)
+    return None
+
+
 def _add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Num) and isinstance(b, Num) and math.isfinite(a.value + b.value):
-        return _num(a.value + b.value)
+    if (folded := _literal("+", a, b)) is not None:
+        return folded
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -397,8 +409,8 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Num) and isinstance(b, Num) and math.isfinite(a.value - b.value):
-        return _num(a.value - b.value)
+    if (folded := _literal("-", a, b)) is not None:
+        return folded
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -413,8 +425,8 @@ def _neg(a: Expr) -> Expr:
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Num) and isinstance(b, Num) and math.isfinite(a.value * b.value):
-        return _num(a.value * b.value)
+    if (folded := _literal("*", a, b)) is not None:
+        return folded
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return _num(0.0)
     if _is_const(a, 1.0):
@@ -425,13 +437,8 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if (
-        isinstance(a, Num)
-        and isinstance(b, Num)
-        and b.value != 0.0
-        and math.isfinite(a.value / b.value)
-    ):
-        return _num(a.value / b.value)
+    if (folded := _literal("/", a, b)) is not None:
+        return folded
     if _is_const(b, 1.0):
         return a
     return BinOp("/", a, b)
@@ -443,7 +450,8 @@ def _pow(base: Expr, k: int) -> Expr:
     if k == 1:
         return base
     if isinstance(base, Num):
-        with np.errstate(over="ignore"):
+        # The power rule of a literal 0^0 asks for 0.0 ** -1, which is inf.
+        with np.errstate(over="ignore", divide="ignore"):
             value = _power(base.value, k)
         if math.isfinite(value):
             return _num(value)
@@ -470,16 +478,7 @@ def _diff(e: Expr, var: str, memo: dict) -> Expr:
     if isinstance(e, Neg):
         d = _neg(_diff(e.arg, var, memo))
     elif isinstance(e, BinOp):
-        da = _diff(e.left, var, memo)
-        db = _diff(e.right, var, memo)
-        if e.op == "+":
-            d = _add(da, db)
-        elif e.op == "-":
-            d = _sub(da, db)
-        elif e.op == "*":
-            d = _add(_mul(da, e.right), _mul(e.left, db))
-        else:
-            d = _div(_sub(_mul(da, e.right), _mul(e.left, db)), _pow(e.right, 2))
+        d = OPERATORS[e.op][1](e.left, e.right, _diff(e.left, var, memo), _diff(e.right, var, memo))
     elif isinstance(e, Pow):
         inner = _diff(e.base, var, memo)
         d = _mul(_mul(_num(e.exponent), _pow(e.base, e.exponent - 1)), inner)
@@ -497,8 +496,11 @@ def _diff(e: Expr, var: str, memo: dict) -> Expr:
 def to_string(e: Expr) -> str:
     """Fully parenthesized rendering; re-parses to an equivalent expression."""
     if isinstance(e, Num):
-        # A literal beyond the float range parses to inf, whose repr is no literal.
-        return "1e999" if e.value == math.inf else repr(e.value)
+        # A literal beyond the float range parses to inf, whose repr is no
+        # literal; a folded -inf is its negation.
+        if math.isinf(e.value):
+            return "1e999" if e.value > 0 else "(-1e999)"
+        return repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):

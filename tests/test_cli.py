@@ -445,6 +445,29 @@ class TestOutputFiles:
         assert capsys.readouterr().err == err
         assert written(out) == {}
 
+    @pytest.mark.parametrize("target", ["u.csv", "u_d12.csv"])
+    @pytest.mark.parametrize("link", ["symlink", "hard link", "dangling symlink"])
+    def test_diag_onto_a_link_to_a_solution_output_is_a_config_error(self, tmp_path, cfg, capsys,
+                                                                     target, link):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = output_argvs(cfg, out)["solve"]
+        if link != "dangling symlink":
+            assert run(argv) == 0
+        (out / "d.json").unlink(missing_ok=True)
+        before = written(out)
+        alias = out / "alias.json"
+        if link == "hard link":
+            alias.hardlink_to(out / target)
+        else:
+            alias.symlink_to(target)
+        argv[argv.index("--diag") + 1] = str(alias)
+        assert run(argv) == 2
+        err = f"config error: --diag {alias} would overwrite a solution output\n"
+        assert capsys.readouterr().err == err
+        alias.unlink()
+        assert written(out) == before
+
     def test_output_to_dev_null_is_exit_0(self, cfg, capsys):
         argv = ["solve", "--config", cfg, "--out", os.devnull, "--diag", os.devnull]
         assert run(argv) == 0

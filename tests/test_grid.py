@@ -220,6 +220,24 @@ def test_no_module_imports_a_private_name():
     assert not imports
 
 
+def test_every_import_is_used():
+    # No linter runs on the package: each module's imports are read in the
+    # module or listed in its __all__.  ppde/__init__.py only re-exports, and
+    # representation.py keeps cumtrapz for perfbench/tracing.py to patch.
+    imported, used = {}, {("representation.py", "cumtrapz")}
+    for name, node in package_nodes():
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                imported[name, alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add((name, node.id))
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in node.targets):
+            used.update((name, elt.value) for elt in node.value.elts)
+    unused = [f"{name}:{line} {bound}" for (name, bound), line in imported.items()
+              if (name, bound) not in used and name != "__init__.py"]
+    assert not unused
+
+
 class TestLinearity:
     def test_both_operators(self):
         rng = np.random.default_rng(7)
