@@ -2,10 +2,14 @@
 
 Classical data prescribes u along the four edges and must satisfy four
 corner agreement equalities.  The non-classical data prescribes corner
-values, corner first derivatives, and second-derivative edge traces; no
-agreement constraints apply.  Because boundary functions are stored in
-Taylor form (value, slope, second-derivative grid), converting between
-the formulations is an exact repackaging, and both solve paths run the
+values, corner first derivatives, and second-derivative edge traces; they
+carry three corner identities, the compatibility residuals rho1-rho3.  The
+solution does not depend on z00_h1 or z00_h2, and data that break the
+far-corner agreement leave a closure residual instead of being met
+(ROADMAP.md's open item "Pose the paper's agreement-free data" plans the
+paper's free set).  Because boundary functions are stored in Taylor form
+(value, slope, second-derivative grid), converting between the
+formulations is an exact repackaging, and both solve paths run the
 identical computation, solution grids included, bit for bit.
 
 The script also pokes the data: shifting the corner value u(h1, 0) by

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import expr as ex
 from .dirichlet import DirichletProblem, solve_classical, solve_dirichlet
-from .grid import Grid2D, GridFn1D, GridFn2D, make_grid
+from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D
 from .problem import (
     CLASSICAL,
     BoundaryFn,
@@ -228,9 +228,8 @@ def _grid_fn(raw: str, grid, base_dir: Path, where: str):
             return ex.sample(e, grid)
         except (ex.EvalDomainError, ValueError) as err:
             raise ConfigError(f"{where}: {err}") from err
-    if isinstance(grid, Grid2D):
-        return GridFn2D(grid, _read_csv(raw, [grid.g1, grid.g2], base_dir, where).reshape(grid.shape))
-    return GridFn1D(grid, _read_csv(raw, [grid], base_dir, where))
+    fn = GridFn2D if isinstance(grid, Grid2D) else GridFn1D
+    return fn(grid, _read_csv(raw, grid.axes, base_dir, where).reshape(grid.shape))
 
 
 def load_config(path) -> Config:
@@ -262,8 +261,8 @@ def load_config(path) -> Config:
     for k in "12":
         h, n = domain[f"h{k}"], domain[f"n{k}"]
         try:
-            axes.append(make_grid(h, n))
-        except ValueError as err:  # make_grid checks the (finite) length first
+            axes.append(Grid1D(h, n))
+        except ValueError as err:  # Grid1D checks the (finite) length first
             raise ConfigError(f"[domain] {'n' if h > 0 else 'h'}{k}: {err}") from err
     grid = Grid2D(*axes)
 
@@ -517,7 +516,7 @@ def _cmd_solve(args) -> int:
     # field.u is d[0][0]: its file is a copy of out
     files = {out: sol.field.u.values, **{path: sol.field.d[i][j].values
                                          for (i, j), path in field.items() if (i, j) != (0, 0)}}
-    _write_csv([cfg.grid.g1, cfg.grid.g2], files)
+    _write_csv(cfg.grid.axes, files)
     if args.field:  # in chunks: the whole file is never held
         with open(out, "rb") as src, _output(field[0, 0]) as dst:
             shutil.copyfileobj(src, dst)
@@ -553,8 +552,7 @@ def _cmd_convert(args) -> int:
 
     def side_csv(name: str, fn: GridFn1D | GridFn2D) -> str:
         side = out.with_name(f"{out.stem}_{name}.csv")
-        _write_csv([fn.grid.g1, fn.grid.g2] if isinstance(fn, GridFn2D) else [fn.grid],
-                   {side: fn.values})
+        _write_csv(fn.grid.axes, {side: fn.values})
         return side.name
 
     lines = [*_domain_block(cfg.grid), "[coefficients]",
@@ -639,7 +637,7 @@ def _cmd_convergence(args) -> int:
     u = _parse_expr(args.u, "--u")
     cases = []
     for n in ns:  # every case is built, and so checked, before the first solve
-        grid = Grid2D(make_grid(cfg.grid.g1.length, n), make_grid(cfg.grid.g2.length, n))
+        grid = Grid2D(Grid1D(cfg.grid.g1.length, n), Grid1D(cfg.grid.g2.length, n))
         coeffs = _coefficients(cfg.coeff_exprs, grid, f" on the {n}x{n} grid")
         cases.append(_manufactured_case(u, coeffs, grid, cfg.ridge))
     table = convergence_table(cases)

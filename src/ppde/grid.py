@@ -68,12 +68,16 @@ _MAX_NODES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 class Grid1D:
-    """Equispaced grid of ``n`` intervals on the interval [0, length]."""
+    """Equispaced grid of ``n`` intervals on the interval [0, length], with
+    nodes i * length / n, i = 0..n.  ``n`` is a whole number: an integer of
+    Python or numpy, or a float such as 4.0."""
 
     def __init__(self, length: float, n: int):
         length = float(length)
         if not math.isfinite(length) or length <= 0.0:
             raise ValueError(f"grid length must be positive and finite, got {length}")
+        if not isinstance(n, (int, np.integer)) and not float(n).is_integer():
+            raise ValueError(f"number of intervals must be a whole number, got {n}")
         n = int(n)
         if n < 1:
             raise ValueError(f"number of intervals must be >= 1, got {n}")
@@ -83,6 +87,13 @@ class Grid1D:
         self.n = n
         self.nodes = np.linspace(0.0, length, n + 1)
         self.h = length / n
+        self.shape = (n + 1,)
+
+    @property
+    def axes(self) -> tuple[Grid1D]:
+        # A property, not an attribute: a grid that held itself would be a
+        # reference cycle, freed by the cyclic garbage collector alone.
+        return (self,)
 
     def __eq__(self, other):
         return isinstance(other, Grid1D) and (self.length, self.n) == (other.length, other.n)
@@ -102,10 +113,8 @@ class Grid2D:
             raise ValueError("Grid2D needs two Grid1D axes")
         self.g1 = g1
         self.g2 = g2
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.g1.n + 1, self.g2.n + 1)
+        self.axes = (g1, g2)
+        self.shape = (g1.n + 1, g2.n + 1)
 
     def __eq__(self, other):
         return isinstance(other, Grid2D) and self.g1 == other.g1 and self.g2 == other.g2
@@ -117,62 +126,71 @@ class Grid2D:
         return f"Grid2D({self.g1!r}, {self.g2!r})"
 
 
+def _frozen(grid: Grid1D | Grid2D, values, kind: type) -> np.ndarray:
+    """A read-only float copy of ``values``, which must be finite and of the
+    shape of ``grid``, a ``kind``."""
+    if not isinstance(grid, kind):
+        raise ValueError(f"grid must be a {kind.__name__}, got {type(grid).__name__}")
+    values = np.array(values, dtype=float, order="C")
+    if values.shape != grid.shape:
+        raise ValueError(f"values shape {values.shape} does not match grid shape {grid.shape}")
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("grid function values must be finite")
+    values.setflags(write=False)
+    return values
+
+
 class GridFn1D:
     """Real values attached to the nodes of a Grid1D; ``values`` is a read-only copy."""
 
     def __init__(self, grid: Grid1D, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n + 1,):
-            raise ValueError(f"values shape {values.shape} does not match grid with {grid.n + 1} nodes")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("grid function values must be finite")
         self.grid = grid
-        self.values = values.copy()
-        self.values.setflags(write=False)
+        self.values = _frozen(grid, values, Grid1D)
 
     @classmethod
     def zeros(cls, grid: Grid1D) -> "GridFn1D":
-        return cls(grid, np.zeros(grid.n + 1))
+        return cls(grid, np.zeros(grid.shape))
 
 
 class GridFn2D:
     """Real values on a Grid2D, entry (i, j) at (x1_i, x2_j); ``values`` is a read-only copy."""
 
     def __init__(self, grid: Grid2D, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(f"values shape {values.shape} does not match grid shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("grid function values must be finite")
         self.grid = grid
-        self.values = values.copy()
-        self.values.setflags(write=False)
+        self.values = _frozen(grid, values, Grid2D)
 
     @classmethod
     def zeros(cls, grid: Grid2D) -> "GridFn2D":
         return cls(grid, np.zeros(grid.shape))
 
 
-def make_grid(length: float, n: int) -> Grid1D:
-    """Build the equispaced grid with nodes i * length / n, i = 0..n."""
-    return Grid1D(length, n)
+make_grid = Grid1D  # the public name of the grid constructor
 
 
-def cumtrapz(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Cumulative composite-trapezoid antiderivative along one axis.
+def cumtrapz(values: np.ndarray, g: Grid1D, axis: int = 0) -> np.ndarray:
+    """Cumulative composite-trapezoid antiderivative along one axis, whose
+    nodes are those of the axis grid g.
 
     Output has the same shape as ``values``, starts at exactly 0 and is
-    exact whenever the integrand is affine between nodes.
+    exact whenever the integrand is affine between nodes.  With
+    ``_integral`` this is the trapezoid rule: the two are the only readers
+    of the spacing.
     """
     values = np.asarray(values, dtype=float)
     lo = [slice(None)] * values.ndim
     hi = [slice(None)] * values.ndim
     lo[axis] = slice(None, -1)
     hi[axis] = slice(1, None)
-    increments = 0.5 * h * (values[tuple(lo)] + values[tuple(hi)])
+    increments = 0.5 * g.h * (values[tuple(lo)] + values[tuple(hi)])
     out = np.zeros_like(values)
     out[tuple(hi)] = np.cumsum(increments, axis=axis)
     return out
+
+
+def _integral(values: np.ndarray, g: Grid1D, axis: int = -1) -> np.ndarray:
+    """Composite-trapezoid integral along one whole axis, whose nodes are
+    those of the axis grid g; the axis is dropped."""
+    return np.trapezoid(values, dx=g.h, axis=axis)
 
 
 def orders(f, g: Grid1D, axis: int = 0):
@@ -185,8 +203,8 @@ def orders(f, g: Grid1D, axis: int = 0):
     at exactly 0; C is exact for affine f and R for constant f.
     """
     x = g.nodes.reshape([-1 if k == axis else 1 for k in range(np.ndim(f))])
-    c = cumtrapz(f, g.h, axis)
-    m = cumtrapz(x * f, g.h, axis)
+    c = cumtrapz(f, g, axis)
+    m = cumtrapz(x * f, g, axis)
     return x * c - m, c, f
 
 
@@ -243,13 +261,12 @@ def lp_norm(f: GridFn1D | GridFn2D, p) -> float:
     a = np.abs(f.values)
     if math.isinf(p):
         return float(np.max(a))
-    if isinstance(f, GridFn1D):
-        def norm(v):
-            return np.trapezoid(v**p, dx=f.grid.h) ** (1.0 / p)
-    else:
-        def norm(v):
-            return np.trapezoid(np.trapezoid(v**p, dx=f.grid.g2.h, axis=1),
-                                dx=f.grid.g1.h) ** (1.0 / p)
+
+    def norm(v):
+        v = v**p
+        for g in reversed(f.grid.axes):  # the last axis first: the tests pin this order
+            v = _integral(v, g)
+        return v ** (1.0 / p)
     return scaled_norm(norm, a)
 
 
@@ -268,8 +285,8 @@ def mixed_norm(f: GridFn2D, inner_exponent, outer_exponent) -> float:
         if math.isinf(pi):
             inner = np.max(v, axis=0)
         else:
-            inner = np.trapezoid(v**pi, dx=f.grid.g1.h, axis=0) ** (1.0 / pi)
+            inner = _integral(v**pi, f.grid.g1, axis=0) ** (1.0 / pi)
         if math.isinf(po):
             return np.max(inner)
-        return np.trapezoid(inner**po, dx=f.grid.g2.h) ** (1.0 / po)
+        return _integral(inner**po, f.grid.g2) ** (1.0 / po)
     return scaled_norm(norm, np.abs(f.values))

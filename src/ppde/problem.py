@@ -10,9 +10,15 @@ Classical Dirichlet data prescribes u on the four edges through functions
 phi1, psi1, phi2, psi2 (edges x1 = 0, x2 = 0, x1 = h1, x2 = h2); these must
 satisfy four corner agreement equalities.  The non-classical data instead
 prescribes corner values, corner first derivatives and second-derivative
-edge traces, which are free of agreement constraints.  Each boundary
-function is stored as the triple (value at 0, first derivative at 0,
-second derivative grid); evaluating it uses the Taylor identity
+edge traces.  These carry three corner identities of their own, the
+residuals rho1-rho3 of ``check_compatibility``.  The solution does not
+depend on z00_h1 or z00_h2, which enter the diagnostics only; the closure
+has one row more than it has unknowns, and its one consistency condition is
+a far-corner agreement, so data that break it leave a closure residual
+instead of being met.  ROADMAP.md's open item "Pose the paper's
+agreement-free data" plans the paper's free set.  Each boundary function is
+stored as the triple (value at 0, first derivative at 0, second derivative
+grid); evaluating it uses the Taylor identity
 
     f(x) = f(0) + x f'(0) + int_0^x (x - t) f''(t) dt.
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .dirichlet import DirichletProblem, solve_dirichlet
-from .grid import Grid2D, GridFn2D, lp_norm, make_grid
+from .grid import Grid1D, Grid2D, GridFn2D, lp_norm
 from .problem import Coefficients, NonClassicalData, apply_operator
 from .representation import DerivativeField, extract_traces
 
@@ -126,7 +126,7 @@ def convergence_study(u, exprs: dict, lengths: tuple, ns) -> ConvergenceTable:
     interval counts (``check_doubling``).  Every grid's case is built
     before the first solve; ``convergence_table`` solves them.
     """
-    grids = [Grid2D(make_grid(lengths[0], n), make_grid(lengths[1], n)) for n in check_doubling(ns)]
+    grids = [Grid2D(Grid1D(lengths[0], n), Grid1D(lengths[1], n)) for n in check_doubling(ns)]
     return convergence_table([manufactured_problem(u, Coefficients.from_exprs(grid, exprs), grid)
                               for grid in grids])
 

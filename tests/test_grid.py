@@ -1,5 +1,8 @@
 import ast
+import gc
+import itertools
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +68,32 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match=f"too large for an array of nodes, got {n}$"):
             make_grid(1.0, n)
 
+    @pytest.mark.parametrize("n", [4.5, np.float64(4.7), float("inf"), -float("inf"), float("nan")])
+    def test_count_that_is_not_a_whole_number_is_rejected(self, n):
+        with pytest.raises(ValueError, match=f"must be a whole number, got {n}$"):
+            make_grid(1.0, n)
+
+    @pytest.mark.parametrize("n", [4, 4.0, np.float64(4.0), np.int32(4), np.int64(4), np.uint8(4)])
+    def test_whole_numbers_of_any_type_are_counts(self, n):
+        g = make_grid(1.0, n)
+        assert g.n == 4 and type(g.n) is int
+        assert g.shape == (5,) == g.nodes.shape
+
+    def test_grids_are_freed_by_reference_counting_alone(self):
+        # No grid refers to itself, so none waits for the cyclic collector.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g1 = make_grid(1.0, 4)
+            grid = Grid2D(g1, make_grid(2.0, 3))
+            assert g1.axes == (g1,) and grid.axes == (g1, grid.g2)
+            refs = [weakref.ref(g1), weakref.ref(grid)]
+            del g1, grid
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_invariants(self):
         g = make_grid(0.7, 13)
         assert g.nodes[0] == 0.0
@@ -76,12 +105,19 @@ class TestMakeGrid:
 
 class TestGridFnValidation:
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"values shape \(2,\) does not match grid shape \(5,\)"):
             GridFn1D(make_grid(1.0, 4), [1.0, 2.0])
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
             GridFn1D(make_grid(1.0, 2), [0.0, np.nan, 1.0])
+
+    def test_grid_of_the_other_dimension(self):
+        g = unit_square(2)
+        with pytest.raises(ValueError, match="^grid must be a Grid1D, got Grid2D$"):
+            GridFn1D(g, np.zeros(g.shape))
+        with pytest.raises(ValueError, match="^grid must be a Grid2D, got Grid1D$"):
+            GridFn2D(g.g1, np.zeros(g.g1.shape))
 
     def test_wrong_shape_2d(self):
         g = unit_square(2)
@@ -195,18 +231,29 @@ class TestOrderTable:
             assert np.all(C[k + 1:, k] == C[k + 1, k]), k
 
 
+def package_trees():
+    """(file name, AST) for every module of the package."""
+    for path in sorted(Path(ppde.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), str(path))
+
+
 def package_nodes():
     """(file name, node) for every AST node of every module of the package."""
-    for path in sorted(Path(ppde.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            yield path.name, node
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            yield name, node
 
 
 def test_only_grid_reads_the_spacing():
     # grid.py alone knows that the grid is uniform and the quadrature
-    # trapezoidal: no other module of the package reads an attribute h.
-    readers = [f"{name}:{node.lineno}" for name, node in package_nodes()
-               if isinstance(node, ast.Attribute) and node.attr == "h" and name != "grid.py"]
+    # trapezoidal, and in it only the two functions that hold the trapezoid
+    # rule read the spacing h: no other code of the package reads an
+    # attribute h.  Grid1D.__init__ sets it.
+    rule = {("grid.py", "cumtrapz"), ("grid.py", "_integral")}
+    readers = [f"{name}:{node.lineno}" for name, tree in package_trees()
+               for top in tree.body if (name, getattr(top, "name", None)) not in rule
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "h" and isinstance(node.ctx, ast.Load)]
     assert not readers
 
 
@@ -338,6 +385,33 @@ class TestMixedNorm:
             warnings.simplefilter("error")
             norm = mixed_norm(GridFn2D(g, np.full(g.shape, -1e160)), *exponents)
         assert norm == 1e160 * mixed_norm(GridFn2D(g, np.ones(g.shape)), *exponents)
+
+
+class TestNormsBitForBit:
+    # On a rectangle with n1 != n2 and h1 != h2, each norm equals its nested
+    # trapezoid sums written out here, bit for bit: the L_p integral runs
+    # over x2 first, then x1, and mixed_norm's inner integral over x1.  The
+    # two orders differ only in rounding, so only an exact test sees a swap.
+    grid = Grid2D(make_grid(1.3, 16), make_grid(0.7, 33))
+
+    def values(self):
+        return np.abs(np.random.default_rng(5).normal(size=self.grid.shape))
+
+    @pytest.mark.parametrize("p", [1, 2, 3.5])
+    def test_lp_norm(self, p):
+        g1, g2 = self.grid.g1, self.grid.g2
+        a = self.values()
+        want = np.trapezoid(np.trapezoid(a**p, dx=g2.h, axis=1), dx=g1.h) ** (1.0 / p)
+        assert lp_norm(GridFn2D(self.grid, a), p) == want
+        for g, edge in [(g1, a[:, 3]), (g2, a[5, :])]:
+            assert lp_norm(GridFn1D(g, edge), p) == np.trapezoid(edge**p, dx=g.h) ** (1.0 / p)
+
+    @pytest.mark.parametrize("inner, outer", itertools.product([1, 2, 3.5], repeat=2))
+    def test_mixed_norm(self, inner, outer):
+        a = self.values()
+        x1_norms = np.trapezoid(a**inner, dx=self.grid.g1.h, axis=0) ** (1.0 / inner)
+        want = np.trapezoid(x1_norms**outer, dx=self.grid.g2.h) ** (1.0 / outer)
+        assert mixed_norm(GridFn2D(self.grid, a), inner, outer) == want
 
 
 class TestStage:
