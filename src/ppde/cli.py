@@ -136,20 +136,20 @@ def _parse_expr(text: str, where: str) -> ex.Expr:
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _header(grids) -> str:
-    return "x,value" if len(grids) == 1 else "x1,x2,value"
+def _header(grid) -> str:
+    return "x,value" if len(grid.shape) == 1 else "x1,x2,value"
 
 
-def _first_fault(path: Path, grids, header: str) -> str:
+def _first_fault(path: Path, grid, header: str) -> str:
     """Why the CSV file at ``path``, which ``_read_csv`` rejected, does not
-    fit ``grids``: ``line <number>: <fault>`` for its first faulty row in
+    fit ``grid``: ``line <number>: <fault>`` for its first faulty row in
     file order, or else its row count.
 
     The file is read again line by line, and each row is parsed by the same
     ``np.loadtxt`` as the whole file was, so the two readings agree.
     """
+    grids, shape = grid.axes, grid.shape
     width = len(grids) + 1
-    shape = tuple(g.nodes.size for g in grids)
     with open(path, encoding="utf-8-sig") as fh:
         rows = ((number, line.removesuffix("\n"))
                 for number, line in enumerate(fh, 1) if line.strip())
@@ -170,11 +170,12 @@ def _first_fault(path: Path, grids, header: str) -> str:
     return f"must have {math.prod(shape)} {header} rows"
 
 
-def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
-    """Value column of a CSV file on the nodes of ``grids``, one row per node.
+def _read_csv(raw: str, grid, base_dir: Path, where: str) -> np.ndarray:
+    """Values on ``grid``, a Grid1D or a Grid2D, read from a CSV file with
+    one row per node.
 
-    The layout, which ``_write_csv`` writes too: one grid, header
-    ``x,value``; two grids (x1, x2), header ``x1,x2,value`` and rows in
+    The layout, which ``_write_csv`` writes too: on a Grid1D, header
+    ``x,value``; on a Grid2D, header ``x1,x2,value`` and rows in
     row-major order, x2 varying fastest.  The file is UTF-8 text, with or
     without a byte-order mark, whose lines end in LF, CRLF or CR; blank and
     whitespace-only lines are skipped.  Every field is read by numpy's
@@ -188,8 +189,8 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
     fault's file line; a wrong row count is found at the end.
     """
     path = base_dir / raw
-    header = _header(grids)
-    shape = tuple(g.nodes.size for g in grids)
+    header = _header(grid)
+    grids, shape = grid.axes, grid.shape
     try:
         with open(path, encoding="utf-8-sig") as fh:
             rows = filter(str.strip, fh)
@@ -206,8 +207,8 @@ def _read_csv(raw: str, grids, base_dir: Path, where: str) -> np.ndarray:
                 and all(np.all(np.abs(data[:, axis].reshape(shape) - x) <= 1e-12 * g.length)
                         for axis, (g, x) in enumerate(zip(grids, nodes)))
                 and np.all(np.isfinite(data[:, -1]))):
-            return data[:, -1]
-        raise ConfigError(f"{where}: {path} {_first_fault(path, grids, header)}")
+            return data[:, -1].reshape(shape)
+        raise ConfigError(f"{where}: {path} {_first_fault(path, grid, header)}")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{where}: cannot read {path}: {err}") from err
 
@@ -229,7 +230,7 @@ def _grid_fn(raw: str, grid, base_dir: Path, where: str):
         except (ex.EvalDomainError, ValueError) as err:
             raise ConfigError(f"{where}: {err}") from err
     fn = GridFn2D if isinstance(grid, Grid2D) else GridFn1D
-    return fn(grid, _read_csv(raw, grid.axes, base_dir, where).reshape(grid.shape))
+    return fn(grid, _read_csv(raw, grid, base_dir, where))
 
 
 def load_config(path) -> Config:
@@ -423,9 +424,9 @@ def _scientific(x, out):
         out[i] = np.frombuffer((b"%.16e" % x[i]).ljust(24, b"\0"), np.uint8)
 
 
-def _write_csv(grids, files: dict):
+def _write_csv(grid, files: dict):
     """Write each ``values`` of ``files`` (path -> values on the nodes of
-    ``grids``) as CSV, in the layout of ``_read_csv``.
+    ``grid``, a Grid1D or a Grid2D) as CSV, in the layout of ``_read_csv``.
 
     Every field is the text of ``"%.16e" % v``, written by ``_scientific``.
     A chunk of rows is a uint8 matrix with one row per CSV row: each axis's
@@ -434,7 +435,7 @@ def _write_csv(grids, files: dict):
     file.  Dropping the NUL bytes (``bytes.translate``, about twice as fast
     as a boolean mask) leaves the chunk's text, one write per file.
     """
-    shape = tuple(g.nodes.size for g in grids)
+    grids, shape = grid.axes, grid.shape
     axes = [np.empty((size, 25), np.uint8) for size in shape]
     for g, text in zip(grids, axes):
         _scientific(g.nodes, text[:, :24])
@@ -444,7 +445,7 @@ def _write_csv(grids, files: dict):
         out = [(stack.enter_context(_output(path)), np.reshape(values, -1))
                for path, values in files.items()]
         for fh, _ in out:
-            fh.write(f"{_header(grids)}\n".encode())
+            fh.write(f"{_header(grid)}\n".encode())
         size = math.prod(shape)
         for start in range(0, size, _WRITE_ROWS):
             rows = np.unravel_index(np.arange(start, min(start + _WRITE_ROWS, size)), shape)
@@ -516,7 +517,7 @@ def _cmd_solve(args) -> int:
     # field.u is d[0][0]: its file is a copy of out
     files = {out: sol.field.u.values, **{path: sol.field.d[i][j].values
                                          for (i, j), path in field.items() if (i, j) != (0, 0)}}
-    _write_csv(cfg.grid.axes, files)
+    _write_csv(cfg.grid, files)
     if args.field:  # in chunks: the whole file is never held
         with open(out, "rb") as src, _output(field[0, 0]) as dst:
             shutil.copyfileobj(src, dst)
@@ -552,7 +553,7 @@ def _cmd_convert(args) -> int:
 
     def side_csv(name: str, fn: GridFn1D | GridFn2D) -> str:
         side = out.with_name(f"{out.stem}_{name}.csv")
-        _write_csv(fn.grid.axes, {side: fn.values})
+        _write_csv(fn.grid, {side: fn.values})
         return side.name
 
     lines = [*_domain_block(cfg.grid), "[coefficients]",

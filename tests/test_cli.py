@@ -284,11 +284,11 @@ class TestSolve:
         case = ppde.verify.manufactured_problem("sin(x1)*exp(x2) + x1^2*x2",
                                                 Coefficients.zeros(grid), grid)
         classical = nonclassical_to_classical(case.problem.data)
-        ppde.cli._write_csv([grid.g1, grid.g2], {tmp_path / "rhs.csv": case.problem.rhs.values})
+        ppde.cli._write_csv(grid, {tmp_path / "rhs.csv": case.problem.rhs.values})
         lines = [BASE.format(n=64), "[rhs]", 'csv = "rhs.csv"', "[data.classical]"]
         for name in CLASSICAL:
             fn = getattr(classical, name)
-            ppde.cli._write_csv([fn.v2.grid], {tmp_path / f"{name}_v2.csv": fn.v2.values})
+            ppde.cli._write_csv(fn.v2.grid, {tmp_path / f"{name}_v2.csv": fn.v2.values})
             lines += [f"{name}.v0 = {fn.v0!r}", f"{name}.v1 = {fn.v1!r}",
                       f'{name}.v2 = "{name}_v2.csv"']
         argv = ["solve", "--config", write(tmp_path / "c.ini", *lines), "--out",
@@ -390,7 +390,7 @@ class TestOutputFiles:
         path.write_bytes(b"9" * 400_000)
         g = make_grid(1.0, 8)
         with pytest.raises(RuntimeError, match="formatting failed"):
-            ppde.cli._write_csv([g], {path: np.arange(9.0)})
+            ppde.cli._write_csv(g, {path: np.arange(9.0)})
         assert path.read_bytes() == b""
 
     @pytest.mark.parametrize("command", ["solve", "verify", "convergence"])
@@ -429,7 +429,7 @@ class TestOutputFiles:
         r, w = os.pipe()
         try:
             with pytest.raises(RuntimeError, match="formatting failed"):
-                ppde.cli._write_csv([make_grid(1.0, 8)], {f"/dev/fd/{w}": np.arange(9.0)})
+                ppde.cli._write_csv(make_grid(1.0, 8), {f"/dev/fd/{w}": np.arange(9.0)})
         finally:
             os.close(w)
             os.close(r)
@@ -517,7 +517,7 @@ class TestCsvWriter:
         monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 4)  # 6 rows: the first write ends at (1, 0)
         out = tmp_path / "w.csv"
         values = np.array([[-0.0, 5e-324, 1e308], [-1e308, 0.1, -2.5]])
-        ppde.cli._write_csv([make_grid(0.5, 1), make_grid(3.0, 2)], {out: values})
+        ppde.cli._write_csv(Grid2D(make_grid(0.5, 1), make_grid(3.0, 2)), {out: values})
         assert out.read_text() == (
             "x1,x2,value\n"
             "0.0000000000000000e+00,0.0000000000000000e+00,-0.0000000000000000e+00\n"
@@ -532,7 +532,7 @@ class TestCsvWriter:
         monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 2)  # 5 rows: writes of 2, 2 and 1
         out = tmp_path / "w.csv"
         values = np.array([1.0, -0.0, 2.2250738585072014e-308 / 4, 1e-300, 1.0 / 3.0])
-        ppde.cli._write_csv([make_grid(2.0, 4)], {out: values})
+        ppde.cli._write_csv(make_grid(2.0, 4), {out: values})
         assert out.read_text() == (
             "x,value\n"
             "0.0000000000000000e+00,1.0000000000000000e+00\n"
@@ -549,14 +549,14 @@ class TestCsvWriter:
     def test_round_trip_is_bit_exact(self, data, two_d, chunk, n1, n2, h1, h2):
         if two_d and n1 == n2:
             n2 += 1
-        grids = [make_grid(h1, n1), make_grid(h2, n2)] if two_d else [make_grid(h1, n1)]
-        size = int(np.prod([g.n + 1 for g in grids]))
+        grid = Grid2D(make_grid(h1, n1), make_grid(h2, n2)) if two_d else make_grid(h1, n1)
+        size = int(np.prod(grid.shape))
         value = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False))
         values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(ppde.cli, "_WRITE_ROWS", chunk)
-            ppde.cli._write_csv(grids, {Path(tmp) / "w.csv": values})
-            back = ppde.cli._read_csv("w.csv", grids, Path(tmp), "test")
+            ppde.cli._write_csv(grid, {Path(tmp) / "w.csv": values})
+            back = ppde.cli._read_csv("w.csv", grid, Path(tmp), "test")
         assert back.tobytes() == values.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -576,7 +576,7 @@ class TestCsvWriter:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(ppde.cli, "_WRITE_ROWS", chunk)
             path = Path(tmp) / "w.csv"
-            ppde.cli._write_csv([make_grid(1.0, values.size - 1)], {path: values})
+            ppde.cli._write_csv(make_grid(1.0, values.size - 1), {path: values})
             fields = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
         assert fields == ["%.16e" % v for v in values.tolist()]
 
@@ -585,10 +585,11 @@ class TestCsvWriter:
         # nodes 0, 5e199, 1e200 ... and 0, 5e-201, 1e-200: e+00 next to e+199 and e-201
         monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 5)
         grids = [make_grid(h, n) for h, n in zip(lengths, (3, 2))]
-        values = np.random.default_rng(0).normal(size=[g.n + 1 for g in grids])
-        ppde.cli._write_csv(grids, {tmp_path / "w.csv": values})
+        grid = Grid2D(*grids) if len(grids) == 2 else grids[0]
+        values = np.random.default_rng(0).normal(size=grid.shape)
+        ppde.cli._write_csv(grid, {tmp_path / "w.csv": values})
         assert (tmp_path / "w.csv").read_text() == reference_csv(grids, values)
-        back = ppde.cli._read_csv("w.csv", grids, tmp_path, "test")
+        back = ppde.cli._read_csv("w.csv", grid, tmp_path, "test")
         assert back.tobytes() == values.tobytes()
 
     def test_peak_memory_of_nine_65x65_files(self, tmp_path):
@@ -596,12 +597,12 @@ class TestCsvWriter:
         # writing and peaks at about 1.22 MB, so a writer below 0.5 MB leaves
         # the job's peak where it is.  Measured: 0.28 MB for the writer that
         # formatted each value with Python's %, 0.42 MB for this one.
-        grids = [make_grid(1.0, 64), make_grid(1.0, 64)]
+        grid = Grid2D(make_grid(1.0, 64), make_grid(1.0, 64))
         rng = np.random.default_rng(0)
         files = {tmp_path / f"d{k}.csv": rng.normal(size=(65, 65)) for k in range(9)}
         tracemalloc.start()
         try:
-            ppde.cli._write_csv(grids, files)
+            ppde.cli._write_csv(grid, files)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -609,11 +610,11 @@ class TestCsvWriter:
 
     def test_files_written_together_equal_files_written_alone(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ppde.cli, "_WRITE_ROWS", 5)  # 12 rows: writes of 5, 5 and 2
-        grids = [make_grid(1.0, 2), make_grid(2.0, 3)]
+        grid = Grid2D(make_grid(1.0, 2), make_grid(2.0, 3))
         values = [np.arange(12.0).reshape(3, 4) * scale for scale in (1.0, -0.5, 1e-300)]
-        ppde.cli._write_csv(grids, {tmp_path / f"t{k}.csv": v for k, v in enumerate(values)})
+        ppde.cli._write_csv(grid, {tmp_path / f"t{k}.csv": v for k, v in enumerate(values)})
         for k, v in enumerate(values):
-            ppde.cli._write_csv(grids, {tmp_path / "alone.csv": v})
+            ppde.cli._write_csv(grid, {tmp_path / "alone.csv": v})
             assert (tmp_path / f"t{k}.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
@@ -623,8 +624,8 @@ class TestCsvReader:
            n1=st.integers(1, 5), n2=st.integers(1, 5))
     def test_blank_lines_crlf_and_padded_fields_read_back_bit_equal(self, data, two_d, chunk,
                                                                     n1, n2):
-        grids = [make_grid(1.0, n1), make_grid(2.0, n2)] if two_d else [make_grid(1.0, n1)]
-        size = int(np.prod([g.n + 1 for g in grids]))
+        grid = Grid2D(make_grid(1.0, n1), make_grid(2.0, n2)) if two_d else make_grid(1.0, n1)
+        size = int(np.prod(grid.shape))
         value = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False))
         values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
         blanks = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)
@@ -633,7 +634,7 @@ class TestCsvReader:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(ppde.cli, "_WRITE_ROWS", chunk)
             path = Path(tmp) / "w.csv"
-            ppde.cli._write_csv(grids, {path: values})
+            ppde.cli._write_csv(grid, {path: values})
             lines = []
             for k, line in enumerate(path.read_text().splitlines()):
                 lines += data.draw(blanks)
@@ -641,7 +642,7 @@ class TestCsvReader:
                              if k else data.draw(pad) + line + data.draw(pad))  # k = 0: the header
             lines += data.draw(blanks)
             path.write_bytes("".join(line + data.draw(end) for line in lines).encode())
-            back = ppde.cli._read_csv("w.csv", grids, Path(tmp), "test")
+            back = ppde.cli._read_csv("w.csv", grid, Path(tmp), "test")
         assert back.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("row, message", [
@@ -661,7 +662,7 @@ class TestCsvReader:
             lines.append(row(x) if k == 1234 else f"{x!r},0")
         (tmp_path / "edge.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ppde.cli.ConfigError, match=f"edge.csv line {number}: {message}"):
-            ppde.cli._read_csv("edge.csv", [grid], tmp_path, "z20")
+            ppde.cli._read_csv("edge.csv", grid, tmp_path, "z20")
 
     @pytest.mark.parametrize("text, expected", [
         ("x,value\n0,0\n0.25,0,0.5\n0\n0.75,0\n1,0\n", "3: expected 2 fields (x,value), got 3"),
@@ -671,7 +672,7 @@ class TestCsvReader:
                                                                      expected):
         (tmp_path / "edge.csv").write_text(text)
         with pytest.raises(ppde.cli.ConfigError) as info:
-            ppde.cli._read_csv("edge.csv", [make_grid(1.0, 4)], tmp_path, "z20")
+            ppde.cli._read_csv("edge.csv", make_grid(1.0, 4), tmp_path, "z20")
         assert f"edge.csv line {expected}" in str(info.value)
 
     @pytest.mark.parametrize("text, expected", [
@@ -693,7 +694,7 @@ class TestCsvReader:
     def test_first_fault_in_file_order_is_named(self, tmp_path, text, expected):
         (tmp_path / "edge.csv").write_bytes(text.encode())
         with pytest.raises(ppde.cli.ConfigError) as info:
-            ppde.cli._read_csv("edge.csv", [make_grid(1.0, 4)], tmp_path, "z20")
+            ppde.cli._read_csv("edge.csv", make_grid(1.0, 4), tmp_path, "z20")
         assert f"edge.csv line {expected}" in str(info.value)
 
     def test_header_only_file_is_a_row_count_fault_without_a_warning(self, tmp_path):
@@ -701,16 +702,16 @@ class TestCsvReader:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ppde.cli.ConfigError, match="edge.csv must have 5 x,value rows$"):
-                ppde.cli._read_csv("edge.csv", [make_grid(1.0, 4)], tmp_path, "z20")
+                ppde.cli._read_csv("edge.csv", make_grid(1.0, 4), tmp_path, "z20")
         assert caught == []
 
     def test_read_holds_less_memory_than_the_file_size(self, tmp_path):
-        grids = [make_grid(1.0, 128), make_grid(1.0, 128)]
+        grid = Grid2D(make_grid(1.0, 128), make_grid(1.0, 128))
         path = tmp_path / "rhs.csv"
-        ppde.cli._write_csv(grids, {path: np.random.default_rng(0).normal(size=(129, 129))})
+        ppde.cli._write_csv(grid, {path: np.random.default_rng(0).normal(size=(129, 129))})
         tracemalloc.start()
         try:
-            ppde.cli._read_csv("rhs.csv", grids, tmp_path, "rhs")
+            ppde.cli._read_csv("rhs.csv", grid, tmp_path, "rhs")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

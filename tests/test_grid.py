@@ -247,13 +247,15 @@ def package_nodes():
 def test_only_grid_reads_the_spacing():
     # grid.py alone knows that the grid is uniform and the quadrature
     # trapezoidal, and in it only the two functions that hold the trapezoid
-    # rule read the spacing h: no other code of the package reads an
-    # attribute h.  Grid1D.__init__ sets it.
+    # rule read the spacing h: no other code of the package reads, writes or
+    # deletes an attribute h.  Grid1D alone sets it, in its __init__.
     rule = {("grid.py", "cumtrapz"), ("grid.py", "_integral")}
     readers = [f"{name}:{node.lineno}" for name, tree in package_trees()
                for top in tree.body if (name, getattr(top, "name", None)) not in rule
                for node in ast.walk(top)
-               if isinstance(node, ast.Attribute) and node.attr == "h" and isinstance(node.ctx, ast.Load)]
+               if isinstance(node, ast.Attribute) and node.attr == "h"
+               and not ((name, getattr(top, "name", None)) == ("grid.py", "Grid1D")
+                        and isinstance(node.ctx, ast.Store))]
     assert not readers
 
 
