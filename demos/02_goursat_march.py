@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ppde import Coefficients, Grid2D, GoursatProblem, GridFn2D, TraceSet, make_grid, solve_goursat
+from ppde import Coefficients, Grid2D, GoursatProblem, GridFn, TraceSet, make_grid, solve_goursat
 
 series = sum((-1) ** (k + 1) / math.factorial(2 * k) ** 2 for k in range(1, 10))
 print(f"series value of u(1,1): {series:.10f}\n")
@@ -26,7 +26,7 @@ previous = None
 for n in (16, 32, 64, 128):
     grid = Grid2D(make_grid(1.0, n), make_grid(1.0, n))
     coeffs = Coefficients.from_exprs(grid, {"a00": "1"})
-    rhs = GridFn2D(grid, np.ones(grid.shape))
+    rhs = GridFn(grid, np.ones(grid.shape))
     sol = solve_goursat(GoursatProblem(TraceSet.zeros(grid), coeffs, rhs))
     u11 = sol.field.u.values[-1, -1]
     err = abs(u11 - series)

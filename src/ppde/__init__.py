@@ -24,6 +24,7 @@ from .goursat import GoursatProblem, GoursatSolution, MarchingError, solve_gours
 from .grid import (
     Grid1D,
     Grid2D,
+    GridFn,
     GridFn1D,
     GridFn2D,
     lp_norm,

@@ -9,8 +9,8 @@ verify       manufactured-solution error report on a single grid
 convergence  manufactured-solution study over doubling grids
 
 Exit codes: 0 success, 1 check threshold exceeded, 2 config or expression
-parse error, 3 numerical failure (vanishing pivot or overflow in the march),
-4 I/O error.
+parse error, 3 numerical failure (vanishing pivot, overflow, or a closure of
+lower rank than its unknowns without a ridge), 4 I/O error.
 
 The config grammar (INI sections, expression values quoted, file values
 named by a path ending in .csv) and the CSV/JSON layouts written here are
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import expr as ex
 from .dirichlet import DirichletProblem, solve_classical, solve_dirichlet
-from .grid import Grid1D, Grid2D, GridFn1D, GridFn2D
+from .grid import Grid1D, Grid2D, GridFn
 from .problem import (
     CLASSICAL,
     BoundaryFn,
@@ -77,7 +77,7 @@ class Config:
     grid: Grid2D
     coeffs: Coefficients
     coeff_exprs: dict
-    rhs: GridFn2D
+    rhs: GridFn
     classical: ClassicalData | None
     nonclassical: NonClassicalData | None
     tol: float
@@ -229,8 +229,7 @@ def _grid_fn(raw: str, grid, base_dir: Path, where: str):
             return ex.sample(e, grid)
         except (ex.EvalDomainError, ValueError) as err:
             raise ConfigError(f"{where}: {err}") from err
-    fn = GridFn2D if isinstance(grid, Grid2D) else GridFn1D
-    return fn(grid, _read_csv(raw, grid, base_dir, where))
+    return GridFn(grid, _read_csv(raw, grid, base_dir, where))
 
 
 def load_config(path) -> Config:
@@ -244,8 +243,9 @@ def load_config(path) -> Config:
             cp.read_file(fh)
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except configparser.Error as err:
-        raise ConfigError(f"malformed config {path}: {err}") from err
+    except configparser.Error as err:  # some span lines, and an error is one line
+        lines = " ".join(line.strip() for line in str(err).splitlines())
+        raise ConfigError(f"malformed config {path}: {lines}") from err
     for section in cp.sections():
         if section == "coefficients":
             continue  # Coefficients.from_exprs checks its names
@@ -551,7 +551,7 @@ def _cmd_convert(args) -> int:
         raise ConfigError("direction n2c needs a [data.nonclassical] block")
     out = Path(args.out)
 
-    def side_csv(name: str, fn: GridFn1D | GridFn2D) -> str:
+    def side_csv(name: str, fn: GridFn) -> str:
         side = out.with_name(f"{out.stem}_{name}.csv")
         _write_csv(fn.grid, {side: fn.values})
         return side.name

@@ -20,25 +20,25 @@ are kept.  The offset's trace part is the far-edge residual of
 ``representation.trace_part`` at theta = 0.  Where each condition sits
 (its derivative and its nodes) is read from ``problem.CONDITIONS``, for
 these rows and for the eleven residuals of the diagnostics alike.  The
-system is solved in the least-squares sense with minimum-norm
-tie-breaking.  Data that are the traces of an actual solution make the
-system consistent up to discretization; for arbitrary data the minimized
-residual is reported as a diagnostic.  The classical Dirichlet problem is
-solved by exact conversion of its boundary data to non-classical form,
-which makes the two formulations interchangeable.
+system is solved in the least-squares sense; without a ridge, one of
+lower rank than its unknowns is a NumericalError.  Data that are the
+traces of an actual solution make the system consistent up to
+discretization; for arbitrary data the minimized residual is reported as
+a diagnostic.  The classical Dirichlet problem is solved by exact
+conversion of its boundary data to non-classical form, which makes the
+two formulations interchangeable.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .goursat import GoursatProblem, MarchingError, march, solve_goursat
-from .grid import Grid2D, GridFn1D, GridFn2D, NonFiniteError, order_tables, scaled_norm, stage
+from .grid import Grid2D, GridFn, NonFiniteError, NumericalError, order_tables, scaled_norm, stage
 from .problem import (
     CONDITIONS,
     AgreementReport,
@@ -74,7 +74,7 @@ class DirichletProblem:
     they have no effect, because the Goursat problem is solved directly.
     """
 
-    def __init__(self, grid: Grid2D, coeffs: Coefficients, rhs: GridFn2D,
+    def __init__(self, grid: Grid2D, coeffs: Coefficients, rhs: GridFn,
                  data: NonClassicalData, tol: float = 1e-12,
                  max_iter: int = 200, ridge: float = 0.0):
         if coeffs.grid != grid or rhs.grid != grid:
@@ -149,8 +149,8 @@ def _traces(p: DirichletProblem, theta: np.ndarray) -> TraceSet:
     n1 = p.grid.g1.n
     return TraceSet(
         u00=p.data.z00, u10=p.data.z10, u01=p.data.z01, c=float(theta[0]),
-        p=p.data.z20, g1=GridFn1D(p.grid.g1, theta[1:n1 + 2]),
-        q=p.data.z02, g2=GridFn1D(p.grid.g2, theta[n1 + 2:]),
+        p=p.data.z20, g1=GridFn(p.grid.g1, theta[1:n1 + 2]),
+        q=p.data.z02, g2=GridFn(p.grid.g2, theta[n1 + 2:]),
     )
 
 
@@ -255,19 +255,26 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     return ClosureSystem(matrix, -system[:, 0])
 
 
-def _solve_least_squares(system: ClosureSystem, ridge: float) -> np.ndarray:
+def _solve_least_squares(system: ClosureSystem, ridge: float, coeffs: Coefficients) -> np.ndarray:
+    """The least-squares theta, regularised by ``ridge`` when that is
+    positive.  Without a ridge a closure of lower rank than its
+    unknowns is a NumericalError naming the margins |a12| h1/(2 n1) and
+    |a21| h2/(2 n2), at whose value 1 the trapezoid rule's amplification
+    factor (1 - a dx/2)/(1 + a dx/2) vanishes and drops columns of theta."""
     matrix, offset = system.matrix, system.offset
     ncols = matrix.shape[1]
     if ridge > 0.0:
         matrix = np.vstack([matrix, np.sqrt(ridge) * np.eye(ncols)])
         offset = np.concatenate([offset, np.zeros(ncols)])
     theta, _, rank, _ = np.linalg.lstsq(matrix, offset, rcond=None)
-    if rank < ncols:
-        warnings.warn(
-            f"closure system rank {rank} < {ncols} unknowns: minimum-norm solution returned",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    if ridge == 0.0 and rank < ncols:
+        g1, g2 = coeffs.grid.axes
+        m12 = np.max(np.abs(coeffs.a12.values)) * g1.length / (2 * g1.n)
+        m21 = np.max(np.abs(coeffs.a21.values)) * g2.length / (2 * g2.n)
+        raise NumericalError(
+            f"closure solve: closure system rank {rank} < {ncols} unknowns; max |a12| h1/(2 n1) "
+            f"= {m12:.6g}, max |a21| h2/(2 n2) = {m21:.6g} (1 makes the trapezoid march "
+            "singular); give a ridge > 0 to regularise")
     return theta
 
 
@@ -280,9 +287,9 @@ def solve_dirichlet(p: DirichletProblem) -> Solution:
     """Solve the non-classical Dirichlet problem.
 
     Steps: compatibility residuals, closure assembly (one
-    multi-right-hand-side march), minimum norm least squares for
-    theta, one final Goursat solve, and a full diagnostic report (all
-    eleven boundary-condition residuals evaluated on the returned field).
+    multi-right-hand-side march), least squares for theta, one final
+    Goursat solve, and a full diagnostic report (all eleven
+    boundary-condition residuals evaluated on the returned field).
 
     The closure system is released once theta and the closure residual
     are known, so the final solve starts with theta alone.  A solve's
@@ -296,7 +303,7 @@ def solve_dirichlet(p: DirichletProblem) -> Solution:
     compat = check_compatibility(p.data)
     system = assemble_closure_system(p)
     with stage("closure solve"):
-        theta = _solve_least_squares(system, p.ridge)
+        theta = _solve_least_squares(system, p.ridge, p.coeffs)
         closure_residual = scaled_norm(np.linalg.norm, system.matrix @ theta - system.offset)
         traces = _traces(p, theta)
     del system  # released before the final solve
@@ -313,7 +320,7 @@ def solve_dirichlet(p: DirichletProblem) -> Solution:
     return Solution(final.field, theta, diagnostics)
 
 
-def solve_classical(coeffs: Coefficients, rhs: GridFn2D, d: ClassicalData,
+def solve_classical(coeffs: Coefficients, rhs: GridFn, d: ClassicalData,
                     grid: Grid2D, ridge: float = 0.0) -> Solution:
     """Solve the classical Dirichlet problem via exact data conversion.
 

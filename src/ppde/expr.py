@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid2D, GridFn1D, GridFn2D
+from .grid import GridFn
 
 __all__ = [
     "Expr",
@@ -355,26 +355,19 @@ def _power(a, k: int):
 
 
 def sample(e: Expr, grid):
-    """The grid function of ``e`` at the nodes of ``grid``.
-
-    On a Grid2D the result is a GridFn2D, with x1 and x2 the node
-    coordinates of the two axes.  On a Grid1D it is a GridFn1D, with x1 and
-    x2 both the node coordinate, so an edge function may be written in
-    either variable.  This is the one place where an expression meets grid
-    nodes.
+    """The GridFn of ``e`` at the nodes of ``grid``, a Grid1D or a Grid2D,
+    with x1 and x2 the grid's ``coordinates``: those of the two axes, or
+    on a Grid1D both the one node coordinate.  This is the one place where
+    an expression meets grid nodes.
 
     A zero divisor raises EvalDomainError.  An overflow gives inf or nan,
     which the grid function rejects with a ValueError that the caller
     reports under the input's name; numpy's overflow warning would only
     repeat it, so none is given.
     """
-    if isinstance(grid, Grid2D):
-        fn, x1, x2 = GridFn2D, grid.g1.nodes[:, None], grid.g2.nodes[None, :]
-    else:
-        fn, x1, x2 = GridFn1D, grid.nodes, grid.nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        values = evaluate(e, x1, x2)
-    return fn(grid, np.broadcast_to(values, np.broadcast_shapes(x1.shape, x2.shape)))
+        values = evaluate(e, *grid.coordinates)
+    return GridFn(grid, np.broadcast_to(values, grid.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from collections import deque
 
 import numpy as np
 
-from .grid import GridFn2D, NumericalError, order_tables, stage
+from .grid import GridFn, NumericalError, order_tables, stage
 from .problem import Coefficients, apply_operator, lower_order
 from .representation import DerivativeField, TraceSet, reconstruct_field, trace_part
 
@@ -66,7 +66,7 @@ class MarchingError(NumericalError):
 class GoursatProblem:
     """Traces on the x1 = 0 / x2 = 0 edges, coefficients and right-hand side."""
 
-    def __init__(self, traces: TraceSet, coeffs: Coefficients, rhs: GridFn2D):
+    def __init__(self, traces: TraceSet, coeffs: Coefficients, rhs: GridFn):
         grid = rhs.grid
         if coeffs.grid != grid:
             raise ValueError("coefficients and right-hand side grids differ")
@@ -87,7 +87,7 @@ class GoursatSolution:
 
     iterations = 1
 
-    def __init__(self, w: GridFn2D, field: DerivativeField, residual: float):
+    def __init__(self, w: GridFn, field: DerivativeField, residual: float):
         self.w = w
         self.field = field
         self.residual = residual
@@ -236,7 +236,7 @@ def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
     tables = order_tables(gp.grid) if live else (None, None)
     # The march writes w into known and keeps no row.
     deque(march(gp.coeffs, known[:, :, None], *tables), maxlen=0)
-    w_fn = GridFn2D(gp.grid, known)
+    w_fn = GridFn(gp.grid, known)
     del tables, known  # released before reconstruct_field, where a solve with coefficients peaks
     field = reconstruct_field(gp.traces, w_fn)
     residual = float(np.max(np.abs(apply_operator(field, gp.coeffs).values - gp.rhs.values)))

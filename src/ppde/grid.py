@@ -1,5 +1,9 @@
 """Uniform tensor-product grids, trapezoid quadrature and Lp / mixed norms.
 
+A grid is a Grid1D (an edge) or a Grid2D (the rectangle), and a grid
+function on either is a GridFn: the one grid-function type, so that only
+this module asks which of the two grids a function lives on.
+
 Everything downstream (boundary-data conversion, the Volterra march, the
 verification norms) is built on the composite trapezoid rule over the
 equispaced grids defined here, so the exactness classes of that rule
@@ -25,6 +29,7 @@ __all__ = [
     "stage",
     "Grid1D",
     "Grid2D",
+    "GridFn",
     "GridFn1D",
     "GridFn2D",
     "make_grid",
@@ -95,6 +100,12 @@ class Grid1D:
         # reference cycle, freed by the cyclic garbage collector alone.
         return (self,)
 
+    @property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """x1 and x2 at the nodes: both the node coordinate, so that an edge
+        function may be written in either variable."""
+        return self.nodes, self.nodes
+
     def __eq__(self, other):
         return isinstance(other, Grid1D) and (self.length, self.n) == (other.length, other.n)
 
@@ -115,6 +126,8 @@ class Grid2D:
         self.g2 = g2
         self.axes = (g1, g2)
         self.shape = (g1.n + 1, g2.n + 1)
+        # x1 and x2 at the nodes, as a column and a row that broadcast to shape
+        self.coordinates = (g1.nodes[:, None], g2.nodes[None, :])
 
     def __eq__(self, other):
         return isinstance(other, Grid2D) and self.g1 == other.g1 and self.g2 == other.g2
@@ -126,43 +139,29 @@ class Grid2D:
         return f"Grid2D({self.g1!r}, {self.g2!r})"
 
 
-def _frozen(grid: Grid1D | Grid2D, values, kind: type) -> np.ndarray:
-    """A read-only float copy of ``values``, which must be finite and of the
-    shape of ``grid``, a ``kind``."""
-    if not isinstance(grid, kind):
-        raise ValueError(f"grid must be a {kind.__name__}, got {type(grid).__name__}")
-    values = np.array(values, dtype=float, order="C")
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} does not match grid shape {grid.shape}")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError("grid function values must be finite")
-    values.setflags(write=False)
-    return values
+class GridFn:
+    """Real values on the nodes of a Grid1D or a Grid2D, entry (i, j) at
+    (x1_i, x2_j) on a Grid2D; ``values`` is a read-only copy, which must be
+    finite and of the grid's shape."""
 
-
-class GridFn1D:
-    """Real values attached to the nodes of a Grid1D; ``values`` is a read-only copy."""
-
-    def __init__(self, grid: Grid1D, values):
+    def __init__(self, grid: Grid1D | Grid2D, values):
+        if not isinstance(grid, (Grid1D, Grid2D)):
+            raise ValueError(f"grid must be a Grid1D or a Grid2D, got {type(grid).__name__}")
+        values = np.array(values, dtype=float, order="C")
+        if values.shape != grid.shape:
+            raise ValueError(f"values shape {values.shape} does not match grid shape {grid.shape}")
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteError("grid function values must be finite")
+        values.setflags(write=False)
         self.grid = grid
-        self.values = _frozen(grid, values, Grid1D)
+        self.values = values
 
     @classmethod
-    def zeros(cls, grid: Grid1D) -> "GridFn1D":
+    def zeros(cls, grid: Grid1D | Grid2D) -> GridFn:
         return cls(grid, np.zeros(grid.shape))
 
 
-class GridFn2D:
-    """Real values on a Grid2D, entry (i, j) at (x1_i, x2_j); ``values`` is a read-only copy."""
-
-    def __init__(self, grid: Grid2D, values):
-        self.grid = grid
-        self.values = _frozen(grid, values, Grid2D)
-
-    @classmethod
-    def zeros(cls, grid: Grid2D) -> "GridFn2D":
-        return cls(grid, np.zeros(grid.shape))
-
+GridFn1D = GridFn2D = GridFn  # other names of the one type, kept for code that imports them
 
 make_grid = Grid1D  # the public name of the grid constructor
 
@@ -244,13 +243,13 @@ def scaled_norm(norm, a) -> float:
     return value
 
 
-def lp_norm(f: GridFn1D | GridFn2D, p) -> float:
+def lp_norm(f: GridFn, p) -> float:
     """Discrete L_p norm of a grid function.
 
     Parameters
     ----------
-    f : GridFn1D or GridFn2D
-        Grid function to measure.
+    f : GridFn
+        Grid function on a Grid1D or a Grid2D.
     p : float
         Exponent in [1, inf].  For finite p the integral is evaluated with
         the (product) trapezoid rule; p = inf returns the exact maximum of
@@ -270,7 +269,7 @@ def lp_norm(f: GridFn1D | GridFn2D, p) -> float:
     return scaled_norm(norm, a)
 
 
-def mixed_norm(f: GridFn2D, inner_exponent, outer_exponent) -> float:
+def mixed_norm(f: GridFn, inner_exponent, outer_exponent) -> float:
     """Mixed-exponent norm: inner norm over x1 per x2 node, outer over x2.
 
     The inner exponent always pairs with x1 and the outer with x2, i.e.

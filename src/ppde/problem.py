@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .grid import (Grid1D, Grid2D, GridFn1D, GridFn2D, NonFiniteError, lp_norm, mixed_norm,
-                   orders, stage)
+from .grid import Grid1D, Grid2D, GridFn, NonFiniteError, lp_norm, mixed_norm, orders, stage
 from .representation import DerivativeField
 
 __all__ = [
@@ -81,8 +80,8 @@ class Coefficients:
         fns = (a21, a12, a20, a02, a11, a10, a01, a00)
         grid = fns[0].grid
         for name, fn in zip(COEFFICIENT_NAMES, fns):
-            if not isinstance(fn, GridFn2D) or fn.grid != grid:
-                raise ValueError(f"coefficient {name} must be a GridFn2D on the shared grid")
+            if fn.grid != grid:
+                raise ValueError(f"coefficient {name} is not on the shared grid")
         (self.a21, self.a12, self.a20, self.a02,
          self.a11, self.a10, self.a01, self.a00) = fns
         self.grid = grid
@@ -90,7 +89,7 @@ class Coefficients:
 
     @classmethod
     def zeros(cls, grid: Grid2D) -> "Coefficients":
-        return cls(*[GridFn2D.zeros(grid)] * len(COEFFICIENT_NAMES))
+        return cls(*[GridFn.zeros(grid)] * len(COEFFICIENT_NAMES))
 
     @classmethod
     def from_exprs(cls, grid: Grid2D, exprs: dict) -> "Coefficients":
@@ -102,7 +101,7 @@ class Coefficients:
         unknown = set(exprs) - set(COEFFICIENT_NAMES)
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
-        fns = dict.fromkeys(COEFFICIENT_NAMES, GridFn2D.zeros(grid))
+        fns = dict.fromkeys(COEFFICIENT_NAMES, GridFn.zeros(grid))
         for name in filter(exprs.__contains__, COEFFICIENT_NAMES):
             e = ex.parse(exprs[name]) if isinstance(exprs[name], str) else exprs[name]
             try:
@@ -132,7 +131,7 @@ def coefficient_norms(coeffs: Coefficients) -> dict:
 class BoundaryFn:
     """One boundary function in Taylor form: value and slope at 0 plus f''."""
 
-    def __init__(self, v0: float, v1: float, v2: GridFn1D):
+    def __init__(self, v0: float, v1: float, v2: GridFn):
         if not (math.isfinite(float(v0)) and math.isfinite(float(v1))):
             raise NonFiniteError("boundary values v0, v1 must be finite")
         self.v0 = float(v0)
@@ -214,7 +213,7 @@ class NonClassicalData:
     X2_FUNCTIONS = ("z02", "z02_h1")
 
     def __init__(self, z00, z10, z01, z00_h1, z01_h1, z00_h2, z10_h2,
-                 z20: GridFn1D, z02: GridFn1D, z20_h2: GridFn1D, z02_h1: GridFn1D):
+                 z20: GridFn, z02: GridFn, z20_h2: GridFn, z02_h1: GridFn):
         for name, v in zip(self.SCALARS, (z00, z10, z01, z00_h1, z01_h1, z00_h2, z10_h2)):
             if not math.isfinite(float(v)):
                 raise NonFiniteError(f"scalar {name} must be finite")
@@ -242,14 +241,14 @@ class NonClassicalData:
     @classmethod
     def zeros(cls, grid: Grid2D) -> "NonClassicalData":
         return cls(**dict.fromkeys(cls.SCALARS, 0.0),
-                   **{name: GridFn1D.zeros(g) for name, g in cls.edge_grids(grid).items()})
+                   **{name: GridFn.zeros(g) for name, g in cls.edge_grids(grid).items()})
 
     @classmethod
     def from_field(cls, field: DerivativeField) -> "NonClassicalData":
         """The data that the field meets exactly, read off at the nodes of CONDITIONS."""
         v = condition_values(field.values, field.grid.shape)
         return cls(**{name: v[name] for name in cls.SCALARS},
-                   **{name: GridFn1D(g, v[name]) for name, g in cls.edge_grids(field.grid).items()})
+                   **{name: GridFn(g, v[name]) for name, g in cls.edge_grids(field.grid).items()})
 
     def value(self, name: str):
         """Right-hand side of one condition: a float, or the edge function's node values."""
@@ -307,10 +306,10 @@ class CompatibilityReport(_Residuals):
     rho3: float
 
 
-def boundary_values(f: BoundaryFn) -> GridFn1D:
+def boundary_values(f: BoundaryFn) -> GridFn:
     """Evaluate the Taylor form v0 + x v1 + int_0^x (x - t) v2(t) dt."""
     g = f.v2.grid
-    return GridFn1D(g, f.v0 + g.nodes * f.v1 + orders(f.v2.values, g)[0])
+    return GridFn(g, f.v0 + g.nodes * f.v1 + orders(f.v2.values, g)[0])
 
 
 def _far_ends(d: ClassicalData) -> tuple[float, float, float, float]:
@@ -384,10 +383,10 @@ def lower_order(d, a: Coefficients) -> np.ndarray:
         return 0.0 if first is None else sum(terms, first)
 
 
-def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn2D:
+def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn:
     """Pointwise value of (Vu) at every node, from the derivative grids; an
-    overflow raises the GridFn2D's ValueError, and no numpy warning."""
+    overflow raises the GridFn's ValueError, and no numpy warning."""
     if a.grid != field.grid:
         raise ValueError("coefficients and field live on different grids")
     with np.errstate(over="ignore", invalid="ignore"):
-        return GridFn2D(field.grid, sum(_terms(field.values, a), field.w.values))
+        return GridFn(field.grid, sum(_terms(field.values, a), field.w.values))

@@ -46,7 +46,7 @@ from . import expr as ex
 
 # cumtrapz is bound here, unused, because perfbench/tracing.py wraps the
 # name ppde.representation.cumtrapz and fails if it is missing.
-from .grid import Grid2D, GridFn1D, GridFn2D, NonFiniteError, cumtrapz, orders  # noqa: F401
+from .grid import Grid2D, GridFn, NonFiniteError, cumtrapz, orders  # noqa: F401
 
 __all__ = ["TraceSet", "DerivativeField", "line", "trace_part", "reconstruct_field",
            "extract_traces"]
@@ -68,7 +68,7 @@ class TraceSet:
     """
 
     def __init__(self, u00: float, u10: float, u01: float, c: float,
-                 p: GridFn1D, g1: GridFn1D, q: GridFn1D, g2: GridFn1D):
+                 p: GridFn, g1: GridFn, q: GridFn, g2: GridFn):
         for name, v in (("u00", u00), ("u10", u10), ("u01", u01), ("c", c)):
             if not math.isfinite(float(v)):
                 raise NonFiniteError(f"trace scalar {name} must be finite")
@@ -88,8 +88,8 @@ class TraceSet:
     @classmethod
     def zeros(cls, grid: Grid2D) -> "TraceSet":
         return cls(0.0, 0.0, 0.0, 0.0,
-                   GridFn1D.zeros(grid.g1), GridFn1D.zeros(grid.g1),
-                   GridFn1D.zeros(grid.g2), GridFn1D.zeros(grid.g2))
+                   GridFn.zeros(grid.g1), GridFn.zeros(grid.g1),
+                   GridFn.zeros(grid.g2), GridFn.zeros(grid.g2))
 
 
 class DerivativeField:
@@ -101,7 +101,7 @@ class DerivativeField:
             row = []
             for j in range(3):
                 fn = d[i][j]
-                if not isinstance(fn, GridFn2D) or fn.grid != grid:
+                if fn.grid != grid:
                     raise ValueError(f"derivative grid d[{i}][{j}] does not match the field grid")
                 row.append(fn)
             rows.append(tuple(row))
@@ -109,11 +109,11 @@ class DerivativeField:
         self.d = tuple(rows)
 
     @property
-    def u(self) -> GridFn2D:
+    def u(self) -> GridFn:
         return self.d[0][0]
 
     @property
-    def w(self) -> GridFn2D:
+    def w(self) -> GridFn:
         return self.d[2][2]
 
     @property
@@ -153,7 +153,7 @@ def trace_part(t: TraceSet, grid: Grid2D):
     return [[_trace_entry(terms, i, j) for j in range(3)] for i in range(3)]
 
 
-def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
+def reconstruct_field(t: TraceSet, w: GridFn) -> DerivativeField:
     """Evaluate u and all nine derivative grids from traces and w.
 
     Each grid is the trace part plus the w term.  Restricted to the edges
@@ -176,13 +176,13 @@ def reconstruct_field(t: TraceSet, w: GridFn2D) -> DerivativeField:
         w1[i] = None
         row = []
         for j in range(3):
-            row.append(GridFn2D(grid, _trace_entry(terms, i, j) + w2[j]))
+            row.append(GridFn(grid, _trace_entry(terms, i, j) + w2[j]))
             w2[j] = None  # each released once its output grid exists
         d.append(row)
     return DerivativeField(grid, d)
 
 
-def extract_traces(u: ex.Expr, grid: Grid2D) -> tuple[TraceSet, GridFn2D, DerivativeField]:
+def extract_traces(u: ex.Expr, grid: Grid2D) -> tuple[TraceSet, GridFn, DerivativeField]:
     """Sample the traces, w = D1^2 D2^2 u and all nine derivative grids of u.
 
     Derivatives are taken symbolically, so the returned field is exact at
@@ -205,9 +205,9 @@ def extract_traces(u: ex.Expr, grid: Grid2D) -> tuple[TraceSet, GridFn2D, Deriva
         u10=vals[1][0][0, 0],
         u01=vals[0][1][0, 0],
         c=vals[1][1][0, 0],
-        p=GridFn1D(grid.g1, vals[2][0][:, 0]),
-        g1=GridFn1D(grid.g1, vals[2][1][:, 0]),
-        q=GridFn1D(grid.g2, vals[0][2][0, :]),
-        g2=GridFn1D(grid.g2, vals[1][2][0, :]),
+        p=GridFn(grid.g1, vals[2][0][:, 0]),
+        g1=GridFn(grid.g1, vals[2][1][:, 0]),
+        q=GridFn(grid.g2, vals[0][2][0, :]),
+        g2=GridFn(grid.g2, vals[1][2][0, :]),
     )
     return traces, field.w, field

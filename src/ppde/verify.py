@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .dirichlet import DirichletProblem, solve_dirichlet
-from .grid import Grid1D, Grid2D, GridFn2D, lp_norm
+from .grid import Grid1D, Grid2D, GridFn, lp_norm
 from .problem import Coefficients, NonClassicalData, apply_operator
 from .representation import DerivativeField, extract_traces
 
@@ -94,10 +94,10 @@ def _order(e_coarse: float, e_fine: float) -> float:
     return math.log2(e_coarse / e_fine) if e_coarse > 0.0 else -math.inf
 
 
-def node_errors(approx: GridFn2D, exact: GridFn2D) -> tuple[float, float]:
+def node_errors(approx: GridFn, exact: GridFn) -> tuple[float, float]:
     """Max node error and trapezoid L2 norm of ``approx - exact``."""
     diff = approx.values - exact.values
-    return float(np.max(np.abs(diff))), lp_norm(GridFn2D(approx.grid, diff), 2)
+    return float(np.max(np.abs(diff))), lp_norm(GridFn(approx.grid, diff), 2)
 
 
 def convergence_table(cases) -> ConvergenceTable:

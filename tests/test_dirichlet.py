@@ -17,7 +17,7 @@ from ppde.dirichlet import (
     solve_dirichlet,
 )
 from ppde.goursat import GoursatProblem, MarchingError, solve_goursat
-from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
+from ppde.grid import Grid2D, GridFn, NonFiniteError, NumericalError, make_grid
 from ppde.problem import (
     COEFFICIENT_NAMES,
     BoundaryFn,
@@ -44,8 +44,8 @@ def far_edge_residual(p, theta):
     """Residuals of the four far-edge conditions after one Goursat solve at theta."""
     n1, n2 = p.grid.g1.n, p.grid.g2.n
     traces = TraceSet(p.data.z00, p.data.z10, p.data.z01, theta[0],
-                      p.data.z20, GridFn1D(p.grid.g1, theta[1:n1 + 2]),
-                      p.data.z02, GridFn1D(p.grid.g2, theta[n1 + 2:]))
+                      p.data.z20, GridFn(p.grid.g1, theta[1:n1 + 2]),
+                      p.data.z02, GridFn(p.grid.g2, theta[n1 + 2:]))
     d = solve_goursat(GoursatProblem(traces, p.coeffs, p.rhs)).field.d
     return np.concatenate([
         [d[0][1].values[n1, 0] - p.data.z01_h1],
@@ -106,7 +106,7 @@ class TestClosureSystem:
         g = Grid2D(make_grid(1.5, n), make_grid(0.5, n))
         h1, h2 = 1.5, 0.5
         problem = DirichletProblem(g, Coefficients.zeros(g),
-                                   GridFn2D.zeros(g), NonClassicalData.zeros(g))
+                                   GridFn.zeros(g), NonClassicalData.zeros(g))
         system = assemble_closure_system(problem)
         c_col = system.matrix[:, 0]
         np.testing.assert_allclose(c_col[:2], [h1, h2], atol=1e-14)
@@ -121,7 +121,7 @@ class TestClosureSystem:
         # the unit-trace march overflows; the error says it came from the closure
         g = unit_square(6)
         coeffs = Coefficients.from_exprs(g, {"a00": "1e200"})
-        problem = DirichletProblem(g, coeffs, GridFn2D.zeros(g), NonClassicalData.zeros(g))
+        problem = DirichletProblem(g, coeffs, GridFn.zeros(g), NonClassicalData.zeros(g))
         with pytest.raises(MarchingError, match="closure.*non-finite"):
             assemble_closure_system(problem)
 
@@ -132,9 +132,9 @@ class TestClosureSystem:
         rng = np.random.default_rng(5)
         data = NonClassicalData(
             *rng.normal(size=7),
-            z20=GridFn1D(g.g1, rng.normal(size=7)), z02=GridFn1D(g.g2, rng.normal(size=8)),
-            z20_h2=GridFn1D(g.g1, rng.normal(size=7)), z02_h1=GridFn1D(g.g2, rng.normal(size=8)))
-        rhs = GridFn2D(g, rng.normal(size=g.shape))
+            z20=GridFn(g.g1, rng.normal(size=7)), z02=GridFn(g.g2, rng.normal(size=8)),
+            z20_h2=GridFn(g.g1, rng.normal(size=7)), z02_h1=GridFn(g.g2, rng.normal(size=8)))
+        rhs = GridFn(g, rng.normal(size=g.shape))
         for subset in coefficient_subsets(exprs, seed=6):
             p = DirichletProblem(g, Coefficients.from_exprs(g, subset), rhs, data)
             system = assemble_closure_system(p)
@@ -187,7 +187,7 @@ class TestSolveDirichlet:
     def test_zero_problem(self):
         g = unit_square(6)
         problem = DirichletProblem(g, Coefficients.from_exprs(g, {"a00": "x1*x2"}),
-                                   GridFn2D.zeros(g), NonClassicalData.zeros(g))
+                                   GridFn.zeros(g), NonClassicalData.zeros(g))
         sol = solve_dirichlet(problem)
         np.testing.assert_array_equal(sol.theta, np.zeros(sol.theta.size))
         for i in range(3):
@@ -266,17 +266,28 @@ class TestSolveDirichlet:
     def test_validation(self):
         g = unit_square(4)
         with pytest.raises(ValueError):
-            DirichletProblem(g, Coefficients.zeros(g), GridFn2D.zeros(g),
+            DirichletProblem(g, Coefficients.zeros(g), GridFn.zeros(g),
                              NonClassicalData.zeros(g), tol=0.0)
         with pytest.raises(ValueError):
-            DirichletProblem(g, Coefficients.zeros(g), GridFn2D.zeros(g),
+            DirichletProblem(g, Coefficients.zeros(g), GridFn.zeros(g),
                              NonClassicalData.zeros(g), max_iter=0)
         with pytest.raises(ValueError, match="ridge"):
-            DirichletProblem(g, Coefficients.zeros(g), GridFn2D.zeros(g),
+            DirichletProblem(g, Coefficients.zeros(g), GridFn.zeros(g),
                              NonClassicalData.zeros(g), ridge=float("nan"))
         with pytest.raises(ValueError):
             DirichletProblem(g, Coefficients.zeros(unit_square(5)),
-                             GridFn2D.zeros(g), NonClassicalData.zeros(g))
+                             GridFn.zeros(g), NonClassicalData.zeros(g))
+        with pytest.raises(ValueError, match="^data edge functions do not match the problem grid$"):
+            DirichletProblem(g, Coefficients.zeros(g), GridFn.zeros(g),
+                             NonClassicalData.zeros(Grid2D(make_grid(1.0, 5), make_grid(1.0, 4))))
+
+    @pytest.mark.parametrize("field", ["closure_residual", "equation_residual",
+                                       "condition_residuals", "coefficient_norms"])
+    def test_diagnostics_not_finite(self, field):
+        d = solve_dirichlet(poly_case(4).problem).diagnostics
+        value = {"z00": np.nan} if field in ("condition_residuals", "coefficient_norms") else np.inf
+        with pytest.raises(NonFiniteError, match="^diagnostics must be finite$"):
+            dataclasses.replace(d, **{field: value})
 
     def test_small_ridge_barely_moves_theta(self):
         case = poly_case(8)
@@ -291,26 +302,40 @@ class TestSolveDirichlet:
         with pytest.raises(ValueError, match="closure"):
             ClosureSystem(np.zeros(matrix), np.zeros(offset))
 
-    def test_rank_collapse_warns_not_fatal(self):
+    def test_rank_collapse_is_a_numerical_error(self):
         system = ClosureSystem(np.zeros((6, 5)), np.zeros(6))
-        with pytest.warns(RuntimeWarning, match="rank"):
-            theta = _solve_least_squares(system, 0.0)
-        np.testing.assert_array_equal(theta, np.zeros(5))
+        with pytest.raises(NumericalError, match=r"^closure solve: closure system rank 0 < 5 unknowns; "):
+            _solve_least_squares(system, 0.0, Coefficients.zeros(unit_square(2)))
 
-    def test_single_rank_loss_warns(self):
+    def test_single_rank_loss_is_a_numerical_error_that_a_ridge_regularises(self):
         # rank ncols - 1: the fifth column repeats the fourth
         rng = np.random.default_rng(4)
         matrix = rng.normal(size=(6, 5))
         matrix[:, 4] = matrix[:, 3]
         system = ClosureSystem(matrix, rng.normal(size=6))
-        with pytest.warns(RuntimeWarning, match="rank 4 < 5"):
-            _solve_least_squares(system, 0.0)
+        coeffs = Coefficients.zeros(unit_square(2))
+        with pytest.raises(NumericalError, match="rank 4 < 5 unknowns"):
+            _solve_least_squares(system, 0.0, coeffs)
+        theta = _solve_least_squares(system, 1e-8, coeffs)
+        assert theta[3] == pytest.approx(theta[4], rel=1e-6)  # the two copies share the weight
+
+    def test_resonant_coefficient_is_an_error_that_a_ridge_regularises(self):
+        # a21 dx2 / 2 = 1 is the zero of the trapezoid rule's amplification
+        # factor (1 - a dx/2)/(1 + a dx/2): the closure drops the columns of g2.
+        # tests/test_cli.py::TestSingularClosure has the message at n = 4 and 8.
+        g = unit_square(8)
+        p = manufactured_problem("sin(x1)*exp(x2) + x1^2*x2",
+                                 Coefficients.from_exprs(g, {"a21": "16"}), g).problem
+        with pytest.raises(NumericalError, match=r"rank 10 < 19 unknowns; .* h2/\(2 n2\) = 1 "):
+            solve_dirichlet(p)
+        ridged = solve_dirichlet(DirichletProblem(p.grid, p.coeffs, p.rhs, p.data, ridge=1e-12))
+        assert np.all(np.isfinite(ridged.theta))
 
     def test_least_squares_optimality(self):
         # attained residual matches the pseudoinverse optimum
         case = poly_case(8)
         system = assemble_closure_system(case.problem)
-        theta = _solve_least_squares(system, 0.0)
+        theta = _solve_least_squares(system, 0.0, case.problem.coeffs)
         attained = np.linalg.norm(system.matrix @ theta - system.offset)
         best = np.linalg.norm(
             system.matrix @ (np.linalg.pinv(system.matrix) @ system.offset)
@@ -344,9 +369,9 @@ class TestSolveDirichlet:
             "a11": "sin(x1*x2)", "a10": "x2", "a01": "0.3", "a00": "1"})
         data = NonClassicalData(
             *rng.normal(size=7),
-            z20=GridFn1D(g.g1, rng.normal(size=13)), z02=GridFn1D(g.g2, rng.normal(size=16)),
-            z20_h2=GridFn1D(g.g1, rng.normal(size=13)), z02_h1=GridFn1D(g.g2, rng.normal(size=16)))
-        p = DirichletProblem(g, coeffs, GridFn2D(g, rng.normal(size=g.shape)), data)
+            z20=GridFn(g.g1, rng.normal(size=13)), z02=GridFn(g.g2, rng.normal(size=16)),
+            z20_h2=GridFn(g.g1, rng.normal(size=13)), z02_h1=GridFn(g.g2, rng.normal(size=16)))
+        p = DirichletProblem(g, coeffs, GridFn(g, rng.normal(size=g.shape)), data)
         arrays = [p.rhs.values, *(getattr(coeffs, name).values for name in COEFFICIENT_NAMES),
                   *(getattr(data, key).values
                     for key in NonClassicalData.X1_FUNCTIONS + NonClassicalData.X2_FUNCTIONS)]
@@ -387,12 +412,12 @@ class TestEquivalence:
         for _ in range(3):
             z = NonClassicalData(
                 *rng.normal(size=7),
-                z20=GridFn1D(g.g1, rng.normal(size=9)),
-                z02=GridFn1D(g.g2, rng.normal(size=9)),
-                z20_h2=GridFn1D(g.g1, rng.normal(size=9)),
-                z02_h1=GridFn1D(g.g2, rng.normal(size=9)),
+                z20=GridFn(g.g1, rng.normal(size=9)),
+                z02=GridFn(g.g2, rng.normal(size=9)),
+                z20_h2=GridFn(g.g1, rng.normal(size=9)),
+                z02_h1=GridFn(g.g2, rng.normal(size=9)),
             )
-            rhs = GridFn2D(g, rng.normal(size=g.shape))
+            rhs = GridFn(g, rng.normal(size=g.shape))
             nonclassical = solve_dirichlet(DirichletProblem(g, coeffs, rhs, z))
             classical = solve_classical(coeffs, rhs, nonclassical_to_classical(z), g)
             assert_solutions_bit_identical(nonclassical, classical)
@@ -408,10 +433,10 @@ class TestEquivalence:
             g, {name: f"{rng.uniform(-0.5, 0.5):.4f}*(1 + x1*x2)" for name in sorted(names)})
         z = NonClassicalData(
             *rng.normal(size=7),
-            z20=GridFn1D(g.g1, rng.normal(size=n + 1)), z02=GridFn1D(g.g2, rng.normal(size=n + 1)),
-            z20_h2=GridFn1D(g.g1, rng.normal(size=n + 1)),
-            z02_h1=GridFn1D(g.g2, rng.normal(size=n + 1)))
-        rhs = GridFn2D(g, rng.normal(size=g.shape))
+            z20=GridFn(g.g1, rng.normal(size=n + 1)), z02=GridFn(g.g2, rng.normal(size=n + 1)),
+            z20_h2=GridFn(g.g1, rng.normal(size=n + 1)),
+            z02_h1=GridFn(g.g2, rng.normal(size=n + 1)))
+        rhs = GridFn(g, rng.normal(size=g.shape))
         nonclassical = solve_dirichlet(DirichletProblem(g, coeffs, rhs, z))
         classical = solve_classical(coeffs, rhs, nonclassical_to_classical(z), g)
         assert_solutions_bit_identical(nonclassical, classical)
@@ -425,7 +450,7 @@ class TestEquivalence:
             psi1=BoundaryFn.from_expr("x1", g.g1, "x1"),
             psi2=BoundaryFn.from_expr("1 + x1", g.g1, "x1"),
         )
-        sol = solve_classical(Coefficients.zeros(g), GridFn2D.zeros(g), d, g)
+        sol = solve_classical(Coefficients.zeros(g), GridFn.zeros(g), d, g)
         X1 = g.g1.nodes[:, None]
         X2 = g.g2.nodes[None, :]
         assert np.max(np.abs(sol.field.u.values - (X1 + X2))) <= 1e-9
@@ -443,7 +468,7 @@ class TestEquivalence:
             psi2=BoundaryFn.from_expr("1 + x1^2", g.g1, "x1"),
         )
         coeffs = Coefficients.from_exprs(g, {"a00": "1"})
-        rhs = GridFn2D(g, X1**2 + X2**2)
+        rhs = GridFn(g, X1**2 + X2**2)
         sol = solve_classical(coeffs, rhs, d, g)
         assert np.max(np.abs(sol.field.u.values - (X1**2 + X2**2))) <= 10 * g.g1.h**2
 
@@ -464,9 +489,9 @@ class TestSuperposition:
         def solve(rhs, scalars, edges):
             z20, z02, z20_h2, z02_h1 = edges
             data = NonClassicalData(
-                *scalars, z20=GridFn1D(g.g1, z20), z02=GridFn1D(g.g2, z02),
-                z20_h2=GridFn1D(g.g1, z20_h2), z02_h1=GridFn1D(g.g2, z02_h1))
-            problem = DirichletProblem(g, coeffs, GridFn2D(g, rhs), data)
+                *scalars, z20=GridFn(g.g1, z20), z02=GridFn(g.g2, z02),
+                z20_h2=GridFn(g.g1, z20_h2), z02_h1=GridFn(g.g2, z02_h1))
+            problem = DirichletProblem(g, coeffs, GridFn(g, rhs), data)
             return solve_dirichlet(problem).field.u.values
 
         (r1, s1, e1), (r2, s2, e2) = random_data(), random_data()
@@ -492,11 +517,11 @@ class TestScaledData:
         rhs, scalars = rng.uniform(-1, 1, g.shape), rng.uniform(-1, 1, 7)
         edges = rng.uniform(-1, 1, (4, 7))
         scale = 10.0**k
-        z20, z02, z20_h2, z02_h1 = (GridFn1D(axis, scale * e)
+        z20, z02, z20_h2, z02_h1 = (GridFn(axis, scale * e)
                                     for axis, e in zip((g.g1, g.g2, g.g1, g.g2), edges))
         data = NonClassicalData(*(scale * scalars), z20=z20, z02=z02, z20_h2=z20_h2, z02_h1=z02_h1)
         try:
-            sol = solve_dirichlet(DirichletProblem(g, coeffs, GridFn2D(g, scale * rhs), data))
+            sol = solve_dirichlet(DirichletProblem(g, coeffs, GridFn(g, scale * rhs), data))
         except np.linalg.LinAlgError:
             assert k >= 300  # only near the end of the float range
             return
@@ -551,8 +576,8 @@ class TestOutputsOwnTheirMemory:
         self.check(inputs, dirichlet)
         t = case.reference
         traces = TraceSet(p.data.z00, p.data.z10, p.data.z01, t.d[1][1].values[0, 0],
-                          p.data.z20, GridFn1D(p.grid.g1, t.d[2][1].values[:, 0]),
-                          p.data.z02, GridFn1D(p.grid.g2, t.d[1][2].values[0, :]))
+                          p.data.z20, GridFn(p.grid.g1, t.d[2][1].values[:, 0]),
+                          p.data.z02, GridFn(p.grid.g2, t.d[1][2].values[0, :]))
         inputs += [traces.g1.values, traces.g2.values]
 
         def goursat():

@@ -11,7 +11,7 @@ from _families import coefficient_subsets
 from ppde import goursat
 from ppde.expr import parse
 from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
-from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid, order_table, order_tables, orders
+from ppde.grid import Grid2D, GridFn, make_grid, order_table, order_tables, orders
 from ppde.problem import Coefficients, apply_operator, lower_order
 from ppde.representation import TraceSet, extract_traces, line, reconstruct_field
 
@@ -21,17 +21,17 @@ def unit_square(n):
 
 
 def constant_rhs(grid, v):
-    return GridFn2D(grid, v * np.ones(grid.shape))
+    return GridFn(grid, v * np.ones(grid.shape))
 
 
 def picard(gp, tol=1e-14, max_iter=100):
     """Successive substitution for the discrete Volterra equation (the oracle)."""
     grid = gp.grid
-    known = gp.rhs.values - lower_order(reconstruct_field(gp.traces, GridFn2D.zeros(grid)).values,
+    known = gp.rhs.values - lower_order(reconstruct_field(gp.traces, GridFn.zeros(grid)).values,
                                        gp.coeffs)
     w = known
     for _ in range(max_iter):
-        feedback = reconstruct_field(TraceSet.zeros(grid), GridFn2D(grid, w))
+        feedback = reconstruct_field(TraceSet.zeros(grid), GridFn(grid, w))
         w_next = known - lower_order(feedback.values, gp.coeffs)
         if np.max(np.abs(w_next - w)) <= tol:
             return w_next
@@ -43,7 +43,7 @@ class TestSolveGoursat:
     def test_no_coefficients_one_sweep(self):
         g = unit_square(8)
         rng = np.random.default_rng(0)
-        rhs = GridFn2D(g, rng.normal(size=g.shape))
+        rhs = GridFn(g, rng.normal(size=g.shape))
         sol = solve_goursat(GoursatProblem(TraceSet.zeros(g), Coefficients.zeros(g), rhs))
         np.testing.assert_array_equal(sol.w.values, rhs.values)
         np.testing.assert_array_equal(sol.field.d[2][2].values, sol.w.values)
@@ -55,7 +55,7 @@ class TestSolveGoursat:
         X1 = g.g1.nodes[:, None]
         X2 = g.g2.nodes[None, :]
         coeffs = Coefficients.from_exprs(g, {"a00": "1"})
-        rhs = GridFn2D(g, 4 + X1**2 * X2**2)
+        rhs = GridFn(g, 4 + X1**2 * X2**2)
         sol = solve_goursat(GoursatProblem(TraceSet.zeros(g), coeffs, rhs))
         np.testing.assert_allclose(sol.w.values, 4.0, atol=1e-11)
         np.testing.assert_allclose(sol.field.u.values, X1**2 * X2**2, atol=1e-11)
@@ -75,7 +75,7 @@ class TestSolveGoursat:
             g, {"a00": "1", "a21": "x2", "a12": "x1", "a11": "x1*x2", "a20": "0.5"}
         )
         rng = np.random.default_rng(4)
-        rhs = GridFn2D(g, rng.normal(size=g.shape))
+        rhs = GridFn(g, rng.normal(size=g.shape))
         sol = solve_goursat(GoursatProblem(TraceSet.zeros(g), coeffs, rhs))
         assert sol.residual <= 1e-10
         # residual is recomputable from the returned field
@@ -89,23 +89,23 @@ class TestSolveGoursat:
 
         def traces(seed_rng):
             return TraceSet(*seed_rng.normal(size=4),
-                            GridFn1D(g.g1, seed_rng.normal(size=11)),
-                            GridFn1D(g.g1, seed_rng.normal(size=11)),
-                            GridFn1D(g.g2, seed_rng.normal(size=11)),
-                            GridFn1D(g.g2, seed_rng.normal(size=11)))
+                            GridFn(g.g1, seed_rng.normal(size=11)),
+                            GridFn(g.g1, seed_rng.normal(size=11)),
+                            GridFn(g.g2, seed_rng.normal(size=11)),
+                            GridFn(g.g2, seed_rng.normal(size=11)))
 
         ta, tb = traces(rng), traces(rng)
-        ra = GridFn2D(g, rng.normal(size=g.shape))
-        rb = GridFn2D(g, rng.normal(size=g.shape))
+        ra = GridFn(g, rng.normal(size=g.shape))
+        rb = GridFn(g, rng.normal(size=g.shape))
         wa = solve_goursat(GoursatProblem(ta, coeffs, ra)).w.values
         wb = solve_goursat(GoursatProblem(tb, coeffs, rb)).w.values
 
         t_sum = TraceSet(ta.u00 + tb.u00, ta.u10 + tb.u10, ta.u01 + tb.u01, ta.c + tb.c,
-                         GridFn1D(g.g1, ta.p.values + tb.p.values),
-                         GridFn1D(g.g1, ta.g1.values + tb.g1.values),
-                         GridFn1D(g.g2, ta.q.values + tb.q.values),
-                         GridFn1D(g.g2, ta.g2.values + tb.g2.values))
-        r_sum = GridFn2D(g, ra.values + rb.values)
+                         GridFn(g.g1, ta.p.values + tb.p.values),
+                         GridFn(g.g1, ta.g1.values + tb.g1.values),
+                         GridFn(g.g2, ta.q.values + tb.q.values),
+                         GridFn(g.g2, ta.g2.values + tb.g2.values))
+        r_sum = GridFn(g, ra.values + rb.values)
         w_sum = solve_goursat(GoursatProblem(t_sum, coeffs, r_sum)).w.values
         assert np.max(np.abs(w_sum - (wa + wb))) <= 1e-11
 
@@ -114,11 +114,11 @@ class TestSolveGoursat:
         coeffs = Coefficients.from_exprs(g, {"a00": "1", "a21": "0.5"})
         rng = np.random.default_rng(21)
         base = rng.normal(size=g.shape)
-        rhs_a = GridFn2D(g, base)
+        rhs_a = GridFn(g, base)
         i0, j0 = 7, 5
         perturbed = base.copy()
         perturbed[i0:, j0:] += rng.normal(size=perturbed[i0:, j0:].shape)
-        rhs_b = GridFn2D(g, perturbed)
+        rhs_b = GridFn(g, perturbed)
         wa = solve_goursat(GoursatProblem(TraceSet.zeros(g), coeffs, rhs_a)).w.values
         wb = solve_goursat(GoursatProblem(TraceSet.zeros(g), coeffs, rhs_b)).w.values
         unchanged = np.zeros(g.shape, dtype=bool)
@@ -145,9 +145,9 @@ class TestSolveGoursat:
                  "a11": "sin(x1*x2)", "a10": "x1*x2", "a01": "-0.5", "a00": "1"}
         rng = np.random.default_rng(1)
         traces = TraceSet(*rng.normal(size=4),
-                          GridFn1D(g.g1, rng.normal(size=13)), GridFn1D(g.g1, rng.normal(size=13)),
-                          GridFn1D(g.g2, rng.normal(size=13)), GridFn1D(g.g2, rng.normal(size=13)))
-        rhs = GridFn2D(g, rng.normal(size=g.shape))
+                          GridFn(g.g1, rng.normal(size=13)), GridFn(g.g1, rng.normal(size=13)),
+                          GridFn(g.g2, rng.normal(size=13)), GridFn(g.g2, rng.normal(size=13)))
+        rhs = GridFn(g, rng.normal(size=g.shape))
         for subset in coefficient_subsets(exprs, seed=2):
             gp = GoursatProblem(traces, Coefficients.from_exprs(g, subset), rhs)
             w = solve_goursat(gp).w.values
@@ -169,8 +169,10 @@ class TestSolveGoursat:
 
     def test_grid_mismatch(self):
         g, other = unit_square(4), unit_square(5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coefficients and right-hand side grids differ$"):
             GoursatProblem(TraceSet.zeros(g), Coefficients.zeros(other), constant_rhs(g, 0.0))
+        with pytest.raises(ValueError, match="^trace grids do not match the problem grid$"):
+            GoursatProblem(TraceSet.zeros(other), Coefficients.zeros(g), constant_rhs(g, 0.0))
 
 
 ALL_COEFFICIENTS = {"a21": "x1", "a12": "1+x2", "a20": "0.3", "a02": "x2",

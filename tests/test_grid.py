@@ -12,8 +12,7 @@ import ppde
 from ppde.goursat import MarchingError
 from ppde.grid import (
     Grid2D,
-    GridFn1D,
-    GridFn2D,
+    GridFn,
     NonFiniteError,
     NumericalError,
     lp_norm,
@@ -26,22 +25,22 @@ from ppde.grid import (
 
 
 def fn1(grid, f):
-    return GridFn1D(grid, f(grid.nodes))
+    return GridFn(grid, f(grid.nodes))
 
 
 def fn2(grid, f):
     X1 = grid.g1.nodes[:, None]
     X2 = grid.g2.nodes[None, :]
-    return GridFn2D(grid, np.broadcast_to(np.asarray(f(X1, X2), dtype=float), grid.shape))
+    return GridFn(grid, np.broadcast_to(np.asarray(f(X1, X2), dtype=float), grid.shape))
 
 
 def cumulative(f):
-    """Node values of int_0^x f(t) dt for a GridFn1D f."""
+    """Node values of int_0^x f(t) dt for a GridFn f."""
     return orders(f.values, f.grid)[1]
 
 
 def remainder(f):
-    """Node values of int_0^x (x - t) f(t) dt for a GridFn1D f."""
+    """Node values of int_0^x (x - t) f(t) dt for a GridFn f."""
     return orders(f.values, f.grid)[0]
 
 
@@ -79,6 +78,19 @@ class TestMakeGrid:
         assert g.n == 4 and type(g.n) is int
         assert g.shape == (5,) == g.nodes.shape
 
+    @pytest.mark.parametrize("axes", [(None, make_grid(1.0, 2)), (make_grid(1.0, 2), [0.0, 1.0]),
+                                      (unit_square(2), make_grid(1.0, 2))])
+    def test_grid2d_needs_two_grid1d_axes(self, axes):
+        with pytest.raises(ValueError, match="^Grid2D needs two Grid1D axes$"):
+            Grid2D(*axes)
+
+    def test_equal_grids_hash_equal(self):
+        a, b = make_grid(1.3, 6), make_grid(1.3, 6.0)
+        assert a == b and hash(a) == hash(b) and len({a, b, make_grid(1.3, 7)}) == 2
+        c, d = Grid2D(a, make_grid(0.7, 4)), Grid2D(b, make_grid(0.7, 4))
+        assert c == d and hash(c) == hash(d) and len({c, d, Grid2D(make_grid(0.7, 4), a)}) == 2
+        assert a != c and c != a
+
     def test_grids_are_freed_by_reference_counting_alone(self):
         # No grid refers to itself, so none waits for the cyclic collector.
         enabled = gc.isenabled()
@@ -106,30 +118,38 @@ class TestMakeGrid:
 class TestGridFnValidation:
     def test_wrong_length(self):
         with pytest.raises(ValueError, match=r"values shape \(2,\) does not match grid shape \(5,\)"):
-            GridFn1D(make_grid(1.0, 4), [1.0, 2.0])
+            GridFn(make_grid(1.0, 4), [1.0, 2.0])
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
-            GridFn1D(make_grid(1.0, 2), [0.0, np.nan, 1.0])
+            GridFn(make_grid(1.0, 2), [0.0, np.nan, 1.0])
 
-    def test_grid_of_the_other_dimension(self):
+    @pytest.mark.parametrize("grid, kind", [(None, "NoneType"), ([0.0, 1.0], "list"),
+                                            (np.zeros(3), "ndarray")])
+    def test_a_non_grid_is_named(self, grid, kind):
+        with pytest.raises(ValueError, match=f"^grid must be a Grid1D or a Grid2D, got {kind}$"):
+            GridFn(grid, np.zeros(3))
+
+    def test_values_shaped_for_the_other_grid(self):
+        # one type for both grids: the values' shape alone says which grid they fit
         g = unit_square(2)
-        with pytest.raises(ValueError, match="^grid must be a Grid1D, got Grid2D$"):
-            GridFn1D(g, np.zeros(g.shape))
-        with pytest.raises(ValueError, match="^grid must be a Grid2D, got Grid1D$"):
-            GridFn2D(g.g1, np.zeros(g.g1.shape))
+        with pytest.raises(ValueError, match=r"^values shape \(3, 3\) does not match grid shape \(3,\)$"):
+            GridFn(g.g1, np.zeros(g.shape))
+        with pytest.raises(ValueError, match=r"^values shape \(3,\) does not match grid shape \(3, 3\)$"):
+            GridFn(g, np.zeros(g.g1.shape))
+        assert GridFn(g.g1, np.zeros(3)).grid == g.g1 != GridFn(g, np.zeros((3, 3))).grid
 
     def test_wrong_shape_2d(self):
         g = unit_square(2)
         with pytest.raises(ValueError):
-            GridFn2D(g, np.zeros((2, 3)))
+            GridFn(g, np.zeros((2, 3)))
 
     def test_values_are_a_read_only_copy(self):
         source = np.array([0.0, 1.0, 2.0])
-        f1 = GridFn1D(make_grid(1.0, 2), source)
+        f1 = GridFn(make_grid(1.0, 2), source)
         source[0] = 5.0  # the caller's array stays writable, and the copy does not follow
         assert f1.values[0] == 0.0
-        f2 = GridFn2D(unit_square(2), np.ones((3, 3)))
+        f2 = GridFn(unit_square(2), np.ones((3, 3)))
         with pytest.raises(ValueError, match="read-only"):
             f1.values[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -166,7 +186,7 @@ class TestCumulativeIntegral:
 class TestTaylorRemainderIntegral:
     def test_zero(self):
         g = make_grid(1.0, 5)
-        R = remainder(GridFn1D.zeros(g))
+        R = remainder(GridFn.zeros(g))
         np.testing.assert_array_equal(R, np.zeros(6))
 
     @pytest.mark.parametrize("n", [1, 4, 7])
@@ -186,7 +206,7 @@ class TestTaylorRemainderIntegral:
         g = make_grid(1.0, 32)
         f = fn1(g, np.sin)
         R = remainder(f)
-        CC = cumulative(GridFn1D(g, cumulative(f)))
+        CC = cumulative(GridFn(g, cumulative(f)))
         assert np.max(np.abs(R - CC)) <= 10 * g.h**2
 
 
@@ -259,6 +279,17 @@ def test_only_grid_reads_the_spacing():
     assert not readers
 
 
+def test_only_grid_asks_which_grid():
+    # One grid-function type serves both grids, so no module but grid.py
+    # branches on a grid's or a grid function's type.
+    kinds = {"Grid1D", "Grid2D", "GridFn", "GridFn1D", "GridFn2D"}
+    askers = [f"{name}:{node.lineno}" for name, node in package_nodes()
+              if name != "grid.py" and isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2
+              and kinds & {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}]
+    assert not askers
+
+
 def test_no_module_imports_a_private_name():
     # An underscore name is its own module's business: a rule that another
     # module needs gets a public name in the module that owns it.
@@ -292,10 +323,10 @@ class TestLinearity:
         rng = np.random.default_rng(7)
         g = make_grid(1.3, 17)
         for op in (cumulative, remainder):
-            f1 = GridFn1D(g, rng.normal(size=18))
-            f2 = GridFn1D(g, rng.normal(size=18))
+            f1 = GridFn(g, rng.normal(size=18))
+            f2 = GridFn(g, rng.normal(size=18))
             a, b = 2.5, -1.25
-            combo = op(GridFn1D(g, a * f1.values + b * f2.values))
+            combo = op(GridFn(g, a * f1.values + b * f2.values))
             split = a * op(f1) + b * op(f2)
             np.testing.assert_allclose(combo, split, atol=1e-13)
 
@@ -326,7 +357,7 @@ class TestLpNorm:
     def test_sup_is_exact_max(self):
         rng = np.random.default_rng(3)
         g = unit_square(9)
-        f = GridFn2D(g, rng.normal(size=g.shape))
+        f = GridFn(g, rng.normal(size=g.shape))
         assert lp_norm(f, np.inf) == np.max(np.abs(f.values))
 
     def test_bilinear_sup(self):
@@ -342,23 +373,22 @@ class TestLpNorm:
     def test_bad_exponent(self, p):
         g = make_grid(1.0, 4)
         with pytest.raises(ValueError):
-            lp_norm(GridFn1D.zeros(g), p)
+            lp_norm(GridFn.zeros(g), p)
 
     # |1e160|**p overflows; the norm is 1e160 times the norm of the ones grid.
     @pytest.mark.parametrize("two_d", [False, True])
     @pytest.mark.parametrize("p", [2, 3])
     def test_grid_whose_power_overflows(self, two_d, p):
         g = Grid2D(make_grid(2.0, 6), make_grid(3.0, 5)) if two_d else make_grid(2.0, 6)
-        fn, shape = (GridFn2D, g.shape) if two_d else (GridFn1D, g.nodes.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            norm = lp_norm(fn(g, np.full(shape, 1e160)), p)
-        assert norm == 1e160 * lp_norm(fn(g, np.ones(shape)), p)
+            norm = lp_norm(GridFn(g, np.full(g.shape, 1e160)), p)
+        assert norm == 1e160 * lp_norm(GridFn(g, np.ones(g.shape)), p)
 
 
 class TestMixedNorm:
     def test_zero(self):
-        assert mixed_norm(GridFn2D.zeros(unit_square(6)), np.inf, 2) == 0.0
+        assert mixed_norm(GridFn.zeros(unit_square(6)), np.inf, 2) == 0.0
 
     def test_sup_x1_then_l2_of_x2(self):
         # sup over x1 of |x2| is x2; L2 of x2 on [0,1] is 1/sqrt(3)
@@ -378,15 +408,15 @@ class TestMixedNorm:
 
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
-            mixed_norm(GridFn2D.zeros(unit_square(4)), 0.5, 2)
+            mixed_norm(GridFn.zeros(unit_square(4)), 0.5, 2)
 
     @pytest.mark.parametrize("exponents", [(np.inf, 2), (2, np.inf), (2, 3)])
     def test_grid_whose_power_overflows(self, exponents):
         g = Grid2D(make_grid(2.0, 6), make_grid(3.0, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            norm = mixed_norm(GridFn2D(g, np.full(g.shape, -1e160)), *exponents)
-        assert norm == 1e160 * mixed_norm(GridFn2D(g, np.ones(g.shape)), *exponents)
+            norm = mixed_norm(GridFn(g, np.full(g.shape, -1e160)), *exponents)
+        assert norm == 1e160 * mixed_norm(GridFn(g, np.ones(g.shape)), *exponents)
 
 
 class TestNormsBitForBit:
@@ -404,16 +434,16 @@ class TestNormsBitForBit:
         g1, g2 = self.grid.g1, self.grid.g2
         a = self.values()
         want = np.trapezoid(np.trapezoid(a**p, dx=g2.h, axis=1), dx=g1.h) ** (1.0 / p)
-        assert lp_norm(GridFn2D(self.grid, a), p) == want
+        assert lp_norm(GridFn(self.grid, a), p) == want
         for g, edge in [(g1, a[:, 3]), (g2, a[5, :])]:
-            assert lp_norm(GridFn1D(g, edge), p) == np.trapezoid(edge**p, dx=g.h) ** (1.0 / p)
+            assert lp_norm(GridFn(g, edge), p) == np.trapezoid(edge**p, dx=g.h) ** (1.0 / p)
 
     @pytest.mark.parametrize("inner, outer", itertools.product([1, 2, 3.5], repeat=2))
     def test_mixed_norm(self, inner, outer):
         a = self.values()
         x1_norms = np.trapezoid(a**inner, dx=self.grid.g1.h, axis=0) ** (1.0 / inner)
         want = np.trapezoid(x1_norms**outer, dx=self.grid.g2.h) ** (1.0 / outer)
-        assert mixed_norm(GridFn2D(self.grid, a), inner, outer) == want
+        assert mixed_norm(GridFn(self.grid, a), inner, outer) == want
 
 
 class TestStage:
@@ -421,17 +451,17 @@ class TestStage:
         # the overflow itself gives no warning (pyproject makes one an error)
         with pytest.raises(NumericalError, match="^sweep produced non-finite values$"):
             with stage("sweep"):
-                GridFn1D(make_grid(1.0, 2), np.full(3, 1e308) * 10)
+                GridFn(make_grid(1.0, 2), np.full(3, 1e308) * 10)
 
     def test_outside_a_stage_they_are_a_value_error(self):
         with pytest.raises(NonFiniteError, match="^grid function values must be finite$"):
-            GridFn1D(make_grid(1.0, 2), [0.0, np.inf, 0.0])
+            GridFn(make_grid(1.0, 2), [0.0, np.inf, 0.0])
         assert issubclass(NonFiniteError, ValueError)
 
     def test_other_errors_pass_through(self):
         with pytest.raises(ValueError, match="shape"):
             with stage("sweep"):
-                GridFn1D(make_grid(1.0, 2), [0.0])
+                GridFn(make_grid(1.0, 2), [0.0])
 
     def test_one_base_class_for_numerical_failures(self):
         assert issubclass(NumericalError, np.linalg.LinAlgError)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +8,18 @@ from hypothesis import strategies as st
 from _families import coefficient_subsets
 from ppde.dirichlet import solve_dirichlet
 from ppde.expr import differentiate, evaluate, parse
-from ppde.grid import Grid2D, GridFn1D, GridFn2D, lp_norm, make_grid, mixed_norm
+from ppde.grid import Grid2D, GridFn, NonFiniteError, lp_norm, make_grid, mixed_norm
 from ppde.problem import (
     _TERMS,
     ALL_NODES,
     CLASSICAL,
     COEFFICIENT_NAMES,
     CONDITIONS,
+    AgreementReport,
     BoundaryFn,
     ClassicalData,
     Coefficients,
+    CompatibilityReport,
     NonClassicalData,
     apply_operator,
     boundary_values,
@@ -35,16 +39,16 @@ def unit_square(n):
 
 
 def const_fn(grid, v):
-    return GridFn1D(grid, v * np.ones(grid.n + 1))
+    return GridFn(grid, v * np.ones(grid.n + 1))
 
 
 def random_nonclassical(grid, rng):
     return NonClassicalData(
         *rng.normal(size=7),
-        z20=GridFn1D(grid.g1, rng.normal(size=grid.g1.n + 1)),
-        z02=GridFn1D(grid.g2, rng.normal(size=grid.g2.n + 1)),
-        z20_h2=GridFn1D(grid.g1, rng.normal(size=grid.g1.n + 1)),
-        z02_h1=GridFn1D(grid.g2, rng.normal(size=grid.g2.n + 1)),
+        z20=GridFn(grid.g1, rng.normal(size=grid.g1.n + 1)),
+        z02=GridFn(grid.g2, rng.normal(size=grid.g2.n + 1)),
+        z20_h2=GridFn(grid.g1, rng.normal(size=grid.g1.n + 1)),
+        z02_h1=GridFn(grid.g2, rng.normal(size=grid.g2.n + 1)),
     )
 
 
@@ -57,20 +61,20 @@ def data_of(text, grid):
 class TestEvalBoundary:
     def test_taylor_shape(self):
         g = make_grid(1.0, 4)
-        f = BoundaryFn(1.0, 2.0, GridFn1D(g, 6 * g.nodes))
+        f = BoundaryFn(1.0, 2.0, GridFn(g, 6 * g.nodes))
         # hand value: 1 + 2 + (x*C0 - C1)(1) = 3 + 0.9375
         assert boundary_values(f).values[4] == pytest.approx(3.9375, abs=1e-15)
         assert boundary_values(f).values[4] == pytest.approx(4.0, abs=0.07)
 
     def test_zero(self):
         g = make_grid(1.0, 4)
-        f = BoundaryFn(0.0, 0.0, GridFn1D.zeros(g))
+        f = BoundaryFn(0.0, 0.0, GridFn.zeros(g))
         for i in range(5):
             assert boundary_values(f).values[i] == 0.0
 
     def test_affine_exact(self):
         g = make_grid(1.0, 4)
-        f = BoundaryFn(1.0, 1.0, GridFn1D.zeros(g))
+        f = BoundaryFn(1.0, 1.0, GridFn.zeros(g))
         assert boundary_values(f).values[2] == 1.5
 
     def test_full_curve(self):
@@ -130,10 +134,10 @@ class TestCheckAgreement:
 
     def linear_data(self):
         # boundary functions of u = x1 + x2
-        phi1 = BoundaryFn(0.0, 1.0, GridFn1D.zeros(self.g.g2))
-        phi2 = BoundaryFn(1.0, 1.0, GridFn1D.zeros(self.g.g2))
-        psi1 = BoundaryFn(0.0, 1.0, GridFn1D.zeros(self.g.g1))
-        psi2 = BoundaryFn(1.0, 1.0, GridFn1D.zeros(self.g.g1))
+        phi1 = BoundaryFn(0.0, 1.0, GridFn.zeros(self.g.g2))
+        phi2 = BoundaryFn(1.0, 1.0, GridFn.zeros(self.g.g2))
+        psi1 = BoundaryFn(0.0, 1.0, GridFn.zeros(self.g.g1))
+        psi2 = BoundaryFn(1.0, 1.0, GridFn.zeros(self.g.g1))
         return ClassicalData(phi1, phi2, psi1, psi2)
 
     def test_consistent(self):
@@ -143,15 +147,55 @@ class TestCheckAgreement:
     def test_detects_mismatch(self):
         d = self.linear_data()
         d2 = ClassicalData(d.phi1, d.phi2,
-                           BoundaryFn(0.0, 2.0, GridFn1D.zeros(self.g.g1)), d.psi2)
+                           BoundaryFn(0.0, 2.0, GridFn.zeros(self.g.g1)), d.psi2)
         rep = check_agreement(d2)
         assert rep.r4 == pytest.approx(-1.0, abs=1e-14)
 
     def test_zero_data(self):
-        z = BoundaryFn(0.0, 0.0, GridFn1D.zeros(self.g.g2))
-        zp = BoundaryFn(0.0, 0.0, GridFn1D.zeros(self.g.g1))
+        z = BoundaryFn(0.0, 0.0, GridFn.zeros(self.g.g2))
+        zp = BoundaryFn(0.0, 0.0, GridFn.zeros(self.g.g1))
         rep = check_agreement(ClassicalData(z, z, zp, zp))
         assert (rep.r1, rep.r2, rep.r3, rep.r4) == (0.0, 0.0, 0.0, 0.0)
+
+
+class TestDataValidation:
+    # Each pair of edge functions shares one axis grid, and every scalar is finite.
+    g, other = unit_square(4), Grid2D(make_grid(1.0, 5), make_grid(1.0, 3))
+
+    @pytest.mark.parametrize("name, message", [
+        ("phi2", "^phi1 and phi2 must share the x2 grid$"),
+        ("psi2", "^psi1 and psi2 must share the x1 grid$"),
+    ])
+    def test_classical_pair_on_two_grids(self, name, message):
+        fns = {key: BoundaryFn(0.0, 0.0, GridFn.zeros(self.g.g2 if key[:3] == "phi" else self.g.g1))
+               for key in ("phi1", "phi2", "psi1", "psi2")}
+        wrong = self.other.g2 if name[:3] == "phi" else self.other.g1
+        fns[name] = BoundaryFn(0.0, 0.0, GridFn.zeros(wrong))
+        with pytest.raises(ValueError, match=message):
+            ClassicalData(**fns)
+
+    @pytest.mark.parametrize("name, message", [
+        ("z20_h2", "^z20 and z20_h2 must share the x1 grid$"),
+        ("z02_h1", "^z02 and z02_h1 must share the x2 grid$"),
+    ])
+    def test_nonclassical_pair_on_two_grids(self, name, message):
+        z = vars(NonClassicalData.zeros(self.g)).copy()
+        z[name] = GridFn.zeros(NonClassicalData.edge_grids(self.other)[name])
+        with pytest.raises(ValueError, match=message):
+            NonClassicalData(**z)
+
+    @pytest.mark.parametrize("name", NonClassicalData.SCALARS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonclassical_scalar_not_finite(self, name, value):
+        z = vars(NonClassicalData.zeros(self.g)).copy()
+        z[name] = value
+        with pytest.raises(NonFiniteError, match=f"^scalar {name} must be finite$"):
+            NonClassicalData(**z)
+
+    @pytest.mark.parametrize("report", [AgreementReport, CompatibilityReport])
+    def test_residuals_not_finite(self, report):
+        with pytest.raises(NonFiniteError, match="^residuals must be finite$"):
+            report(*[0.0] * (len(dataclasses.fields(report)) - 1), np.nan)
 
 
 class TestConverters:
@@ -172,10 +216,10 @@ class TestConverters:
     def test_c2n_linear(self):
         g = unit_square(4)
         d = ClassicalData(
-            phi1=BoundaryFn(0.0, 1.0, GridFn1D.zeros(g.g2)),
-            phi2=BoundaryFn(1.0, 1.0, GridFn1D.zeros(g.g2)),
-            psi1=BoundaryFn(0.0, 1.0, GridFn1D.zeros(g.g1)),
-            psi2=BoundaryFn(1.0, 1.0, GridFn1D.zeros(g.g1)),
+            phi1=BoundaryFn(0.0, 1.0, GridFn.zeros(g.g2)),
+            phi2=BoundaryFn(1.0, 1.0, GridFn.zeros(g.g2)),
+            psi1=BoundaryFn(0.0, 1.0, GridFn.zeros(g.g1)),
+            psi2=BoundaryFn(1.0, 1.0, GridFn.zeros(g.g1)),
         )
         z = classical_to_nonclassical(d)
         assert (z.z00, z.z10, z.z01) == (0.0, 1.0, 1.0)
@@ -187,10 +231,10 @@ class TestConverters:
         g = unit_square(4)
         z = NonClassicalData(
             1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0,
-            z20=GridFn1D.zeros(g.g1),
-            z02=GridFn1D(g.g2, 6 * g.g2.nodes),
-            z20_h2=GridFn1D.zeros(g.g1),
-            z02_h1=GridFn1D.zeros(g.g2),
+            z20=GridFn.zeros(g.g1),
+            z02=GridFn(g.g2, 6 * g.g2.nodes),
+            z20_h2=GridFn.zeros(g.g1),
+            z02_h1=GridFn.zeros(g.g2),
         )
         d = nonclassical_to_classical(z)
         # phi1 = 1 + 2 x2 + x2^3 up to quadrature on the cubic term
@@ -234,7 +278,7 @@ class TestConverters:
 
         def triple(grid):
             return BoundaryFn(rng.normal(), rng.normal(),
-                              GridFn1D(grid, rng.normal(size=grid.n + 1)))
+                              GridFn(grid, rng.normal(size=grid.n + 1)))
 
         d = ClassicalData(triple(g.g2), triple(g.g2), triple(g.g1), triple(g.g1))
         back = nonclassical_to_classical(classical_to_nonclassical(d))
@@ -255,7 +299,7 @@ class TestConverters:
         rng = np.random.default_rng(seed)
 
         def triple(v0, grid):
-            return BoundaryFn(v0, rng.normal(), GridFn1D(grid, rng.normal(size=grid.n + 1)))
+            return BoundaryFn(v0, rng.normal(), GridFn(grid, rng.normal(size=grid.n + 1)))
 
         corner = rng.normal()  # phi1(0) = psi1(0): agreeing data keep one corner value
         d = ClassicalData(triple(corner, g.g2), triple(rng.normal(), g.g2),
@@ -438,9 +482,9 @@ class TestCoefficients:
 
     def test_shared_grid_enforced(self):
         g4, g5 = unit_square(4), unit_square(5)
-        fns4 = [GridFn2D.zeros(g4) for _ in range(7)]
+        fns4 = [GridFn.zeros(g4) for _ in range(7)]
         with pytest.raises(ValueError):
-            Coefficients(*fns4, GridFn2D.zeros(g5))
+            Coefficients(*fns4, GridFn.zeros(g5))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.sampled_from(["0", "0*x1", "x1", "1 - x2", "-0.5", "x1*x2"]),
@@ -466,7 +510,7 @@ class TestCoefficients:
         assert all(fn is absent[0] for fn in absent) and shared.a11 is not absent[0]
         # A solve with the shared zero gives the bits of one with eight own grids,
         # and leaves the zero as it was.
-        own = Coefficients(*(GridFn2D(g, getattr(shared, name).values) for name in COEFFICIENT_NAMES))
+        own = Coefficients(*(GridFn(g, getattr(shared, name).values) for name in COEFFICIENT_NAMES))
         u = "sin(x1)*exp(x2) + x1^2*x2"
         a, b = (solve_dirichlet(manufactured_problem(u, c, g).problem) for c in (shared, own))
         assert a.theta.tobytes() == b.theta.tobytes()

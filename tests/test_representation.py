@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppde.expr import parse
-from ppde.grid import Grid2D, GridFn1D, GridFn2D, make_grid
-from ppde.representation import TraceSet, extract_traces, reconstruct_field, trace_part
+from ppde.grid import Grid2D, GridFn, NonFiniteError, make_grid
+from ppde.representation import DerivativeField, TraceSet, extract_traces, reconstruct_field, trace_part
 
 
 def unit_square(n):
@@ -14,17 +14,17 @@ def unit_square(n):
 
 def bilinear_traces(grid):
     return TraceSet(1.0, 1.0, 1.0, 1.0,
-                    GridFn1D.zeros(grid.g1), GridFn1D.zeros(grid.g1),
-                    GridFn1D.zeros(grid.g2), GridFn1D.zeros(grid.g2))
+                    GridFn.zeros(grid.g1), GridFn.zeros(grid.g1),
+                    GridFn.zeros(grid.g2), GridFn.zeros(grid.g2))
 
 
 def random_traces_and_w(grid, rng):
     t = TraceSet(*rng.normal(size=4),
-                 GridFn1D(grid.g1, rng.normal(size=grid.g1.n + 1)),
-                 GridFn1D(grid.g1, rng.normal(size=grid.g1.n + 1)),
-                 GridFn1D(grid.g2, rng.normal(size=grid.g2.n + 1)),
-                 GridFn1D(grid.g2, rng.normal(size=grid.g2.n + 1)))
-    w = GridFn2D(grid, rng.normal(size=grid.shape))
+                 GridFn(grid.g1, rng.normal(size=grid.g1.n + 1)),
+                 GridFn(grid.g1, rng.normal(size=grid.g1.n + 1)),
+                 GridFn(grid.g2, rng.normal(size=grid.g2.n + 1)),
+                 GridFn(grid.g2, rng.normal(size=grid.g2.n + 1)))
+    w = GridFn(grid, rng.normal(size=grid.shape))
     return t, w
 
 
@@ -38,14 +38,14 @@ def field_error(a, b):
 class TestReconstructU:
     def test_bilinear_exact(self):
         g = unit_square(5)
-        u = reconstruct_field(bilinear_traces(g), GridFn2D.zeros(g)).u
+        u = reconstruct_field(bilinear_traces(g), GridFn.zeros(g)).u
         X1 = g.g1.nodes[:, None]
         X2 = g.g2.nodes[None, :]
         np.testing.assert_allclose(u.values, 1 + X1 + X2 + X1 * X2, atol=1e-15)
 
     def test_constant_w_gives_quartic(self):
         g = unit_square(6)
-        u = reconstruct_field(TraceSet.zeros(g), GridFn2D(g, 4 * np.ones(g.shape))).u
+        u = reconstruct_field(TraceSet.zeros(g), GridFn(g, 4 * np.ones(g.shape))).u
         X1 = g.g1.nodes[:, None]
         X2 = g.g2.nodes[None, :]
         np.testing.assert_allclose(u.values, X1**2 * X2**2, atol=1e-14)
@@ -53,21 +53,21 @@ class TestReconstructU:
 
     def test_all_zero(self):
         g = unit_square(4)
-        u = reconstruct_field(TraceSet.zeros(g), GridFn2D.zeros(g)).u
+        u = reconstruct_field(TraceSet.zeros(g), GridFn.zeros(g)).u
         np.testing.assert_array_equal(u.values, np.zeros(g.shape))
 
 
 class TestReconstructField:
     def test_bilinear_derivatives(self):
         g = unit_square(5)
-        f = reconstruct_field(bilinear_traces(g), GridFn2D.zeros(g))
+        f = reconstruct_field(bilinear_traces(g), GridFn.zeros(g))
         np.testing.assert_allclose(f.d[1][1].values, np.ones(g.shape), atol=1e-15)
         for i, j in [(2, 0), (2, 1), (2, 2), (0, 2), (1, 2)]:
             np.testing.assert_allclose(f.d[i][j].values, 0.0, atol=1e-15)
 
     def test_constant_w_derivatives(self):
         g = unit_square(6)
-        f = reconstruct_field(TraceSet.zeros(g), GridFn2D(g, 4 * np.ones(g.shape)))
+        f = reconstruct_field(TraceSet.zeros(g), GridFn(g, 4 * np.ones(g.shape)))
         X2 = g.g2.nodes[None, :]
         np.testing.assert_array_equal(f.d[2][2].values, 4 * np.ones(g.shape))
         np.testing.assert_allclose(f.d[2][1].values, 4 * X2 * np.ones(g.shape), atol=1e-15)
@@ -75,7 +75,7 @@ class TestReconstructField:
 
     def test_all_zero(self):
         g = unit_square(4)
-        f = reconstruct_field(TraceSet.zeros(g), GridFn2D.zeros(g))
+        f = reconstruct_field(TraceSet.zeros(g), GridFn.zeros(g))
         assert field_error(f, f) == 0.0
         for i in range(3):
             for j in range(3):
@@ -103,12 +103,12 @@ class TestReconstructField:
         combo_t = TraceSet(
             a * ta.u00 + b * tb.u00, a * ta.u10 + b * tb.u10,
             a * ta.u01 + b * tb.u01, a * ta.c + b * tb.c,
-            GridFn1D(g.g1, a * ta.p.values + b * tb.p.values),
-            GridFn1D(g.g1, a * ta.g1.values + b * tb.g1.values),
-            GridFn1D(g.g2, a * ta.q.values + b * tb.q.values),
-            GridFn1D(g.g2, a * ta.g2.values + b * tb.g2.values),
+            GridFn(g.g1, a * ta.p.values + b * tb.p.values),
+            GridFn(g.g1, a * ta.g1.values + b * tb.g1.values),
+            GridFn(g.g2, a * ta.q.values + b * tb.q.values),
+            GridFn(g.g2, a * ta.g2.values + b * tb.g2.values),
         )
-        combo_w = GridFn2D(g, a * wa.values + b * wb.values)
+        combo_w = GridFn(g, a * wa.values + b * wb.values)
         fc = reconstruct_field(combo_t, combo_w)
         fa = reconstruct_field(ta, wa)
         fb = reconstruct_field(tb, wb)
@@ -124,7 +124,35 @@ class TestReconstructField:
         g = unit_square(4)
         other = unit_square(5)
         with pytest.raises(ValueError):
-            reconstruct_field(TraceSet.zeros(g), GridFn2D.zeros(other))
+            reconstruct_field(TraceSet.zeros(g), GridFn.zeros(other))
+
+
+class TestValidation:
+    g, other = unit_square(4), Grid2D(make_grid(1.0, 5), make_grid(1.0, 3))
+
+    @pytest.mark.parametrize("k, message", [(1, "^p and g1 must share the x1 grid$"),
+                                            (3, "^q and g2 must share the x2 grid$")])
+    def test_trace_pair_on_two_grids(self, k, message):
+        fns = [GridFn.zeros(a) for a in (self.g.g1, self.g.g1, self.g.g2, self.g.g2)]
+        fns[k] = GridFn.zeros(self.other.g1 if k < 2 else self.other.g2)
+        with pytest.raises(ValueError, match=message):
+            TraceSet(0.0, 0.0, 0.0, 0.0, *fns)
+
+    @pytest.mark.parametrize("k, name", enumerate(["u00", "u10", "u01", "c"]))
+    def test_trace_scalar_not_finite(self, k, name):
+        scalars = [0.0] * 4
+        scalars[k] = np.inf
+        edges = [GridFn.zeros(a) for a in (self.g.g1, self.g.g1, self.g.g2, self.g.g2)]
+        with pytest.raises(NonFiniteError, match=f"^trace scalar {name} must be finite$"):
+            TraceSet(*scalars, *edges)
+
+    @pytest.mark.parametrize("wrong", [lambda g: GridFn.zeros(unit_square(5)),
+                                       lambda g: GridFn.zeros(g.g1)], ids=["other_square", "edge"])
+    def test_derivative_grid_on_another_grid(self, wrong):
+        d = [[GridFn.zeros(self.g) for _ in range(3)] for _ in range(3)]
+        d[1][2] = wrong(self.g)
+        with pytest.raises(ValueError, match=r"^derivative grid d\[1\]\[2\] does not match the field grid$"):
+            DerivativeField(self.g, d)
 
 
 class TestTracePart:
@@ -134,7 +162,7 @@ class TestTracePart:
         g = Grid2D(make_grid(1.5, n1), make_grid(0.7, n2))
         t, w = random_traces_and_w(g, np.random.default_rng(seed))
         trace = trace_part(t, g)
-        without_w = reconstruct_field(t, GridFn2D.zeros(g))
+        without_w = reconstruct_field(t, GridFn.zeros(g))
         without_traces = reconstruct_field(TraceSet.zeros(g), w)
         full = reconstruct_field(t, w)
         for i in range(3):

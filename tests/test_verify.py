@@ -3,7 +3,7 @@ import pytest
 
 import ppde.verify
 from ppde.expr import parse
-from ppde.grid import Grid2D, GridFn2D, make_grid
+from ppde.grid import Grid2D, GridFn, make_grid
 from ppde.problem import Coefficients
 from ppde.representation import DerivativeField, extract_traces
 from ppde.verify import (
@@ -22,21 +22,21 @@ def unit_square(n):
 
 def scaled_field(field, alpha):
     return DerivativeField(field.grid, [
-        [GridFn2D(field.grid, alpha * field.d[i][j].values) for j in range(3)]
+        [GridFn(field.grid, alpha * field.d[i][j].values) for j in range(3)]
         for i in range(3)
     ])
 
 
 def summed_field(a, b):
     return DerivativeField(a.grid, [
-        [GridFn2D(a.grid, a.d[i][j].values + b.d[i][j].values) for j in range(3)]
+        [GridFn(a.grid, a.d[i][j].values + b.d[i][j].values) for j in range(3)]
         for i in range(3)
     ])
 
 
 def random_field(grid, rng):
     return DerivativeField(grid, [
-        [GridFn2D(grid, rng.normal(size=grid.shape)) for _ in range(3)]
+        [GridFn(grid, rng.normal(size=grid.shape)) for _ in range(3)]
         for _ in range(3)
     ])
 
@@ -143,6 +143,12 @@ class TestConvergenceStudy:
                 ConvergenceRow(8, 1.0, 1.0, float("nan")),
                 ConvergenceRow(24, 0.5, 0.5, 1.0),
             ])
+
+    @pytest.mark.parametrize("errors", [(-1.0, 0.5), (0.5, -1e-300)])
+    def test_negative_error_rejected(self, errors):
+        with pytest.raises(ValueError, match="^errors must be nonnegative$"):
+            ConvergenceTable([ConvergenceRow(4, 1.0, 1.0, float("nan")),
+                              ConvergenceRow(8, *errors, 1.0)])
 
     def test_csv_shape(self):
         table = convergence_study("x1*x2", {}, (1.0, 1.0), [4, 8])
