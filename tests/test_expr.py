@@ -92,6 +92,28 @@ class TestParse:
         e = parse("sin(x1)*cos(x2) + exp(x1*x2)")
         assert evaluate(e, 0.0, 0.5) == pytest.approx(1.0)
 
+    # The token grammar: a number is read whole before an identifier, so an
+    # exponent ends where its digits do, and a point needs no digit on one side.
+    @pytest.mark.parametrize("text, message", [
+        ("1e5x1", "unexpected trailing input 'x1' (offset 3)"),
+        ("1.e", "unexpected trailing input 'e' (offset 2)"),
+        ("x1 $ 2", "unexpected character '$' (offset 3)"),
+        ("x1\x00", "unexpected character '\\x00' (offset 2)"),
+    ])
+    def test_token_error_message_and_offset(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    def test_point_without_leading_digit(self):
+        assert parse(".5") == Num(0.5)
+
+    def test_unicode_whitespace_and_digits(self):
+        # Whitespace is any character str.isspace accepts, here a no-break
+        # space and an em space; a digit is any Unicode decimal digit.
+        assert parse("x1\u00a0+\u2003x2") == BinOp("+", Var("x1"), Var("x2"))
+        assert to_string(parse("\u0661\u0662 + x1")) == "(12.0 + x1)"
+
 
 class TestOperators:
     @pytest.mark.parametrize("op", OPERATORS)
