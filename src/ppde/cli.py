@@ -28,6 +28,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import operator
 import os
 import shutil
 import stat
@@ -42,6 +43,7 @@ from .dirichlet import DirichletProblem, solve_classical, solve_dirichlet
 from .grid import Grid1D, Grid2D, GridFn
 from .problem import (
     CLASSICAL,
+    COEFFICIENT_NAMES,
     BoundaryFn,
     ClassicalData,
     Coefficients,
@@ -88,9 +90,11 @@ class Config:
 # ---------------------------------------------------------------------------
 # config reading
 
-# The config grammar: the keys of each section but [coefficients].
+# The config grammar: the keys of each section.  ``convert`` writes the
+# [domain] and data sections in this order.
 _KEYS = {
     "domain": ("h1", "h2", "n1", "n2"),
+    "coefficients": COEFFICIENT_NAMES,
     "rhs": ("expr", "csv"),
     "data.nonclassical": (NonClassicalData.SCALARS + NonClassicalData.X1_FUNCTIONS
                           + NonClassicalData.X2_FUNCTIONS),
@@ -247,8 +251,6 @@ def load_config(path) -> Config:
         lines = " ".join(line.strip() for line in str(err).splitlines())
         raise ConfigError(f"malformed config {path}: {lines}") from err
     for section in cp.sections():
-        if section == "coefficients":
-            continue  # Coefficients.from_exprs checks its names
         if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp.options(section):
@@ -460,10 +462,7 @@ def _write_csv(grid, files: dict):
 def _diagnostics_dict(cfg: Config, sol) -> dict:
     d = sol.diagnostics
     out = {
-        "h1": cfg.grid.g1.length,
-        "h2": cfg.grid.g2.length,
-        "n1": cfg.grid.g1.n,
-        "n2": cfg.grid.g2.n,
+        **_domain(cfg.grid),
         "ridge": cfg.ridge,
         "goursat_iterations": d.goursat_iterations,
         "closure_residual": d.closure_residual,
@@ -526,15 +525,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _domain_block(grid: Grid2D) -> list[str]:
-    return [
-        "[domain]",
-        f"h1 = {grid.g1.length!r}",
-        f"h2 = {grid.g2.length!r}",
-        f"n1 = {grid.g1.n}",
-        f"n2 = {grid.g2.n}",
-        "",
-    ]
+def _domain(grid: Grid2D) -> dict:
+    """The [domain] keys of ``grid``: its sides, then its interval counts."""
+    g1, g2 = grid.axes
+    return dict(zip(_KEYS["domain"], (g1.length, g2.length, g1.n, g2.n)))
 
 
 def _cmd_convert(args) -> int:
@@ -542,7 +536,9 @@ def _cmd_convert(args) -> int:
 
     The other sections carry over: the coefficients as expression text that
     re-parses to the same trees, the right-hand side as a sibling CSV and
-    the ridge, so the converted config poses the same problem.
+    the ridge, so the converted config poses the same problem.  [domain]
+    and the data block are written key by key in the order of ``_KEYS``:
+    a number as its repr, a grid function as a sibling CSV.
     """
     cfg = load_config(args.config)
     if args.direction == "c2n" and cfg.classical is None:
@@ -556,25 +552,21 @@ def _cmd_convert(args) -> int:
         _write_csv(fn.grid, {side: fn.values})
         return side.name
 
-    lines = [*_domain_block(cfg.grid), "[coefficients]",
+    def entry(key: str, value) -> str:
+        if isinstance(value, (int, float)):
+            return f"{key} = {value!r}"
+        return f'{key} = "{side_csv(key.replace(".", "_"), value)}"'
+
+    lines = ["[domain]", *(entry(key, value) for key, value in _domain(cfg.grid).items()), "",
+             "[coefficients]",
              *(f'{name} = "{ex.to_string(e)}"' for name, e in cfg.coeff_exprs.items()), "",
              "[rhs]", f'csv = "{side_csv("rhs", cfg.rhs)}"', "",
              "[solver]", f"ridge = {cfg.ridge!r}", ""]
     if args.direction == "c2n":
-        z = classical_to_nonclassical(cfg.classical)
-        lines.append("[data.nonclassical]")
-        for key in NonClassicalData.SCALARS:
-            lines.append(f"{key} = {getattr(z, key)!r}")
-        for key in NonClassicalData.X1_FUNCTIONS + NonClassicalData.X2_FUNCTIONS:
-            lines.append(f'{key} = "{side_csv(key, getattr(z, key))}"')
+        block, data = "data.nonclassical", classical_to_nonclassical(cfg.classical)
     else:
-        d = nonclassical_to_classical(cfg.nonclassical)
-        lines.append("[data.classical]")
-        for name in CLASSICAL:
-            fn = getattr(d, name)
-            lines.append(f"{name}.v0 = {fn.v0!r}")
-            lines.append(f"{name}.v1 = {fn.v1!r}")
-            lines.append(f'{name}.v2 = "{side_csv(f"{name}_v2", fn.v2)}"')
+        block, data = "data.classical", nonclassical_to_classical(cfg.nonclassical)
+    lines += [f"[{block}]", *(entry(key, operator.attrgetter(key)(data)) for key in _KEYS[block])]
     _write_text(out, "\n".join(lines) + "\n")
     return 0
 

@@ -146,34 +146,27 @@ class Call(Expr):
 # ---------------------------------------------------------------------------
 # lexing / parsing
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPS = "".join(OPERATORS) + "^()"
+# The token grammar, one alternative per kind, tried in this order at each
+# offset.  \d is any Unicode decimal digit, which float() reads, and \s any
+# character that str.isspace accepts.
+_TOKEN = re.compile(
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<op>[{re.escape(''.join(OPERATORS))}^()])"
+    r"|(?P<space>\s+)"
+    r"|(?P<other>.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) of each token of ``text``, whitespace
+    skipped, then ("end", "", len(text)); a character that starts no token
+    is a ParseError at its offset."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "other":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "space":
+            tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -1438,8 +1438,7 @@ class TestConfigLoading:
         assert coeffs.live == ()
 
     @pytest.mark.parametrize("text, expected", [
-        ('[coefficients]\na00 = "1"\na03 = "1"\n',
-         "[coefficients] unknown coefficient names: ['a03']"),
+        ('[coefficients]\na00 = "1"\na03 = "1"\n', "[coefficients] a03: unknown key"),
         ('[data.nonclassical]\nz20h2 = "2"\n', "[data.nonclassical] z20h2: unknown key"),
         ("[data.classical]\nphi1.v3 = 0\n", "[data.classical] phi1.v3: unknown key"),
         ('[rhs]\nexp = "1"\n', "[rhs] exp: unknown key"),
