@@ -249,18 +249,42 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
                 else:
                     block[:, :width] += F1[q][i, k] * x2
     except MarchingError as err:
-        raise MarchingError(f"closure march failed: {err}") from err
+        margins = "" if err.node is None else f"; {_margins(p.coeffs)}"
+        raise MarchingError(f"closure march failed: {err}{margins}", err.node) from err
     del F1, F2, known0  # released before the copy into the public layout [c | g1 | g2]
     matrix = system[:, np.r_[n2 + 2:n1 + n2 + 4, 1:n2 + 2]]
     return ClosureSystem(matrix, -system[:, 0])
 
 
+def _margins(coeffs: Coefficients) -> str:
+    """The margins max |a12| h1/(2 n1) and max |a21| h2/(2 n2).  Where a
+    dx/2 is 1 the trapezoid rule's amplification factor (1 - a dx/2)/(1 +
+    a dx/2) vanishes, which drops columns of theta, and where it is -1 a
+    pivot of the march vanishes: either makes a margin 1."""
+    g1, g2 = coeffs.grid.axes
+    m12 = np.max(np.abs(coeffs.a12.values)) * g1.length / (2 * g1.n)
+    m21 = np.max(np.abs(coeffs.a21.values)) * g2.length / (2 * g2.n)
+    return (f"max |a12| h1/(2 n1) = {m12:.6g}, max |a21| h2/(2 n2) = {m21:.6g} "
+            "(1 makes the trapezoid march singular)")
+
+
+def _scaled_rank(matrix: np.ndarray) -> int:
+    """The rank of ``matrix`` once its rows and then its columns are divided
+    by their largest |entry|, in four rounds, so that entries whose scales
+    follow the powers of the sides do not read as a lower rank."""
+    a = matrix.copy()
+    for axis in (1, 0) * 4:
+        peak = np.max(np.abs(a), axis=axis, keepdims=True)
+        a /= np.where(peak > 0.0, peak, 1.0)
+    return int(np.linalg.matrix_rank(a))
+
+
 def _solve_least_squares(system: ClosureSystem, ridge: float, coeffs: Coefficients) -> np.ndarray:
     """The least-squares theta, regularised by ``ridge`` when that is
-    positive.  Without a ridge a closure of lower rank than its
-    unknowns is a NumericalError naming the margins |a12| h1/(2 n1) and
-    |a21| h2/(2 n2), at whose value 1 the trapezoid rule's amplification
-    factor (1 - a dx/2)/(1 + a dx/2) vanishes and drops columns of theta."""
+    positive.  Without a ridge a closure of lower rank than its unknowns is
+    a NumericalError naming its cause: entries that span too many scales,
+    when the closure has full rank once scaled, or else the margins of
+    ``_margins``."""
     matrix, offset = system.matrix, system.offset
     ncols = matrix.shape[1]
     if ridge > 0.0:
@@ -269,12 +293,11 @@ def _solve_least_squares(system: ClosureSystem, ridge: float, coeffs: Coefficien
     theta, _, rank, _ = np.linalg.lstsq(matrix, offset, rcond=None)
     if ridge == 0.0 and rank < ncols:
         g1, g2 = coeffs.grid.axes
-        m12 = np.max(np.abs(coeffs.a12.values)) * g1.length / (2 * g1.n)
-        m21 = np.max(np.abs(coeffs.a21.values)) * g2.length / (2 * g2.n)
-        raise NumericalError(
-            f"closure solve: closure system rank {rank} < {ncols} unknowns; max |a12| h1/(2 n1) "
-            f"= {m12:.6g}, max |a21| h2/(2 n2) = {m21:.6g} (1 makes the trapezoid march "
-            "singular); give a ridge > 0 to regularise")
+        cause = (f"its entries span too many scales at sides h1 = {g1.length:.6g}, h2 = "
+                 f"{g2.length:.6g} (rank {ncols} once its rows and columns are scaled)"
+                 if _scaled_rank(matrix) == ncols else _margins(coeffs))
+        raise NumericalError(f"closure solve: closure system rank {rank} < {ncols} unknowns; "
+                             f"{cause}; give a ridge > 0 to regularise")
     return theta
 
 

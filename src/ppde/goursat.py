@@ -60,7 +60,12 @@ _DENSE_WORK = 10_000
 
 
 class MarchingError(NumericalError):
-    """The row march met a vanishing pivot or produced non-finite values."""
+    """The row march met a vanishing pivot, at the march node ``node``, or
+    produced non-finite values (``node`` is None)."""
+
+    def __init__(self, message: str, node: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.node = node
 
 
 class GoursatProblem:
@@ -68,6 +73,8 @@ class GoursatProblem:
 
     def __init__(self, traces: TraceSet, coeffs: Coefficients, rhs: GridFn):
         grid = rhs.grid
+        if len(grid.axes) != 2:
+            raise ValueError(f"the right-hand side must live on a Grid2D, got {grid!r}")
         if coeffs.grid != grid:
             raise ValueError("coefficients and right-hand side grids differ")
         if traces.p.grid != grid.g1 or traces.q.grid != grid.g2:
@@ -220,7 +227,8 @@ def _check_pivots(system: np.ndarray, i: int) -> None:
     small = np.flatnonzero(~(pivots > _PIVOT_RTOL * np.max(np.abs(system), axis=1)))
     if small.size:
         j = int(small[0])
-        raise MarchingError(f"vanishing pivot {system[j, j]:.3e} at node ({i}, {j}) of the march")
+        raise MarchingError(f"vanishing pivot {system[j, j]:.3e} at node ({i}, {j}) of the march",
+                            (i, j))
 
 
 @stage("Goursat solve")

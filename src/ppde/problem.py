@@ -71,7 +71,7 @@ COEFFICIENT_NAMES = tuple(_TERMS)
 
 
 class Coefficients:
-    """The eight variable coefficients of the operator, sampled on one grid.
+    """The eight variable coefficients of the operator, sampled on one Grid2D.
 
     ``live``: the (values, (i, j)) of each nonzero coefficient, in summation order.
     """
@@ -79,6 +79,8 @@ class Coefficients:
     def __init__(self, a21, a12, a20, a02, a11, a10, a01, a00):
         fns = (a21, a12, a20, a02, a11, a10, a01, a00)
         grid = fns[0].grid
+        if len(grid.axes) != 2:
+            raise ValueError(f"coefficients must live on a Grid2D, got {grid!r}")
         for name, fn in zip(COEFFICIENT_NAMES, fns):
             if fn.grid != grid:
                 raise ValueError(f"coefficient {name} is not on the shared grid")

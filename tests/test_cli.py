@@ -753,7 +753,9 @@ class TestDeterminism:
     def test_outputs_are_byte_identical_at_each_blas_thread_count(self, tmp_path):
         # The reproducibility contract: the same build and the same BLAS
         # thread count write the same bytes.  Outputs at different thread
-        # counts may differ in the last bits, so they are not compared.
+        # counts may differ in the last bits, so they are not compared.  The
+        # two solves hash strings with different seeds, so no dict or set
+        # order that depends on string hashing can reach the bytes.
         cfg = write(tmp_path / "mixed.ini", BASE.format(n=64), """
         [coefficients]
         a00 = "1"
@@ -778,9 +780,9 @@ class TestDeterminism:
         z02_h1 = "cos(x2)"
         """)
         for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
             outputs = []
             for k in range(2):
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONHASHSEED": str(k)}
                 out = tmp_path / f"t{threads}-{k}" / "u.csv"
                 out.parent.mkdir()
                 proc = subprocess.run(
@@ -1073,6 +1075,31 @@ class TestSingularClosure:
         err = capsys.readouterr().err
         assert (code, caught, err.count("\n")) == (3, [], 1)
         assert err.startswith("numerical failure: closure solve: closure system rank 2 < 19 unknowns; ")
+
+
+    @pytest.mark.parametrize("side, n", [("1e8", 8), ("1e8", 32), ("1e80", 8)])
+    def test_closure_of_entries_at_scales_apart_names_the_sides(self, tmp_path, capsys, side, n):
+        # no coefficient, so no resonance: scaled, the closure has full rank
+        cfg = write(tmp_path / "big.ini", f"[domain]\nh1 = {side}\nh2 = {side}\nn1 = {n}\n"
+                    f"n2 = {n}\n", '[rhs]\nexpr = "1"\n[data.nonclassical]\nz00 = 1\n')
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: closure solve: closure system rank ")
+        assert err.endswith(f" < {2 * n + 3} unknowns; its entries span too many scales at sides "
+                            f"h1 = {float(side):g}, h2 = {float(side):g} (rank {2 * n + 3} once "
+                            "its rows and columns are scaled); give a ridge > 0 to regularise\n")
+
+    @pytest.mark.parametrize("name, node, margins", [("a21", "0, 1", "0, max |a21| h2/(2 n2) = 1"),
+                                                     ("a12", "1, 0", "1, max |a21| h2/(2 n2) = 0")])
+    def test_vanishing_pivot_names_the_margins(self, tmp_path, capsys, name, node, margins):
+        # a dx / 2 = -1 at n = 8 on the unit square: a pivot of the closure march vanishes
+        cfg = write(tmp_path / "p.ini", BASE.format(n=8), f'[coefficients]\n{name} = "-16"\n')
+        code = run(["verify", "--u", "sin(x1)*exp(x2) + x1^2*x2", "--config", cfg,
+                    "--out", str(tmp_path / "table.csv")])
+        assert (code, capsys.readouterr().err) == (3, (
+            f"numerical failure: closure march failed: vanishing pivot 0.000e+00 at node ({node}) "
+            f"of the march; max |a12| h1/(2 n1) = {margins} (1 makes the trapezoid march "
+            "singular)\n"))
 
 
 class TestConvergenceCommand:

@@ -20,6 +20,7 @@ from ppde.goursat import GoursatProblem, MarchingError, solve_goursat
 from ppde.grid import Grid2D, GridFn, NonFiniteError, NumericalError, make_grid
 from ppde.problem import (
     COEFFICIENT_NAMES,
+    CONDITIONS,
     BoundaryFn,
     ClassicalData,
     Coefficients,
@@ -471,6 +472,67 @@ class TestEquivalence:
         rhs = GridFn(g, X1**2 + X2**2)
         sol = solve_classical(coeffs, rhs, d, g)
         assert np.max(np.abs(sol.field.u.values - (X1**2 + X2**2))) <= 10 * g.g1.h**2
+
+
+# The x1 <-> x2 mirror: the coefficients and data that trade places when the
+# axes swap; a11, a00 and z00 keep theirs.
+_MIRRORED = [("a21", "a12"), ("a20", "a02"), ("a10", "a01"), ("a11", "a11"), ("a00", "a00"),
+             ("z00", "z00"), ("z10", "z01"), ("z00_h1", "z00_h2"), ("z01_h1", "z10_h2"),
+             ("z20", "z02"), ("z20_h2", "z02_h1")]
+MIRROR = {**dict(_MIRRORED), **{b: a for a, b in _MIRRORED}}
+
+
+class TestMirror:
+    """The problem and its trapezoid discretization are symmetric under
+    swapping the axes, so the mirrored solve is an oracle at every size."""
+
+    @staticmethod
+    def solve(grid, a, rhs, z):
+        """The solve of node values: coefficients ``a`` by name (absent ones
+        zero), ``rhs`` on ``grid`` and data ``z`` by name."""
+        edges = NonClassicalData.edge_grids(grid)
+        coeffs = Coefficients(**{name: GridFn(grid, a[name]) if name in a else GridFn.zeros(grid)
+                                 for name in COEFFICIENT_NAMES})
+        data = NonClassicalData(**{k: GridFn(edges[k], v) if k in edges else v for k, v in z.items()})
+        return solve_dirichlet(DirichletProblem(grid, coeffs, GridFn(grid, rhs), data))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n1=st.integers(1, 24), n2=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_mirrored_solve_is_the_transposed_solve(self, n1, n2, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid2D(make_grid(rng.uniform(0.3, 1.5), n1), make_grid(rng.uniform(0.3, 1.5), n2))
+        a = {name: rng.normal(0.0, 0.25, grid.shape)
+             for name in COEFFICIENT_NAMES if rng.random() < 0.5}
+        rhs = rng.normal(size=grid.shape)
+        z = {**{k: float(rng.normal()) for k in NonClassicalData.SCALARS},
+             **{k: rng.normal(size=g.n + 1) for k, g in NonClassicalData.edge_grids(grid).items()}}
+        s = self.solve(grid, a, rhs, z)
+        m = self.solve(Grid2D(grid.g2, grid.g1), {MIRROR[name]: v.T for name, v in a.items()},
+                       rhs.T, {MIRROR[k]: v for k, v in z.items()})
+
+        def close(x, y, scale=None):
+            x, y = np.asarray(x, float), np.asarray(y, float)
+            scale = np.max(np.abs(x)) if scale is None else scale
+            assert np.max(np.abs(x - y)) <= 1e-13 * scale
+
+        for i in range(3):  # d[0][0] is u
+            for j in range(3):
+                close(s.field.d[i][j].values, m.field.d[j][i].values.T)
+        # theta = [c, g1, g2], and the mirror's g2 is on the x1 axis
+        close(s.theta, np.concatenate([m.theta[:1], m.theta[n2 + 2:], m.theta[1:n2 + 2]]))
+        sd, md = s.diagnostics, m.diagnostics
+        scale = max(np.max(np.abs(v)) for v in (rhs, *z.values()))
+        close([sd.condition_residuals[k] for k in CONDITIONS],
+              [md.condition_residuals[MIRROR[k]] for k in CONDITIONS], scale)
+        close([sd.compat.rho1, sd.compat.rho2, sd.compat.rho3],
+              [md.compat.rho2, md.compat.rho1, -md.compat.rho3], scale)
+        close([sd.closure_residual, sd.equation_residual],
+              [md.closure_residual, md.equation_residual], scale)
+        # The norms of a21/a12 and a20/a02 take sup and L2 in the other
+        # order under the mirror, so only these four map.
+        same = ("a11", "a10", "a01", "a00")
+        close([sd.coefficient_norms[k] for k in same],
+              [md.coefficient_norms[MIRROR[k]] for k in same])
 
 
 class TestSuperposition:

@@ -173,6 +173,10 @@ class TestSolveGoursat:
             GoursatProblem(TraceSet.zeros(g), Coefficients.zeros(other), constant_rhs(g, 0.0))
         with pytest.raises(ValueError, match="^trace grids do not match the problem grid$"):
             GoursatProblem(TraceSet.zeros(other), Coefficients.zeros(g), constant_rhs(g, 0.0))
+        edge = GridFn.zeros(g.g1)
+        with pytest.raises(ValueError, match=r"^the right-hand side must live on a Grid2D, "
+                                             r"got Grid1D\(length=1.0, n=4\)$"):
+            GoursatProblem(TraceSet.zeros(g), Coefficients.zeros(g), edge)
 
 
 ALL_COEFFICIENTS = {"a21": "x1", "a12": "1+x2", "a20": "0.3", "a02": "x2",

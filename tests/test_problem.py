@@ -480,6 +480,13 @@ class TestCoefficients:
         with pytest.raises(ValueError, match=r"^a21: grid function values must be finite$"):
             Coefficients.from_exprs(unit_square(4), {"a00": "1", "a21": "exp(1000*x1)"})
 
+    @pytest.mark.parametrize("make", [lambda g: Coefficients.from_exprs(g, {"a00": "1"}),
+                                      Coefficients.zeros])
+    def test_one_dimensional_grid_is_rejected(self, make):
+        with pytest.raises(ValueError, match=r"^coefficients must live on a Grid2D, "
+                                             r"got Grid1D\(length=1.0, n=4\)$"):
+            make(make_grid(1.0, 4))
+
     def test_shared_grid_enforced(self):
         g4, g5 = unit_square(4), unit_square(5)
         fns4 = [GridFn.zeros(g4) for _ in range(7)]
