@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .goursat import GoursatProblem, MarchingError, march, solve_goursat
+from .goursat import GoursatProblem, margins, march, solve_goursat
 from .grid import Grid2D, GridFn, NonFiniteError, NumericalError, order_tables, scaled_norm, stage
 from .problem import (
     CONDITIONS,
@@ -239,33 +239,17 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     w_parts = [(block, q, r, i, j) for block, ((q, r), (i, j)) in zip(blocks, conditions)
                if not ((q < 2 and i == 0) or (r < 2 and j == 0))]
     g2_columns = slice(1, n2 + 2) if p.coeffs.live else None
-    try:
-        for k, w in enumerate(march(p.coeffs, rows(), F1, F2, g2_columns)):
-            width = w.shape[1]
-            for block, q, r, i, j in w_parts:
-                x2 = w[j] if r == 2 else F2[r][j] @ w
-                if q == 2:
-                    block[np.arange(n1 + 1)[i] == k, :width] += x2
-                else:
-                    block[:, :width] += F1[q][i, k] * x2
-    except MarchingError as err:
-        margins = "" if err.node is None else f"; {_margins(p.coeffs)}"
-        raise MarchingError(f"closure march failed: {err}{margins}", err.node) from err
+    for k, w in enumerate(march(p.coeffs, rows(), F1, F2, g2_columns)):
+        width = w.shape[1]
+        for block, q, r, i, j in w_parts:
+            x2 = w[j] if r == 2 else F2[r][j] @ w
+            if q == 2:
+                block[np.arange(n1 + 1)[i] == k, :width] += x2
+            else:
+                block[:, :width] += F1[q][i, k] * x2
     del F1, F2, known0  # released before the copy into the public layout [c | g1 | g2]
     matrix = system[:, np.r_[n2 + 2:n1 + n2 + 4, 1:n2 + 2]]
     return ClosureSystem(matrix, -system[:, 0])
-
-
-def _margins(coeffs: Coefficients) -> str:
-    """The margins max |a12| h1/(2 n1) and max |a21| h2/(2 n2).  Where a
-    dx/2 is 1 the trapezoid rule's amplification factor (1 - a dx/2)/(1 +
-    a dx/2) vanishes, which drops columns of theta, and where it is -1 a
-    pivot of the march vanishes: either makes a margin 1."""
-    g1, g2 = coeffs.grid.axes
-    m12 = np.max(np.abs(coeffs.a12.values)) * g1.length / (2 * g1.n)
-    m21 = np.max(np.abs(coeffs.a21.values)) * g2.length / (2 * g2.n)
-    return (f"max |a12| h1/(2 n1) = {m12:.6g}, max |a21| h2/(2 n2) = {m21:.6g} "
-            "(1 makes the trapezoid march singular)")
 
 
 def _scaled_rank(matrix: np.ndarray) -> int:
@@ -283,8 +267,8 @@ def _solve_least_squares(system: ClosureSystem, ridge: float, coeffs: Coefficien
     """The least-squares theta, regularised by ``ridge`` when that is
     positive.  Without a ridge a closure of lower rank than its unknowns is
     a NumericalError naming its cause: entries that span too many scales,
-    when the closure has full rank once scaled, or else the margins of
-    ``_margins``."""
+    when the closure has full rank once scaled, or else the margins
+    (``goursat.margins``)."""
     matrix, offset = system.matrix, system.offset
     ncols = matrix.shape[1]
     if ridge > 0.0:
@@ -295,8 +279,8 @@ def _solve_least_squares(system: ClosureSystem, ridge: float, coeffs: Coefficien
         g1, g2 = coeffs.grid.axes
         cause = (f"its entries span too many scales at sides h1 = {g1.length:.6g}, h2 = "
                  f"{g2.length:.6g} (rank {ncols} once its rows and columns are scaled)"
-                 if _scaled_rank(matrix) == ncols else _margins(coeffs))
-        raise NumericalError(f"closure solve: closure system rank {rank} < {ncols} unknowns; "
+                 if _scaled_rank(matrix) == ncols else margins(coeffs))
+        raise NumericalError(f"closure system rank {rank} < {ncols} unknowns; "
                              f"{cause}; give a ridge > 0 to regularise")
     return theta
 

@@ -15,9 +15,14 @@ Volterra Integral Equations, CUP 2017): row i is an (n2+1) x (n2+1)
 lower-triangular system whose right-hand side depends on the rows before
 it only through two running x1 sums, of w and of x1 * w.  Every kernel and
 every weight comes from the order tables of the two axes
-(``grid.order_table``).  A vanishing diagonal pivot or a non-finite row is
-reported as a MarchingError naming the node or the row, never silently
-accepted.
+(``grid.order_table``).  A vanishing diagonal pivot is reported as a
+MarchingError naming its node and the margins that make the trapezoid
+march singular (``margins``), never silently accepted; a row system
+that overflows is a NonFiniteError, whose cause is not the pivot.  The
+march checks no row of w: it runs inside its caller's ``grid.stage``, and
+each caller rejects a w that is not finite there (``solve_goursat`` makes
+w a GridFn, and the closure weighs every entry of w into its
+ClosureSystem), so that the failure names the stage.
 
 A row system is solved as the triangular system it is, by forward
 substitution in blocks of about 16 rows: the inverses of a row's diagonal
@@ -38,11 +43,12 @@ from collections import deque
 
 import numpy as np
 
-from .grid import GridFn, NumericalError, order_tables, stage
+from .grid import GridFn, NonFiniteError, NumericalError, order_tables, stage
 from .problem import Coefficients, apply_operator, lower_order
 from .representation import DerivativeField, TraceSet, reconstruct_field, trace_part
 
-__all__ = ["GoursatProblem", "GoursatSolution", "MarchingError", "march", "solve_goursat"]
+__all__ = ["GoursatProblem", "GoursatSolution", "MarchingError", "margins", "march",
+           "solve_goursat"]
 
 # A diagonal pivot at most this multiple of its row's largest entry counts as
 # zero: the triangular solve would divide by cancellation noise.
@@ -60,10 +66,9 @@ _DENSE_WORK = 10_000
 
 
 class MarchingError(NumericalError):
-    """The row march met a vanishing pivot, at the march node ``node``, or
-    produced non-finite values (``node`` is None)."""
+    """The row march met a vanishing pivot at the march node ``node``."""
 
-    def __init__(self, message: str, node: tuple[int, int] | None = None):
+    def __init__(self, message: str, node: tuple[int, int]):
         super().__init__(message)
         self.node = node
 
@@ -131,6 +136,12 @@ def march(coeffs: Coefficients, known_rows, K1, K2, g2_columns=None):
     The slice ``g2_columns`` names the closure's columns of the unit traces
     g2 = e_m: g2 is the x1 = 0 value of D1 D2^2 u, of field line(x1) K2[., m],
     so their known rows are -F.  They come in as zero; the march subtracts F.
+
+    A vanishing pivot raises MarchingError naming its node and the
+    ``margins``, and a row system that is not finite raises
+    NonFiniteError.  The march checks no row of w: run it inside a
+    ``grid.stage``, where an overflow gives inf or nan without a warning,
+    and reject a w that is not finite there.
     """
     live = coeffs.live
     if not live:
@@ -151,19 +162,16 @@ def march(coeffs: Coefficients, known_rows, K1, K2, g2_columns=None):
         system = G[2]
         system[diagonal] += 1.0
         system += C1[i, i] * G[1]
-        _check_pivots(system, i)
+        _check_pivots(system, i, coeffs)
         k = s0.shape[1]
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            feed = G[1]  # F, in storage the system is done with
-            feed += x * G[0]
-            if g2_columns is not None:
-                w[:, g2_columns] -= feed
-            if k:
-                w[:, :k] -= feed @ s0
-                w[:, :k] += G[0] @ s1
-            solve(system, w)
-        if not np.all(np.isfinite(w)):
-            raise MarchingError(f"the march produced non-finite values in row {i}")
+        feed = G[1]  # F, in storage the system is done with
+        feed += x * G[0]
+        if g2_columns is not None:
+            w[:, g2_columns] -= feed
+        if k:
+            w[:, :k] -= feed @ s0
+            w[:, :k] += G[0] @ s1
+        solve(system, w)
         if i < g1.n:  # the rows after i weigh row i by C1[i + 1, i]
             s0 = _widen(s0, C1[i + 1, i] * w)
             s1 = _widen(s1, (C1[i + 1, i] * x) * w)
@@ -222,13 +230,28 @@ class _LowerSolver:
             b[s:e] = inverse[:e - s, :e - s] @ b[s:e]
 
 
-def _check_pivots(system: np.ndarray, i: int) -> None:
+def _check_pivots(system: np.ndarray, i: int, coeffs: Coefficients) -> None:
+    scale = np.max(np.abs(system), axis=1)
+    if not np.all(np.isfinite(scale)):  # an overflow, not a small pivot
+        raise NonFiniteError("the row systems of the march must be finite")
     pivots = np.abs(np.diagonal(system))
-    small = np.flatnonzero(~(pivots > _PIVOT_RTOL * np.max(np.abs(system), axis=1)))
+    small = np.flatnonzero(~(pivots > _PIVOT_RTOL * scale))
     if small.size:
         j = int(small[0])
-        raise MarchingError(f"vanishing pivot {system[j, j]:.3e} at node ({i}, {j}) of the march",
-                            (i, j))
+        raise MarchingError(f"vanishing pivot {system[j, j]:.3e} at node ({i}, {j}) of the "
+                            f"march; {margins(coeffs)}", (i, j))
+
+
+def margins(coeffs: Coefficients) -> str:
+    """The margins max |a12| h1/(2 n1) and max |a21| h2/(2 n2).  Where a
+    dx/2 is 1 the trapezoid rule's amplification factor (1 - a dx/2)/(1 +
+    a dx/2) vanishes, which drops columns of theta, and where it is -1 a
+    pivot of the march vanishes: either makes a margin 1."""
+    g1, g2 = coeffs.grid.axes
+    m12 = np.max(np.abs(coeffs.a12.values)) * g1.length / (2 * g1.n)
+    m21 = np.max(np.abs(coeffs.a21.values)) * g2.length / (2 * g2.n)
+    return (f"max |a12| h1/(2 n1) = {m12:.6g}, max |a21| h2/(2 n2) = {m21:.6g} "
+            "(1 makes the trapezoid march singular)")
 
 
 @stage("Goursat solve")

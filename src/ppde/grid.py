@@ -13,7 +13,8 @@ equispaced grids defined here, so the exactness classes of that rule
 It also holds the package's rule for values that are not finite: every
 object that must hold finite values rejects others with NonFiniteError, a
 ValueError about its input; inside a ``stage`` of a solve or a check the
-same fault is a NumericalError naming the stage.
+same fault is a NumericalError naming the stage, and so is every other
+numerical failure there.
 """
 
 from __future__ import annotations
@@ -49,23 +50,30 @@ class NonFiniteError(ValueError):
 
 class NumericalError(np.linalg.LinAlgError):
     """A stage of a solve or a check produced values that are not finite,
-    or met a vanishing pivot."""
+    met a vanishing pivot or found its closure rank-deficient."""
 
 
 @contextlib.contextmanager
 def stage(name: str):
     """Run one stage of a solve or a check, named ``name`` in its errors.
 
-    An overflow inside gives inf or nan without a numpy warning, and the
-    object made of them raises NonFiniteError, which leaves the stage as
-    NumericalError "<name> produced non-finite values".  Inputs are made
-    outside any stage, so a non-finite input stays a ValueError about it.
+    This is the one place that names a failed stage.  An overflow inside
+    gives inf or nan without a numpy warning, and the object made of them
+    raises NonFiniteError, which leaves the stage as NumericalError "<name>
+    produced non-finite values".  Any other numpy.linalg.LinAlgError, such
+    as a vanishing pivot (MarchingError) or numpy's own, leaves with its
+    type and attributes and the message "<name>: <message>".  Inputs are
+    made outside any stage, so a non-finite input stays a ValueError about
+    it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             yield
         except NonFiniteError as err:
             raise NumericalError(f"{name} produced non-finite values") from err
+        except np.linalg.LinAlgError as err:
+            err.args = (f"{name}: {err}",)
+            raise
 
 
 # The most float64 nodes whose byte count numpy can state (as an intp).

@@ -375,14 +375,14 @@ def lower_order(d, a: Coefficients) -> np.ndarray:
 
     Each d[i][j] is an array that broadcasts against the grid shape, such
     as the entries of ``representation.trace_part``.  Only the live terms
-    are summed; with none, the sum is the scalar 0.0.  A product that
-    overflows gives inf or nan without a numpy warning; the march reports
-    the first row that is not finite.
+    are summed; with none, the sum is the scalar 0.0.  Like the march, it
+    runs inside its caller's ``grid.stage``: a product that overflows gives
+    inf or nan there without a numpy warning, and the stage rejects the w
+    made from it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _terms(d, a)
-        first = next(terms, None)
-        return 0.0 if first is None else sum(terms, first)
+    terms = _terms(d, a)
+    first = next(terms, None)
+    return 0.0 if first is None else sum(terms, first)
 
 
 def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn:

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _families import NESTED_QUOTIENTS
@@ -214,8 +215,8 @@ class TestSolve:
             warnings.simplefilter("always")
             code = run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")])
         assert code == 3 and caught == []
-        assert capsys.readouterr().err == ("numerical failure: closure march failed: the march "
-                                           "produced non-finite values in row 0\n")
+        assert capsys.readouterr().err == ("numerical failure: closure assembly produced "
+                                           "non-finite values\n")
 
     # Overflow outside the march, each a numerical failure (exit 3) with one
     # stderr line and no numpy warning: in the compatibility check (the
@@ -1099,7 +1100,7 @@ class TestSingularClosure:
         code = run(["verify", "--u", "sin(x1)*exp(x2) + x1^2*x2", "--config", cfg,
                     "--out", str(tmp_path / "table.csv")])
         assert (code, capsys.readouterr().err) == (3, (
-            f"numerical failure: closure march failed: vanishing pivot 0.000e+00 at node ({node}) "
+            f"numerical failure: closure assembly: vanishing pivot 0.000e+00 at node ({node}) "
             f"of the march; max |a12| h1/(2 n1) = {margins} (1 makes the trapezoid march "
             "singular)\n"))
 
@@ -1551,3 +1552,111 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+# The CLI's contract, fuzzed over configs drawn key by key from the config
+# grammar (``cli._KEYS``), at scales from 1e-100 to 1e3 in the sides and up
+# to 1e300 in the values.
+STAGES = ("compatibility check", "agreement check", "closure assembly", "closure solve",
+          "Goursat solve", "diagnostics")
+SIDES = st.sampled_from([1e-100, 1e-3, 0.5, 0.7, 1.0, 1.5, 2.0, 1e3])
+NUMBERS = st.one_of(st.sampled_from([0.0, 1e-100, 1e300, -1e300]),
+                    st.floats(-20.0, 20.0, allow_subnormal=False))
+EXPRS = st.one_of(NUMBERS.map(repr), st.sampled_from([
+    "x1", "x2", "1 + x1*x2", "x1^2 - x2", "sin(x1*x2)", "exp(x2)", "cos(x1) + x2^3",
+    "1/(1 + x1^2)", "1e300*x1", "16", "-16", "2*x1 - 3*x2", "x1^3*exp(-x2)", "exp(1000*x1)",
+    "1/x1"]))
+SOLVER = {"tol": st.sampled_from(["1e-12", "1e-6"]), "max_iter": st.sampled_from(["200", "1"]),
+          "ridge": st.sampled_from(["0", "1e-12", "1", "1e300"])}
+MANUFACTURED = st.sampled_from(["sin(x1)*exp(x2) + x1^2*x2", "x1^2*x2^2", "exp(x1*x2)",
+                                "1e300*x1*x2", "x1^3 - x2"])
+
+
+@st.composite
+def configs(draw, directory):
+    """The text of a config in ``directory`` and its grid; the CSVs it names are written."""
+    domain = {"h1": draw(SIDES), "h2": draw(SIDES),
+              "n1": draw(st.integers(1, 6)), "n2": draw(st.integers(1, 6))}
+    grid = Grid2D(make_grid(domain["h1"], domain["n1"]), make_grid(domain["h2"], domain["n2"]))
+    edges = NonClassicalData.edge_grids(grid)
+
+    def grid_fn(g, name):
+        """An expression, or a CSV file of values at the nodes of ``g``."""
+        if not draw(st.booleans()):
+            return draw(EXPRS)
+        scale, seed = draw(NUMBERS), draw(st.integers(0, 2**32 - 1))
+        values = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, g.shape)
+        ppde.cli._write_csv(g, {directory / f"{name}.csv": values})
+        return f"{name}.csv"
+
+    def entry(section, key):
+        name, _, part = key.partition(".")
+        if section == "solver":
+            return draw(SOLVER[key])
+        if section == "coefficients" or key == "expr":
+            return draw(EXPRS)
+        if key == "csv":
+            return grid_fn(grid, "rhs")
+        if key in edges:
+            return grid_fn(edges[key], key)
+        if part == "v2":
+            return grid_fn(edges[CLASSICAL[name][2]], name)
+        return repr(draw(NUMBERS))
+
+    block = draw(st.sampled_from(["data.nonclassical", "data.classical"]))
+    lines = ["[domain]", *(f"{key} = {value!r}" for key, value in domain.items())]
+    for section in ("coefficients", "rhs", block, "solver"):
+        keys = [key for key in ppde.cli._KEYS[section] if draw(st.booleans())]
+        lines += [f"[{section}]", *(f'{key} = "{entry(section, key)}"' for key in keys)]
+    return "\n".join(lines) + "\n", grid
+
+
+class TestContract:
+    # Each command runs twice on a config: exit codes 0 to 4, with 1 only
+    # from check; exits 2 to 4 print one stderr line, and a numerical
+    # failure names its stage; no warning; repeated exit-0 runs write the
+    # same bytes.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), u=MANUFACTURED)
+    def test_every_exit_keeps_the_contract(self, tmp_path, capsys, data, u):
+        directory = Path(tempfile.mkdtemp(dir=tmp_path))
+        text, grid = data.draw(configs(directory))
+        cfg = directory / "c.ini"
+        cfg.write_text(text)
+        converted = directory / "conv.ini"
+        commands = [
+            ["solve", "--config", cfg, "--out", directory / "u.csv", "--field",
+             "--diag", directory / "d.json"],
+            ["convert", "--config", cfg, "--direction",
+             "c2n" if "[data.classical]" in text else "n2c", "--out", converted],
+            ["solve", "--config", converted, "--out", directory / "cu.csv"],
+            ["check", "--config", cfg],
+            ["verify", "--u", u, "--config", cfg, "--out", directory / "v.csv"],
+            ["convergence", "--u", u, "--config", cfg, "--grids", f"{grid.g1.n},{2 * grid.g1.n}",
+             "--out", directory / "conv.csv"],
+        ]
+        for argv in commands:
+            if argv[2] == converted and not converted.exists():
+                continue  # convert failed
+            runs = []
+            for _ in range(2):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = run([str(a) for a in argv])
+                err = capsys.readouterr().err
+                runs.append((code, err, {p.name: p.read_bytes() for p in directory.iterdir()}))
+                why = (argv[0], code, err, text)
+                assert caught == [], (*why, [str(w.message) for w in caught])
+                assert code in (0, 1, 2, 3, 4) and (code != 1 or argv[0] == "check"), why
+                if code in (0, 1):
+                    assert err == "", why
+                else:
+                    assert err.count("\n") == 1 and err.endswith("\n"), why
+                    assert "Traceback" not in err, why
+                if code == 3:
+                    assert re.fullmatch(rf"numerical failure: ({'|'.join(STAGES)})"
+                                        r"( produced non-finite values|: .+)\n", err), why
+            assert runs[0][:2] == runs[1][:2], (argv[0], text)
+            if runs[0][0] == 0:
+                assert runs[0][2] == runs[1][2], (argv[0], text)

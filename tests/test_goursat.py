@@ -11,7 +11,7 @@ from _families import coefficient_subsets
 from ppde import goursat
 from ppde.expr import parse
 from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
-from ppde.grid import Grid2D, GridFn, make_grid, order_table, order_tables, orders
+from ppde.grid import Grid2D, GridFn, NumericalError, make_grid, order_table, order_tables, orders
 from ppde.problem import Coefficients, apply_operator, lower_order
 from ppde.representation import TraceSet, extract_traces, line, reconstruct_field
 
@@ -154,18 +154,33 @@ class TestSolveGoursat:
             assert np.max(np.abs(w - picard(gp))) <= 1e-12, subset
 
     def test_vanishing_pivot_names_node(self):
-        # a21 = -2/h2 cancels the pivot 1 + a21 h2/2 from the second x2 node on
+        # a21 = -2/h2 cancels the pivot 1 + a21 h2/2 from the second x2 node
+        # on; a direct solve names its stage, the node and the margins
         g = unit_square(8)
         coeffs = Coefficients.from_exprs(g, {"a21": "-16"})
-        with pytest.raises(MarchingError, match=r"node \(0, 1\)"):
+        with pytest.raises(MarchingError) as caught:
             solve_goursat(GoursatProblem(TraceSet.zeros(g), coeffs, constant_rhs(g, 1.0)))
+        assert caught.value.node == (0, 1)
+        assert str(caught.value) == (
+            "Goursat solve: vanishing pivot 0.000e+00 at node (0, 1) of the march; "
+            "max |a12| h1/(2 n1) = 0, max |a21| h2/(2 n2) = 1 (1 makes the trapezoid march "
+            "singular)")
 
     def test_overflow_reported(self):
         g = unit_square(8)
         coeffs = Coefficients.from_exprs(g, {"a00": "1e200"})
-        with pytest.raises(MarchingError, match="non-finite values in row"):
+        with pytest.raises(NumericalError, match="^Goursat solve produced non-finite values$"):
             solve_goursat(GoursatProblem(TraceSet.zeros(g), coeffs, constant_rhs(g, 1.0)))
         assert issubclass(MarchingError, np.linalg.LinAlgError)
+
+    def test_overflow_in_a_row_system_is_not_a_vanishing_pivot(self):
+        # a20 K2[0] overflows where x2 spans 1e3; every pivot is 1
+        g = Grid2D(make_grid(1.0, 4), make_grid(1e3, 4))
+        coeffs = Coefficients.from_exprs(g, {"a20": "1e305"})
+        with pytest.raises(NumericalError) as caught:
+            solve_goursat(GoursatProblem(TraceSet.zeros(g), coeffs, constant_rhs(g, 1.0)))
+        assert type(caught.value) is NumericalError
+        assert str(caught.value) == "Goursat solve produced non-finite values"
 
     def test_grid_mismatch(self):
         g, other = unit_square(4), unit_square(5)

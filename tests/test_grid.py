@@ -453,6 +453,20 @@ class TestStage:
             with stage("sweep"):
                 GridFn(make_grid(1.0, 2), np.full(3, 1e308) * 10)
 
+    @pytest.mark.parametrize("kind, args", [
+        (NumericalError, ("closure system rank 0 < 5 unknowns",)),
+        (MarchingError, ("vanishing pivot 0.000e+00 at node (2, 3) of the march", (2, 3))),
+        (np.linalg.LinAlgError, ("SVD did not converge",)),
+    ])
+    def test_a_numerical_failure_in_a_stage_is_prefixed_with_its_name(self, kind, args):
+        with pytest.raises(kind) as caught:
+            with stage("sweep"):
+                raise kind(*args)
+        assert type(caught.value) is kind
+        assert str(caught.value) == f"sweep: {args[0]}"
+        if kind is MarchingError:
+            assert caught.value.node == (2, 3)
+
     def test_outside_a_stage_they_are_a_value_error(self):
         with pytest.raises(NonFiniteError, match="^grid function values must be finite$"):
             GridFn(make_grid(1.0, 2), [0.0, np.inf, 0.0])
