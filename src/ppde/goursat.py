@@ -131,7 +131,9 @@ def march(coeffs: Coefficients, known_rows, K1, K2, g2_columns=None):
     taken as known - F s0 + G[0] s1 with the feed matrix F = G[1] + x1 G[0]
     so that the cancelling difference x1 s0 - s1 is never formed.  The row
     system is lower-triangular (K2[q] is), and is solved as such.  The march
-    keeps O(n2 * k) state.
+    keeps O(n2 * k) state: it holds no row it has yielded, and no row's
+    kernels once that row is solved, so a caller that drops each row as it
+    comes keeps one row alive.
 
     The slice ``g2_columns`` names the closure's columns of the unit traces
     g2 = e_m: g2 is the x1 = 0 value of D1 D2^2 u, of field line(x1) K2[., m],
@@ -151,18 +153,22 @@ def march(coeffs: Coefficients, known_rows, K1, K2, g2_columns=None):
     C1 = K1[1]
     diagonal = np.diag_indices(n2 + 1)
     solve = _LowerSolver(n2 + 1)
+    terms = [[(a, q) for a, (p, q) in live if p == order] for order in range(3)]
     # The x1 sums of w and x1 * w without their w[i] terms; a column that
     # joins the march late has none in the rows before it.
     s0 = s1 = np.zeros((n2 + 1, 0))
-    for i, (x, w) in enumerate(zip(g1.nodes, known_rows)):
-        G = [_row_kernel(K2, [(a[i], q) for a, (p, q) in live if p == order])
-             for order in range(3)]
+    # Rows are taken with next() and w is deleted once yielded: a loop tuple
+    # or name would keep the previous row alive while the next is made.
+    known_rows = iter(known_rows)
+    for i, x in enumerate(g1.nodes):
+        G = [_row_kernel(K2, t, i) for t in terms]
         # The pivot at node (i, j) is 1 + (a21 + a11 C1[i, i]) C2[j, j] + a12 C1[i, i],
         # with C2 = K2[1] (R has a zero diagonal).
         system = G[2]
         system[diagonal] += 1.0
         system += C1[i, i] * G[1]
         _check_pivots(system, i, coeffs)
+        w = next(known_rows)
         k = s0.shape[1]
         feed = G[1]  # F, in storage the system is done with
         feed += x * G[0]
@@ -172,25 +178,31 @@ def march(coeffs: Coefficients, known_rows, K1, K2, g2_columns=None):
             w[:, :k] -= feed @ s0
             w[:, :k] += G[0] @ s1
         solve(system, w)
+        del G, system, feed
         if i < g1.n:  # the rows after i weigh row i by C1[i + 1, i]
             s0 = _widen(s0, C1[i + 1, i] * w)
             s1 = _widen(s1, (C1[i + 1, i] * x) * w)
         yield w
+        del w
 
 
-def _row_kernel(K, terms) -> np.ndarray:
-    """The sum of a[:, None] * K[q] over the (a, q) in terms; zero if there are none.
+def _row_kernel(K, terms, i: int) -> np.ndarray:
+    """The sum of a[i][:, None] * K[q] over the (a, q) in terms, in their
+    order; zero if there are none.
 
-    K[2] is the identity, so its terms are diagonal.
+    K[2] is the identity, so its terms go on the diagonal alone.  The first
+    term is stored rather than added to zero, so that its zeros keep their
+    signs.
     """
-    total = None
-    for a, q in terms:
-        term = np.diag(a) if q == 2 else a[:, None] * K[q]
-        if total is None:
-            total = term
+    total = np.zeros(K[0].shape) if not terms or terms[0][1] == 2 else None
+    for n, (a, q) in enumerate(terms):
+        if q == 2:  # the identity: on the diagonal alone, in place
+            np.fill_diagonal(total, np.diagonal(total) + a[i] if n else a[i])
+        elif n:
+            total += a[i][:, None] * K[q]
         else:
-            total += term
-    return np.zeros(K[0].shape) if total is None else total
+            total = a[i][:, None] * K[q]
+    return total
 
 
 def _widen(total: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -231,15 +243,14 @@ class _LowerSolver:
 
 
 def _check_pivots(system: np.ndarray, i: int, coeffs: Coefficients) -> None:
-    scale = np.max(np.abs(system), axis=1)
-    if not np.all(np.isfinite(scale)):  # an overflow, not a small pivot
+    ok = np.abs(np.diagonal(system)) > _PIVOT_RTOL * np.max(np.abs(system), axis=1)
+    if ok.all():
+        return
+    if not np.all(np.isfinite(system)):  # an overflow, not a small pivot
         raise NonFiniteError("the row systems of the march must be finite")
-    pivots = np.abs(np.diagonal(system))
-    small = np.flatnonzero(~(pivots > _PIVOT_RTOL * scale))
-    if small.size:
-        j = int(small[0])
-        raise MarchingError(f"vanishing pivot {system[j, j]:.3e} at node ({i}, {j}) of the "
-                            f"march; {margins(coeffs)}", (i, j))
+    j = int(np.argmin(ok))  # the first small pivot
+    raise MarchingError(f"vanishing pivot {system[j, j]:.3e} at node ({i}, {j}) of the "
+                        f"march; {margins(coeffs)}", (i, j))
 
 
 def margins(coeffs: Coefficients) -> str:
@@ -270,5 +281,5 @@ def solve_goursat(gp: GoursatProblem) -> GoursatSolution:
     w_fn = GridFn(gp.grid, known)
     del tables, known  # released before reconstruct_field, where a solve with coefficients peaks
     field = reconstruct_field(gp.traces, w_fn)
-    residual = float(np.max(np.abs(apply_operator(field, gp.coeffs).values - gp.rhs.values)))
-    return GoursatSolution(w_fn, field, residual)
+    residual = apply_operator(field, gp.coeffs).values - gp.rhs.values
+    return GoursatSolution(w_fn, field, float(np.max(np.abs(residual, out=residual))))

@@ -184,13 +184,15 @@ def cumtrapz(values: np.ndarray, g: Grid1D, axis: int = 0) -> np.ndarray:
     of the spacing.
     """
     values = np.asarray(values, dtype=float)
-    lo = [slice(None)] * values.ndim
-    hi = [slice(None)] * values.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    increments = 0.5 * g.h * (values[tuple(lo)] + values[tuple(hi)])
-    out = np.zeros_like(values)
-    out[tuple(hi)] = np.cumsum(increments, axis=axis)
+    head, lo, hi = ([slice(None)] * values.ndim for _ in range(3))
+    head[axis], lo[axis], hi[axis] = 0, slice(None, -1), slice(1, None)
+    out = np.empty_like(values)
+    out[tuple(head)] = 0.0
+    # The increments and then their running sum, written in place.
+    tail = out[tuple(hi)]
+    np.add(values[tuple(lo)], values[tuple(hi)], out=tail)
+    tail *= 0.5 * g.h
+    np.cumsum(tail, axis=axis, out=tail)
     return out
 
 

@@ -387,8 +387,11 @@ def lower_order(d, a: Coefficients) -> np.ndarray:
 
 def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn:
     """Pointwise value of (Vu) at every node, from the derivative grids; an
-    overflow raises the GridFn's ValueError, and no numpy warning."""
+    overflow raises the GridFn's ValueError, and no numpy warning.  With no
+    live term Vu is w, whose read-only grid is returned itself."""
     if a.grid != field.grid:
         raise ValueError("coefficients and field live on different grids")
+    if not a.live:
+        return field.w
     with np.errstate(over="ignore", invalid="ignore"):
         return GridFn(field.grid, sum(_terms(field.values, a), field.w.values))

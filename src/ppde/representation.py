@@ -164,8 +164,10 @@ def reconstruct_field(t: TraceSet, w: GridFn) -> DerivativeField:
     each sweep of w is released as soon as its output grid is made.  So the
     memory peaks at the first grid, made while w, its entry of the trace
     part, the two x1 sweeps of w and the two x2 sweeps of the first are
-    alive; the call ends holding the nine grids alone.  With no live
-    coefficient this is where a whole Dirichlet solve peaks.
+    alive (``grid.cumtrapz`` makes each sweep in its output alone); the
+    call ends holding the nine grids alone.  With no live coefficient this
+    is where a whole Dirichlet solve peaks: 1.55 MB at n1 = n2 = 128, of
+    which the nine grids are 1.20 MB.
     """
     grid = w.grid
     terms = _trace_terms(t, grid)

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _families import coefficient_subsets
+from _memory import traced_peak
 from ppde.dirichlet import (
     ClosureSystem,
     DirichletProblem,
@@ -61,17 +61,6 @@ def mixed64_problem():
     coeffs = Coefficients.from_exprs(
         g, {"a00": "1", "a21": "x1", "a12": "1+x2", "a11": "sin(x1*x2)"})
     return manufactured_problem("sin(x1)*cos(x2) + x1*x2^2", coeffs, g).problem
-
-
-def traced_peak(f, *args):
-    """tracemalloc peak of f(*args) in bytes; the first call's allocations do not count."""
-    f(*args)
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def replace_scalar(z, **kwargs):
@@ -148,31 +137,38 @@ class TestClosureSystem:
     def test_assembly_peak_memory(self):
         # The closure march holds one order table per axis grid (one on this
         # square grid, shared with the march) and writes each w into its
-        # known row.  At n = 64 with the benchmark's four-coefficient mix the
-        # assembly peaks in the march at about 0.869 MB; one more 65 x 65
-        # temporary alive across a march row (33 KB) exceeds the bound.
-        assert traced_peak(assemble_closure_system, mixed64_problem()) <= 0.90e6
+        # known row, and no consumed row or kernel outlives its row.  At n =
+        # 64 with the benchmark's four-coefficient mix the assembly peaks in
+        # the march at about 0.800 MB; one more 65 x 65 temporary alive
+        # across a march row (33 KB) exceeds the bound.  It read 0.869 MB
+        # (bound 0.90e6) while the last one or two consumed rows (68 KB
+        # each) and the previous row's three kernels stayed alive.
+        assert traced_peak(assemble_closure_system, mixed64_problem()) <= 0.83e6
 
     def test_solve_peak_memory(self):
         # The whole solve, which the benchmark reports as peak_mb, peaks in
-        # the closure march at about 0.870 MB on the same problem.  The final
-        # Goursat solve's reconstruct_field, which read 0.896 MB while it
-        # held the whole trace part and every sweep of w to its end, now
+        # the closure march at about 0.801 MB on the same problem (0.870 MB,
+        # bound 0.92e6, before the march released its consumed rows).  The
+        # final Goursat solve's reconstruct_field, which read 0.896 MB while
+        # it held the whole trace part and every sweep of w to its end, now
         # stays near 0.48 MB.
-        assert traced_peak(solve_dirichlet, mixed64_problem()) <= 0.92e6
+        assert traced_peak(solve_dirichlet, mixed64_problem()) <= 0.83e6
 
     def test_coefficient_free_solve_peak_memory(self):
         # With no coefficient the march is cheap, and the solve peaks in the
-        # final reconstruct_field at about 1.618 MB for n = 128: the field's
+        # final reconstruct_field at about 1.554 MB for n = 128: the field's
         # nine 129 x 129 grids (1.20 MB) are made while w, the first sweeps
         # of w and the trace-part entry of the grid being made are alive.
-        # It read 1.876 MB (bound 2.05e6) while all six full-grid trace-part
-        # entries were alive at the first grid, and 3.48 MB while the solve
-        # kept the closure system, every trace-part entry and every sweep
-        # alive to the end and formed the products of all-zero coefficients.
+        # It read 1.618 MB (bound 1.70e6) while cumtrapz made its increments
+        # and their running sum apart from its output and the equation
+        # residual took two grids beside the field; 1.876 MB (bound 2.05e6)
+        # while all six full-grid trace-part entries were alive at the first
+        # grid; and 3.48 MB while the solve kept the closure system, every
+        # trace-part entry and every sweep alive to the end and formed the
+        # products of all-zero coefficients.
         g = unit_square(128)
         p = manufactured_problem("sin(x1)*exp(x2) + x1^2*x2", Coefficients.zeros(g), g).problem
-        assert traced_peak(solve_dirichlet, p) <= 1.70e6
+        assert traced_peak(solve_dirichlet, p) <= 1.585e6
 
     def test_affine_consistency(self):
         # R(theta) from a direct solve matches matrix @ theta - offset

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _families import coefficient_subsets
+from _memory import RowLog
 from ppde import goursat
 from ppde.expr import parse
 from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
@@ -276,6 +278,18 @@ def test_march_writes_w_into_the_rows_it_is_given(exprs):
     if not exprs:  # without a live coefficient no table is read, so solve_goursat passes None
         assert all(w is row for w, row in zip(march(coeffs, iter(rows), None, None), rows,
                                                strict=True))
+
+
+@pytest.mark.parametrize("g2_columns", [None, slice(1, 9)], ids=["no_g2_columns", "g2_columns"])
+def test_march_holds_no_consumed_row(g2_columns):
+    # When the march asks for the next known row, no row it has yielded is
+    # alive any more: no loop tuple or local of the march keeps one, so it
+    # holds one row's working set.  The consumer drops each row at once.
+    g = Grid2D(make_grid(1.0, 6), make_grid(0.7, 7))
+    rows = RowLog(lambda i: np.ones((8, 10)), 7)
+    coeffs = Coefficients.from_exprs(g, ALL_COEFFICIENTS)
+    deque(march(coeffs, rows, *order_tables(g), g2_columns), maxlen=0)
+    assert rows.alive == [[]] * 7
 
 
 @pytest.mark.parametrize("m, k", [(9, 3), (33, 1), (41, 60), (65, 1), (65, 132), (129, 1)])
