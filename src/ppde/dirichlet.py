@@ -188,8 +188,11 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     are copied into the public order, so the closure holds at most the
     system and its one copy there.  The march holds one row at a time:
     neither ``rows`` nor the loop over the march keeps a row it is done
-    with, so at n1 = n2 = 64 with the benchmark's four-coefficient mix the
-    assembly peaks at 0.80 MB.
+    with.  The march updates its rows on whole C-ordered arrays, since
+    numpy buffers a ufunc operand that is a column slice (64 KB a buffer);
+    the loop here sums into its fresh product, so that its column-prefix
+    sum has one such operand, not two.  So at n1 = n2 = 64 with the
+    benchmark's four-coefficient mix the assembly peaks at 0.67 MB.
     """
     g1, g2 = p.grid.g1, p.grid.g2
     n1, n2 = g1.n, g2.n
@@ -251,9 +254,11 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
             x2 = w[j] if r == 2 else F2[r][j] @ w
             if q == 2:  # z20_h2, along the whole x1 edge: its row k is node k
                 block[k, :width] += x2
-            else:
-                block[:, :width] += F1[q][i, k] * x2
-        del w, x2  # no consumed row is alive while the march makes the next
+            else:  # block[:, :width] += t, summed in t
+                t = F1[q][i, k] * x2
+                np.add(block[:, :width], t, out=t)
+                block[:, :width] = t
+        del w, x2, t  # no consumed row is alive while the march makes the next
     del F1, F2, known0, marched  # released before the copy into the public layout [c | g1 | g2]
     matrix = system[:, np.r_[n2 + 2:n1 + n2 + 4, 1:n2 + 2]]
     return ClosureSystem(matrix, -system[:, 0])
@@ -309,11 +314,12 @@ def solve_dirichlet(p: DirichletProblem) -> Solution:
     are known, so the final solve starts with theta alone.  A solve's
     memory peaks in one of two stages: with a live coefficient, in the
     closure march, which holds the closure rows, the order tables, the
-    running sums and one march row with its kernels (0.80 MB for the
-    benchmark's four-coefficient mix at n1 = n2 = 64); with none, in the
-    final solve's ``reconstruct_field``, which makes the nine output grids
-    while w, the first sweeps of w and one trace-part entry are alive (1.55
-    MB at n1 = n2 = 128, of which the nine grids are 1.20 MB).
+    running sums and one march row with its kernels and one scratch row
+    (0.67 MB for the benchmark's four-coefficient mix at n1 = n2 = 64);
+    with none, in the final solve's ``reconstruct_field``, which makes the
+    nine output grids while w, the first sweeps of w and one trace-part
+    entry are alive (1.55 MB at n1 = n2 = 128, of which the nine grids are
+    1.20 MB).
     """
     compat = check_compatibility(p.data)
     system = assemble_closure_system(p)

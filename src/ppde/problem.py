@@ -370,6 +370,14 @@ def _terms(d, a: Coefficients):
     return (v * d[i][j] for v, (i, j) in a.live)
 
 
+def _sum_into(total: np.ndarray, terms) -> np.ndarray:
+    """total plus each of ``terms`` in turn, summed into total in place."""
+    for term in terms:
+        np.add(total, term, out=total)
+        del term  # gone before the next term is made
+    return total
+
+
 def lower_order(d, a: Coefficients) -> np.ndarray:
     """Coefficient-weighted sum of the eight non-principal derivatives d[i][j].
 
@@ -382,7 +390,7 @@ def lower_order(d, a: Coefficients) -> np.ndarray:
     """
     terms = _terms(d, a)
     first = next(terms, None)
-    return 0.0 if first is None else sum(terms, first)
+    return 0.0 if first is None else _sum_into(first, terms)
 
 
 def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn:
@@ -394,4 +402,6 @@ def apply_operator(field: DerivativeField, a: Coefficients) -> GridFn:
     if not a.live:
         return field.w
     with np.errstate(over="ignore", invalid="ignore"):
-        return GridFn(field.grid, sum(_terms(field.values, a), field.w.values))
+        terms = _terms(field.values, a)
+        # The sum starts as a new array: w's grid is read-only.
+        return GridFn(field.grid, _sum_into(field.w.values + next(terms), terms))

@@ -292,6 +292,39 @@ def test_march_holds_no_consumed_row(g2_columns):
     assert rows.alive == [[]] * 7
 
 
+def seeded(rng, shape):
+    """Random values with +-0.0 and +-inf mixed in."""
+    return rng.choice([0.0, -0.0, np.inf, -np.inf, 1.0], size=shape,
+                      p=[0.25, 0.25, 0.05, 0.05, 0.4]) * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 9])
+def test_whole_row_updates_are_the_column_prefix_updates(k):
+    # The march updates w and its x1 sums on whole rows, padding the
+    # columns an update leaves alone with +0.0 to subtract and -0.0 to
+    # add.  That must give the bits of the prefix updates, signed zeros
+    # included, however the operands mix zeros and infinities; a pad of
+    # the wrong sign turns a -0.0 or +0.0 of w into the other.
+    rng = np.random.default_rng(k)
+    with np.errstate(invalid="ignore"):  # inf - inf, as in a march that overflows
+        for _ in range(50):
+            w, t, u, part = (seeded(rng, (7, 9)) for _ in range(4))
+            total = seeded(rng, (7, k))
+            want = w.copy()
+            want[:, :k] -= t[:, :k]
+            want[:, :k] += u[:, :k]
+            got, pad = w.copy(), np.empty_like(w)
+            pad[:, :k] = t[:, :k]
+            goursat._on_rows(np.subtract, got, pad, k)
+            pad[:, :k] = u[:, :k]
+            goursat._on_rows(np.add, got, pad, k)
+            widened = part.copy()
+            widened[:, :k] += total
+            for a, b in ((got, want), (goursat._widen(total, part.copy()), widened)):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
 @pytest.mark.parametrize("m, k", [(9, 3), (33, 1), (41, 60), (65, 1), (65, 132), (129, 1)])
 def test_row_solve_is_the_triangular_solve(m, k):
     # Both ways of solving a row (one dense LU solve for small ones, blocked
