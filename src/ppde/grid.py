@@ -181,26 +181,9 @@ def cumtrapz(values: np.ndarray, g: Grid1D, axis: int = 0) -> np.ndarray:
     Output has the same shape as ``values``, starts at exactly 0 and is
     exact whenever the integrand is affine between nodes.  With
     ``_integral`` this is the trapezoid rule: the two are the only readers
-    of the spacing.  Along the last axis, an increment that overflows
-    gives inf without a numpy warning.
+    of the spacing.
     """
     values = np.asarray(values, dtype=float)
-    if axis % values.ndim == values.ndim - 1:
-        # Along the last axis the slices would be strided, which sends
-        # numpy's ufuncs through a buffer per operand; the raveled arrays
-        # are contiguous.  Their increments at the first node of each row
-        # pair it with the last of the row before (and may overflow where
-        # no true one does), so they are replaced by -0.0 for the running
-        # sum (x + -0.0 is x, signed zeros included) and then by the exact 0.
-        out = np.empty(values.shape)
-        flat, v = out.reshape(-1), values.reshape(-1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add(v[:-1], v[1:], out=flat[1:])
-            flat[1:] *= 0.5 * g.h
-        out[..., 0] = -0.0
-        np.cumsum(out, axis=-1, out=out)
-        out[..., 0] = 0.0
-        return out
     head, lo, hi = ([slice(None)] * values.ndim for _ in range(3))
     head[axis], lo[axis], hi[axis] = 0, slice(None, -1), slice(1, None)
     out = np.empty_like(values)

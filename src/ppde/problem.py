@@ -373,7 +373,7 @@ def _terms(d, a: Coefficients):
 def _sum_into(total: np.ndarray, terms) -> np.ndarray:
     """total plus each of ``terms`` in turn, summed into total in place."""
     for term in terms:
-        np.add(total, term, out=total)
+        total += term
         del term  # gone before the next term is made
     return total
 

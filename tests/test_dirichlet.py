@@ -138,24 +138,18 @@ class TestClosureSystem:
         # The closure march holds one order table per axis grid (one on this
         # square grid, shared with the march) and writes each w into its
         # known row, no consumed row or kernel outlives its row, and every
-        # elementwise update runs on whole rows.  At n = 64 with the
+        # elementwise update runs on whole rows, so numpy's buffered iterator
+        # allocates no buffer for a strided operand.  At n = 64 with the
         # benchmark's four-coefficient mix the assembly peaks in the march at
         # about 0.671 MB; one more 65 x 65 temporary alive across a march row
-        # (33 KB) exceeds the bound.  It read 0.800 MB (bound 0.83e6) while
-        # the updates of column prefixes went through numpy's buffered
-        # iterator, which allocated a 64 KB buffer per strided operand, and
-        # 0.869 MB (bound 0.90e6) while the last one or two consumed rows
-        # (68 KB each) and the previous row's three kernels stayed alive.
+        # (33 KB) exceeds the bound.
         assert traced_peak(assemble_closure_system, mixed64_problem()) <= 0.70e6
 
     def test_solve_peak_memory(self):
         # The whole solve, which the benchmark reports as peak_mb, peaks in
-        # the closure march at about 0.671 MB on the same problem (0.801 MB,
-        # bound 0.83e6, while the march's column-prefix updates were
-        # buffered; 0.870 MB, bound 0.92e6, before the march released its
-        # consumed rows).  The final Goursat solve's reconstruct_field, which
-        # read 0.896 MB while it held the whole trace part and every sweep of
-        # w to its end, now stays near 0.43 MB.
+        # the closure march at about 0.671 MB on the same problem; the final
+        # Goursat solve stays near 0.43 MB.  The bound leaves 33 KB, one
+        # 65 x 65 temporary.
         assert traced_peak(solve_dirichlet, mixed64_problem()) <= 0.70e6
 
     def test_coefficient_free_solve_peak_memory(self):

@@ -15,7 +15,6 @@ from ppde.grid import (
     GridFn,
     NonFiniteError,
     NumericalError,
-    cumtrapz,
     lp_norm,
     make_grid,
     mixed_norm,
@@ -224,31 +223,6 @@ class TestCumulativeIntegrals2D:
         for i in range(g.shape[0]):
             for got, want in zip(along_x2, orders(values[i, :], g.g2)):
                 np.testing.assert_array_equal(got[i, :], want)
-
-
-    @pytest.mark.parametrize("shape", [(6,), (9, 9), (5, 17), (1, 6), (3, 4, 6)])
-    def test_the_last_axis_gives_the_bits_of_axis_0(self, shape):
-        # Along the last axis cumtrapz runs on the raveled arrays.  It must
-        # give the bits of the sweep along axis 0 of the transpose, signed
-        # zeros included, on values where runs of +-0.0 make zero
-        # increments, and for inputs in either memory order.
-        n = shape[-1]
-        g = make_grid(1.3, n - 1)
-        rng = np.random.default_rng(sum(shape))
-        for _ in range(20):
-            a = rng.choice([0.0, -0.0, 1.0], size=shape, p=[0.3, 0.3, 0.4]) * rng.normal(size=shape)
-            want = cumtrapz(a.reshape(-1, n).T, g, 0).T.reshape(shape)
-            for got in (cumtrapz(a, g, -1), cumtrapz(a, g, a.ndim - 1),
-                        cumtrapz(np.asfortranarray(a), g, -1)):
-                assert got.flags.c_contiguous
-                np.testing.assert_array_equal(got, want)
-                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-    def test_the_last_axis_warns_of_no_sum_across_rows(self):
-        # The raveled sweep adds the last node of each row to the first of
-        # the next; that sum overflows here, but no increment does.
-        a = np.array([[0.0, 1.7e308], [1.7e308, 0.0]])
-        np.testing.assert_array_equal(cumtrapz(a, make_grid(1.0, 1), 1), [[0.0, 8.5e307]] * 2)
 
 
 @pytest.mark.parametrize("length, n", [(1.0, 1), (1.0, 2), (0.7, 5), (1.3, 16), (2.0, 33)])
