@@ -20,16 +20,23 @@ the grammar.  Evaluation accepts scalars or numpy arrays; ``sample``
 evaluates on the nodes of a grid.
 
 A derivative refers to its operands and their derivatives again, so its
-tree shares subtrees; each call of ``evaluate`` or ``differentiate`` visits
-each distinct node once, however many paths lead to it, and ``evaluate``
-keeps a shared node's value only until its last use.  Evaluation,
-differentiation and printing recurse once per level of the tree, so
-``parse`` rejects a tree deeper than ``MAX_DEPTH`` levels, or with more
-than ``MAX_DEPTH`` parentheses open at once.  A derivative turns each
-level into at most three (a quotient's into '/', '-' and '*'), and four
-turn it into at most 15 (3, 6, 10, 15), so the fourth derivatives that
-``representation.extract_traces`` samples stay within 15 * MAX_DEPTH = 750
-levels, below Python's default recursion limit of 1000.
+tree shares subtrees, and the derivatives of one tree share more.  Each
+call of ``differentiate`` differentiates each distinct node once, however
+many paths lead to it, and ``derivatives`` does so once per variable for
+all nine trees D1^i D2^j u it returns.  ``evaluate`` and ``sample`` first
+compile their trees into one program: one step per structurally distinct
+node, whichever tree it comes from (a literal is told by its bits, so 0.0
+and -0.0 stay apart), in evaluation order, with the step after which each
+value is read no more.  The program runs as one flat loop that computes
+each step once and drops its value after its last use; neither it nor
+any memo outlives the call.  Differentiation and printing recurse once
+per level of the tree, so ``parse`` rejects a tree deeper than
+``MAX_DEPTH`` levels, or with more than ``MAX_DEPTH`` parentheses open at
+once.  A derivative turns each level into at most three (a quotient's
+into '/', '-' and '*'), and four turn it into at most 15 (3, 6, 10, 15),
+so the fourth derivatives that ``representation.extract_traces`` samples
+stay within 15 * MAX_DEPTH = 750 levels, below Python's default recursion
+limit of 1000.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +65,7 @@ __all__ = [
     "evaluate",
     "sample",
     "differentiate",
+    "derivatives",
     "to_string",
 ]
 
@@ -281,64 +290,107 @@ def parse(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: the trees of one call compiled into one program
 
 def evaluate(e: Expr, x1, x2):
     """Evaluate ``e`` at (x1, x2); the arguments may be scalars or arrays."""
-    return _evaluate(e, x1, x2, {}, _references(e))
+    out = []
+    _run(_compile([e]), x1, x2, out.append)
+    return out[0]
 
 
-def _references(e: Expr) -> dict:
-    """id(node) -> the number of references to each inner node of ``e``, one
-    of them ``e``'s own; a Num or Var is no key."""
-    refs, stack = {}, [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Num, Var)):
-            continue
-        if id(node) in refs:
-            refs[id(node)] += 1
-            continue
-        refs[id(node)] = 1
-        if isinstance(node, BinOp):
-            stack += [node.left, node.right]
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, (Neg, Call)):
-            stack.append(node.arg)
-    return refs
-
-
-def _evaluate(e: Expr, x1, x2, memo: dict, refs: dict):
-    """The value of ``e``.  ``memo`` maps id(node) to the value of a node
-    evaluated in this call until the last of its references in ``refs``
-    reads it, so no value outlives its last use; the tree keeps every node,
-    and so its id, alive."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x1 if e.name == "x1" else x2
-    key = id(e)
-    refs[key] -= 1
-    if key in memo:
-        return memo[key] if refs[key] else memo.pop(key)
+def _parts(e: Expr) -> tuple:
+    """(label, operands) of ``e``: what tells it from other nodes of its
+    type with the same operands (a literal by its bits, so 0.0 and -0.0
+    differ), and its operand nodes in evaluation order."""
+    if isinstance(e, BinOp):
+        return e.op, (e.left, e.right)
+    if isinstance(e, Call):
+        return e.func, (e.arg,)
+    if isinstance(e, Pow):
+        return e.exponent, (e.base,)
     if isinstance(e, Neg):
-        value = -_evaluate(e.arg, x1, x2, memo, refs)
-    elif isinstance(e, BinOp):
-        a = _evaluate(e.left, x1, x2, memo, refs)
-        b = _evaluate(e.right, x1, x2, memo, refs)
-        if e.op == "/" and np.any(b == 0.0):
-            raise EvalDomainError("division by zero while evaluating", e.pos)
-        value = OPERATORS[e.op][0](a, b)
-    elif isinstance(e, Pow):
-        value = _power(_evaluate(e.base, x1, x2, memo, refs), e.exponent)
-    elif isinstance(e, Call):
-        value = FUNCTIONS[e.func][0](_evaluate(e.arg, x1, x2, memo, refs))
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if refs[key]:
-        memo[key] = value
-    return value
+        return None, (e.arg,)
+    if isinstance(e, Var):
+        return e.name, ()
+    if isinstance(e, Num):
+        return struct.pack("<d", e.value), ()
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _compile(trees) -> list:
+    """The program of ``trees``: one step per structurally distinct node, in
+    evaluation order (the trees in turn, each node after its operands, left
+    before right).  A step is (node, operand steps, dead, outputs, spent):
+    once it has run, ``dead`` lists the steps whose values are read no
+    more, ``outputs`` the steps whose values are those of the next trees
+    in order, and ``spent`` the outputs read no more once output.
+
+    A tree is output once its value and every earlier tree's are, so the
+    trees fail in their order; a value is read last by its last reader or
+    at its last output.
+    """
+    step_of = {}  # id(node) -> step, for each node met; the trees keep the nodes alive
+    interned = {}  # (type, label, operand steps) -> step
+    steps, last, made = [], [], -1
+    for tree in trees:
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, tuple):  # a node whose operands have their steps
+                node, label, operands = node
+                args = tuple([step_of[id(child)] for child in operands])
+                k = step_of[id(node)] = interned.setdefault((type(node), label, args), len(steps))
+                if k == len(steps):
+                    steps.append((node, args, [], [], []))
+                    last.append(k)
+                    for i in args:
+                        last[i] = k
+            elif id(node) not in step_of:
+                label, operands = _parts(node)
+                stack.append((node, label, operands))
+                stack += reversed(operands)
+        root = step_of[id(tree)]
+        made = max(made, root)
+        steps[made][3].append(root)
+        last[root] = max(last[root], made)
+    for i, k in enumerate(last):
+        _, _, dead, outputs, spent = steps[k]
+        (spent if i in outputs else dead).append(i)
+    return steps
+
+
+def _run(program, x1, x2, emit) -> None:
+    """Run ``program`` at (x1, x2), passing each tree's value to ``emit`` in
+    tree order.  A value is dropped after its last use, and before the
+    outputs of that step if it is none of them."""
+    values = [None] * len(program)
+    for k, (node, args, dead, outputs, spent) in enumerate(program):
+        if isinstance(node, Num):
+            values[k] = node.value
+        elif isinstance(node, Var):
+            values[k] = x1 if node.name == "x1" else x2
+        else:
+            values[k] = _apply(node, *[values[i] for i in args])
+        for i in dead:
+            values[i] = None
+        for i in outputs:
+            emit(values[i])
+        for i in spent:
+            values[i] = None
+
+
+def _apply(node: Expr, a, b=None):
+    """The value of the inner ``node`` whose operands have the values a (and b)."""
+    if isinstance(node, BinOp):
+        if node.op == "/" and np.any(b == 0.0):
+            raise EvalDomainError("division by zero while evaluating", node.pos)
+        return OPERATORS[node.op][0](a, b)
+    if isinstance(node, Neg):
+        return -a
+    if isinstance(node, Pow):
+        return _power(a, node.exponent)
+    return FUNCTIONS[node.func][0](a)
 
 
 def _power(a, k: int):
@@ -347,20 +399,31 @@ def _power(a, k: int):
     return (np.float64(a) if isinstance(a, float) else a) ** k
 
 
-def sample(e: Expr, grid):
+def sample(e, grid):
     """The GridFn of ``e`` at the nodes of ``grid``, a Grid1D or a Grid2D,
     with x1 and x2 the grid's ``coordinates``: those of the two axes, or
     on a Grid1D both the one node coordinate.  This is the one place where
-    an expression meets grid nodes.
+    an expression meets grid nodes.  Given a sequence of trees, it returns
+    their GridFns in order, computed by one program.
 
     A zero divisor raises EvalDomainError.  An overflow gives inf or nan,
     which the grid function rejects with a ValueError that the caller
     reports under the input's name; numpy's overflow warning would only
-    repeat it, so none is given.
+    repeat it, so none is given.  The error carries ``index``, the position
+    of its tree: the first that fails, as if the trees were sampled in turn.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = evaluate(e, *grid.coordinates)
-    return GridFn(grid, np.broadcast_to(values, grid.shape))
+    fns = []
+
+    def emit(values):
+        fns.append(GridFn(grid, np.broadcast_to(values, grid.shape)))
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _run(_compile([e] if isinstance(e, Expr) else e), *grid.coordinates, emit)
+    except (EvalDomainError, ValueError) as err:
+        err.index = len(fns)
+        raise
+    return fns[0] if isinstance(e, Expr) else fns
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +514,27 @@ def differentiate(e: Expr, var: str) -> Expr:
     return _diff(e, var, {})
 
 
+def derivatives(u: Expr) -> list:
+    """The trees D1^i D2^j u as d[i][j], i, j in {0, 1, 2}: those of
+    ``differentiate`` taken i times in x1 and then j times in x2.  Each
+    variable keeps one memo along the whole chain, so each node is
+    differentiated at most once in each variable."""
+    memo1, memo2 = {}, {}
+    column = [u]
+    for _ in range(2):
+        column.append(_diff(column[-1], "x1", memo1))
+    d = []
+    for e in column:
+        row = [e]
+        for _ in range(2):
+            row.append(_diff(row[-1], "x2", memo2))
+        d.append(row)
+    return d
+
+
 def _diff(e: Expr, var: str, memo: dict) -> Expr:
     """The derivative of ``e``; ``memo`` maps id(node) to the derivative of
-    each node differentiated in this call, which the tree keeps alive."""
+    each node differentiated with it, whose caller keeps the node alive."""
     if isinstance(e, Num):
         return _num(0.0)
     if isinstance(e, Var):

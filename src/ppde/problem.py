@@ -95,21 +95,25 @@ class Coefficients:
 
     @classmethod
     def from_exprs(cls, grid: Grid2D, exprs: dict) -> "Coefficients":
-        """Sample coefficients from expressions; missing names share one zero grid.
+        """Sample coefficients from expressions, as one program; missing names
+        share one zero grid.
 
-        Raises ValueError "unknown coefficient names: [...]", or "<name>: <reason>"
-        for a coefficient that divides by zero or overflows at a node.
+        Every text is parsed first (a ParseError propagates).  Raises
+        ValueError "unknown coefficient names: [...]", or "<name>: <reason>"
+        for the first coefficient in summation order that divides by zero or
+        overflows at a node.
         """
         unknown = set(exprs) - set(COEFFICIENT_NAMES)
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
+        names = [name for name in COEFFICIENT_NAMES if name in exprs]
+        trees = [ex.parse(exprs[name]) if isinstance(exprs[name], str) else exprs[name]
+                 for name in names]
         fns = dict.fromkeys(COEFFICIENT_NAMES, GridFn.zeros(grid))
-        for name in filter(exprs.__contains__, COEFFICIENT_NAMES):
-            e = ex.parse(exprs[name]) if isinstance(exprs[name], str) else exprs[name]
-            try:
-                fns[name] = ex.sample(e, grid)
-            except (ex.EvalDomainError, ValueError) as err:
-                raise ValueError(f"{name}: {err}") from err
+        try:
+            fns.update(zip(names, ex.sample(trees, grid)))
+        except (ex.EvalDomainError, ValueError) as err:
+            raise ValueError(f"{names[err.index]}: {err}") from err
         return cls(**fns)
 
 

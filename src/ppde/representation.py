@@ -187,20 +187,13 @@ def reconstruct_field(t: TraceSet, w: GridFn) -> DerivativeField:
 def extract_traces(u: ex.Expr, grid: Grid2D) -> tuple[TraceSet, GridFn, DerivativeField]:
     """Sample the traces, w = D1^2 D2^2 u and all nine derivative grids of u.
 
-    Derivatives are taken symbolically, so the returned field is exact at
-    the nodes (up to roundoff) and serves as the reference in manufactured
-    solution tests.
+    Derivatives are taken symbolically (``expr.derivatives``), so the
+    returned field is exact at the nodes (up to roundoff) and serves as the
+    reference in manufactured solution tests; the nine are sampled as one
+    program.
     """
-    d1 = [u]
-    for _ in range(2):
-        d1.append(ex.differentiate(d1[-1], "x1"))
-    d = []
-    for i in range(3):
-        row = [d1[i]]
-        for _ in range(2):
-            row.append(ex.differentiate(row[-1], "x2"))
-        d.append([ex.sample(e, grid) for e in row])
-    field = DerivativeField(grid, d)
+    grids = ex.sample([e for row in ex.derivatives(u) for e in row], grid)
+    field = DerivativeField(grid, [grids[3 * i:3 * i + 3] for i in range(3)])
     vals = field.values
     traces = TraceSet(
         u00=vals[0][0][0, 0],

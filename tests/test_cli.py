@@ -1172,9 +1172,10 @@ class TestConvergenceCommand:
         calls = []
         sample = ppde.expr.sample
 
-        def counted(e, grid):
-            if ppde.expr.to_string(e) in strings:
-                calls.append((ppde.expr.to_string(e), grid.shape))
+        def counted(e, grid):  # one tree, or a sequence of trees sampled as one program
+            for t in [e] if isinstance(e, ppde.expr.Expr) else e:
+                if ppde.expr.to_string(t) in strings:
+                    calls.append((ppde.expr.to_string(t), grid.shape))
             return sample(e, grid)
 
         monkeypatch.setattr(ppde.expr, "sample", counted)
@@ -1197,9 +1198,10 @@ class TestManufacturedCase:
         intervals = []
         sample = ppde.expr.sample
 
-        def counted(e, grid):
-            if ppde.expr.to_string(e) == text:  # u itself, the first of its nine derivatives
-                intervals.append(grid.g1.n)
+        def counted(e, grid):  # one tree, or a sequence of trees sampled as one program
+            for t in [e] if isinstance(e, ppde.expr.Expr) else e:
+                if ppde.expr.to_string(t) == text:  # u itself, the first of its nine derivatives
+                    intervals.append(grid.g1.n)
             return sample(e, grid)
 
         monkeypatch.setattr(ppde.expr, "sample", counted)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _families import coefficient_subsets
+from _families import coefficient_subsets, random_coefficient_exprs
 from _memory import traced_peak
 from ppde.dirichlet import (
     ClosureSystem,
@@ -157,16 +157,22 @@ class TestClosureSystem:
         # final reconstruct_field at about 1.554 MB for n = 128: the field's
         # nine 129 x 129 grids (1.20 MB) are made while w, the first sweeps
         # of w and the trace-part entry of the grid being made are alive.
-        # It read 1.618 MB (bound 1.70e6) while cumtrapz made its increments
-        # and their running sum apart from its output and the equation
-        # residual took two grids beside the field; 1.876 MB (bound 2.05e6)
-        # while all six full-grid trace-part entries were alive at the first
-        # grid; and 3.48 MB while the solve kept the closure system, every
-        # trace-part entry and every sweep alive to the end and formed the
-        # products of all-zero coefficients.
+        # The bound leaves 31 KB, less than one more 129 x 129 grid (133 KB).
         g = unit_square(128)
         p = manufactured_problem("sin(x1)*exp(x2) + x1^2*x2", Coefficients.zeros(g), g).problem
         assert traced_peak(solve_dirichlet, p) <= 1.585e6
+
+    def test_closure_residual_is_that_of_a_goursat_solve_at_theta(self):
+        # The norm of the four far-edge residuals of a separate Goursat solve
+        # at the returned theta, with no use of the closure system.  The
+        # data break the far-corner agreement at O(h^2), so the residual is
+        # about 4e-3 here, against about 20 for |matrix @ theta + offset|.
+        g = Grid2D(make_grid(1.3, 10), make_grid(0.7, 7))
+        p = manufactured_problem("sin(x1+2*x2) + exp(x1*x2)",
+                                 Coefficients.from_exprs(g, {"a00": "1", "a21": "x1"}), g).problem
+        sol = solve_dirichlet(p)
+        expected = np.linalg.norm(far_edge_residual(p, sol.theta))
+        assert sol.diagnostics.closure_residual == pytest.approx(expected, rel=1e-10)
 
     def test_affine_consistency(self):
         # R(theta) from a direct solve matches matrix @ theta - offset
@@ -325,6 +331,23 @@ class TestSolveDirichlet:
             solve_dirichlet(p)
         ridged = solve_dirichlet(DirichletProblem(p.grid, p.coeffs, p.rhs, p.data, ridge=1e-12))
         assert np.all(np.isfinite(ridged.theta))
+
+    @pytest.mark.parametrize("name, value, margins", [("a12", "8", "1, max |a21| h2/(2 n2) = 0"),
+                                                      ("a21", "32", "0, max |a21| h2/(2 n2) = 1")],
+                             ids=["a12", "a21"])
+    def test_resonance_on_a_non_unit_rectangle_names_the_margins(self, name, value, margins):
+        # h1 = 2 and h2 = 0.5 at n1 = n2 = 8: a12 = 8 makes a12 h1/(2 n1) = 1,
+        # and a21 = 32 makes a21 h2/(2 n2) = 1, where the closure drops the
+        # columns of g1 or g2.  On the unit square h/(2 n) equals 1/(2 n h);
+        # here a margin read with its side inverted is 1/4 or 4.
+        g = Grid2D(make_grid(2.0, 8), make_grid(0.5, 8))
+        p = manufactured_problem("sin(x1+2*x2) + exp(x1*x2)",
+                                 Coefficients.from_exprs(g, {name: value}), g).problem
+        with pytest.raises(NumericalError) as caught:
+            solve_dirichlet(p)
+        assert str(caught.value) == (
+            f"closure solve: closure system rank 10 < 19 unknowns; max |a12| h1/(2 n1) = {margins} "
+            "(1 makes the trapezoid march singular); give a ridge > 0 to regularise")
 
     def test_least_squares_optimality(self):
         # attained residual matches the pseudoinverse optimum
@@ -527,6 +550,40 @@ class TestMirror:
         same = ("a11", "a10", "a01", "a00")
         close([sd.coefficient_norms[k] for k in same],
               [md.coefficient_norms[MIRROR[k]] for k in same])
+
+
+class TestExactSpace:
+    """Every u of degree at most 2 in each variable is solved to roundoff,
+    with any coefficients, on any grid: w is constant and every trace is
+    constant along its edge, and the trapezoid rule gets the integral C and
+    the remainder R of a constant exactly, so the exact nodal values solve
+    the discrete equations, and the closure's data are consistent."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.lists(st.floats(0.5, 2.0), min_size=9, max_size=9),
+           signs=st.lists(st.booleans(), min_size=9, max_size=9),
+           n1=st.integers(1, 40), n2=st.integers(1, 40),
+           h1=st.floats(0.3, 1.5), h2=st.floats(0.3, 1.5), seed=st.integers(0, 2**32 - 1))
+    def test_biquadratic_u_is_solved_exactly_in_both_formulations(self, c, signs, n1, n2,
+                                                                   h1, h2, seed):
+        # |c_ab| >= 0.5 keeps every grid's scale, max |D1^i D2^j u|, at least
+        # 0.5.  The coefficients of random_coefficient_exprs are at most 0.5
+        # in size, so on sides of at most 1.5 both margins of
+        # goursat.margins stay below 0.375, away from their resonance at 1.
+        terms = itertools.product(range(3), repeat=2)
+        u = " + ".join(f"({-v if neg else v!r})*x1^{a}*x2^{b}"
+                       for v, neg, (a, b) in zip(c, signs, terms))
+        g = Grid2D(make_grid(h1, n1), make_grid(h2, n2))
+        coeffs = Coefficients.from_exprs(g, random_coefficient_exprs(np.random.default_rng(seed)))
+        case = manufactured_problem(u, coeffs, g)  # its reference is extract_traces' field
+        sol = solve_dirichlet(case.problem)
+        exact = case.reference.values
+        theta = np.concatenate([[exact[1][1][0, 0]], exact[2][1][:, 0], exact[1][2][0, :]])
+        for got, want in [(sol.theta, theta)] + [(sol.field.values[i][j], exact[i][j])
+                                                 for i in range(3) for j in range(3)]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        data = nonclassical_to_classical(case.problem.data)
+        assert_solutions_bit_identical(sol, solve_classical(coeffs, case.problem.rhs, data, g))
 
 
 class TestSuperposition:

@@ -6,18 +6,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ppde.expr as expr
 from _families import NESTED_QUOTIENTS, central_difference, random_expr
+from _memory import traced_peak
 from ppde.expr import (
     MAX_DEPTH,
     OPERATORS,
     VARIABLES,
     BinOp,
+    Call,
     EvalDomainError,
     Expr,
+    Neg,
     Num,
     ParseError,
     Pow,
     Var,
+    derivatives,
     differentiate,
     evaluate,
     parse,
@@ -180,6 +185,95 @@ class TestSample:
             sample(parse("1/x1"), make_grid(1.0, 4))
 
 
+def plain(e, x1, x2):
+    """The value of ``e`` by plain recursion, once per path to each node,
+    with numpy's functions and literals as numpy scalars."""
+    if isinstance(e, Num):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        return {"x1": x1, "x2": x2}[e.name]
+    if isinstance(e, Neg):
+        return -plain(e.arg, x1, x2)
+    if isinstance(e, Pow):
+        return plain(e.base, x1, x2) ** e.exponent
+    if isinstance(e, Call):
+        return {"sin": np.sin, "cos": np.cos, "exp": np.exp}[e.func](plain(e.arg, x1, x2))
+    a, b = plain(e.left, x1, x2), plain(e.right, x1, x2)
+    return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[e.op](a, b)
+
+
+class TestProgram:
+    """``sample`` and ``evaluate`` run their trees as one program, one step
+    per structurally distinct node."""
+
+    def test_the_benchmark_u_costs_18_inner_steps_11_on_the_whole_grid(self, monkeypatch):
+        # extract_traces samples the nine derivatives of the benchmark u.
+        # Tree by tree they are 43 inner nodes, 17 of them on the whole grid;
+        # a count, so no timing can hide a return to that.
+        shapes = []
+
+        def counted(node, *operands):
+            value = apply(node, *operands)
+            shapes.append(np.shape(value))
+            return value
+
+        apply = expr._apply
+        monkeypatch.setattr(expr, "_apply", counted)
+        g = Grid2D(make_grid(1.0, 8), make_grid(1.0, 6))
+        extract_traces(parse("sin(x1)*exp(x2) + x1^2*x2"), g)
+        assert (len(shapes), shapes.count(g.shape)) == (18, 11)
+
+    def test_an_output_value_is_dropped_once_its_grid_exists(self):
+        # The nine 129 x 129 grids are 1.20 MB, and while the last is made
+        # two full-grid values of the program are alive beside them: about
+        # 1.49 MB.  Keeping each output's value after its grid exists reads
+        # 2.42 MB; the bound leaves less than one more grid (133 KB).
+        g = Grid2D(make_grid(1.0, 128), make_grid(1.0, 128))
+        assert traced_peak(extract_traces, parse("sin(x1)*exp(x2) + x1^2*x2"), g) <= 1.55e6
+
+    def test_sample_is_a_plain_recursive_evaluation_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        g = Grid2D(make_grid(1.0, 6), make_grid(0.5, 4))
+        trees = []
+        for _ in range(40):
+            e = parse(random_text(rng))
+            for var in VARIABLES:
+                d1 = differentiate(e, var)
+                trees += [e, d1, differentiate(d1, "x1"), differentiate(d1, "x2")]
+        for e, fn in zip(trees, sample(trees, g), strict=True):
+            expected = np.broadcast_to(plain(e, *g.coordinates), g.shape)
+            assert fn.values.tobytes() == expected.tobytes(), to_string(e)
+
+    def test_a_literal_is_told_by_its_bits(self):
+        assert Num(0.0) == Num(-0.0)  # the node dataclasses compare values
+        g = make_grid(1.0, 4)
+        plus, minus = sample([BinOp("*", Var("x1"), Num(0.0)),
+                              BinOp("*", Var("x1"), Num(-0.0))], g)
+        assert not np.any(np.signbit(plus.values)) and np.all(np.signbit(minus.values))
+
+    def test_trees_fail_in_their_order(self):
+        # exp(1000*x1) overflows at x1 = 1, and is the second tree's value
+        # before the first tree divides by x1 = 0: still the first tree's
+        # zero divisor is the error, as if the two were sampled in turn.
+        g = make_grid(1.0, 4)
+        with pytest.raises(EvalDomainError) as caught:
+            sample([parse("exp(1000*x1) + 1/x1"), parse("exp(1000*x1)")], g)
+        assert (caught.value.position, caught.value.index) == (16, 0)  # the "/"
+        with pytest.raises(ValueError, match="^grid function values must be finite$") as caught:
+            sample([parse("exp(-exp(1000*x1))"), parse("exp(1000*x1)")], g)
+        assert caught.value.index == 1
+
+    def test_derivatives_are_those_of_differentiate(self):
+        u = parse("sin(x1*x2)/(2 + x1) + x1^3*exp(x2)")
+        d = derivatives(u)
+        for i in range(3):
+            for j in range(3):
+                e = u
+                for var in ["x1"] * i + ["x2"] * j:
+                    e = differentiate(e, var)
+                assert d[i][j] == e, (i, j)
+
+
 class TestDifferentiate:
     def test_power_of_a_constant_beyond_the_float_range_is_kept(self):
         assert to_string(d("10^400*x1", "x1")) == "(10.0^400)"
@@ -271,8 +365,8 @@ class TestDepthBound:
 
 
 class TestSharedSubtrees:
-    """A derivative shares subtrees, which evaluate and differentiate visit
-    once per call; a reparsed tree shares none."""
+    """A derivative shares subtrees, which differentiate visits once per
+    call and a program evaluates once; a reparsed tree shares none."""
 
     @staticmethod
     def trees():

@@ -204,6 +204,23 @@ class TestExtractTraces:
         np.testing.assert_array_equal(w.values, np.zeros(g.shape))
 
 
+    def test_eight_traces_of_a_u_whose_traces_differ_from_their_neighbours(self):
+        # u = sin(x1 + 2 x2) + exp(x1 x2) on a non-square, non-unit grid:
+        # every trace differs from its value one node along, so a trace read
+        # at the wrong node, or along the wrong edge, fails.
+        g = Grid2D(make_grid(1.3, 5), make_grid(0.7, 3))
+        t, w, field = extract_traces(parse("sin(x1+2*x2) + exp(x1*x2)"), g)
+        x1, x2 = g.g1.nodes, g.g2.nodes
+        assert (t.u00, t.u10, t.u01, t.c) == (1.0, 1.0, 2.0, 1.0)
+        assert (t.p.grid, t.g1.grid, t.q.grid, t.g2.grid) == (g.g1, g.g1, g.g2, g.g2)
+        for fn, exact in ((t.p, -np.sin(x1)), (t.g1, -2 * np.cos(x1)),
+                          (t.q, -4 * np.sin(2 * x2)), (t.g2, -4 * np.cos(2 * x2))):
+            np.testing.assert_allclose(fn.values, exact, rtol=0, atol=1e-14)
+        a, b = np.meshgrid(x1, x2, indexing="ij")
+        np.testing.assert_allclose(w.values, 4 * np.sin(a + 2 * b)
+                                   + (2 + 4 * a * b + a**2 * b**2) * np.exp(a * b), rtol=1e-14)
+
+
 class TestReconstructionIdentity:
     @pytest.mark.parametrize("text", ["1 + x1 + x2 + x1*x2", "x1^2*x2^2",
                                       "x1^2*x2 + 2*x2^2 - x1"])
