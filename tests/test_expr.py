@@ -223,7 +223,7 @@ class TestProgram:
         extract_traces(parse("sin(x1)*exp(x2) + x1^2*x2"), g)
         assert (len(shapes), shapes.count(g.shape)) == (18, 11)
 
-    def test_an_output_value_is_dropped_once_its_grid_exists(self):
+    def test_output_values_are_dropped_after_their_grids_exist(self):
         # The nine 129 x 129 grids are 1.20 MB, and while the last is made
         # two full-grid values of the program are alive beside them: about
         # 1.49 MB.  Keeping each output's value after its grid exists reads
