@@ -403,8 +403,9 @@ def sample(e, grid):
     """The GridFn of ``e`` at the nodes of ``grid``, a Grid1D or a Grid2D,
     with x1 and x2 the grid's ``coordinates``: those of the two axes, or
     on a Grid1D both the one node coordinate.  This is the one place where
-    an expression meets grid nodes.  Given a sequence of trees, it returns
-    their GridFns in order, computed by one program.
+    an expression meets grid nodes.  Given a sequence of trees, such as a
+    list, which keeps them alive through the call, it returns their GridFns
+    in order, computed by one program.
 
     A zero divisor raises EvalDomainError.  An overflow gives inf or nan,
     which the grid function rejects with a ValueError that the caller
