@@ -19,6 +19,16 @@ its denominators do not vanish and makes symbolic differentiation closed on
 the grammar.  Evaluation accepts scalars or numpy arrays; ``sample``
 evaluates on the nodes of a grid.
 
+Differentiation folds as it builds.  Every binary node of a derivative
+comes from one constructor, ``_op``, which the rules of ``OPERATORS`` and
+``FUNCTIONS`` and the power rule call: two literals become one where the
+result is finite and no divisor is zero, and otherwise the 0 and 1
+identities apply (a literal counts as 0 when it equals 0.0, of either
+sign).  So only folding makes a literal with its sign bit set, and
+``to_string`` prints such a literal as the negation of its magnitude,
+``(-2.0)``, ``(-0.0)`` or ``(-1e999)``: the text re-parses to the same value
+and sign of zero under any operator.
+
 A derivative refers to its operands and their derivatives again, so its
 tree shares subtrees, and the derivatives of one tree share more.  Each
 call of ``differentiate`` differentiates each distinct node once, however
@@ -73,19 +83,19 @@ VARIABLES = ("x1", "x2")
 # The grammar's functions: name -> (numpy function, derivative rule).  The
 # rule maps the argument a and its derivative da to the derivative of the call.
 FUNCTIONS = {
-    "sin": (np.sin, lambda a, da: _mul(Call("cos", a), da)),
-    "cos": (np.cos, lambda a, da: _neg(_mul(Call("sin", a), da))),
-    "exp": (np.exp, lambda a, da: _mul(Call("exp", a), da)),
+    "sin": (np.sin, lambda a, da: _op("*", Call("cos", a), da)),
+    "cos": (np.cos, lambda a, da: _neg(_op("*", Call("sin", a), da))),
+    "exp": (np.exp, lambda a, da: _op("*", Call("exp", a), da)),
 }
 # The grammar's binary operators: symbol -> (function, derivative rule).  The
 # rule maps the operands a, b and their derivatives da, db to the derivative
 # of the operation.  PRECEDENCE lists the symbols by level, loosest first.
 OPERATORS = {
-    "+": (operator.add, lambda a, b, da, db: _add(da, db)),
-    "-": (operator.sub, lambda a, b, da, db: _sub(da, db)),
-    "*": (operator.mul, lambda a, b, da, db: _add(_mul(da, b), _mul(a, db))),
-    "/": (operator.truediv,
-          lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2))),
+    "+": (operator.add, lambda a, b, da, db: _op("+", da, db)),
+    "-": (operator.sub, lambda a, b, da, db: _op("-", da, db)),
+    "*": (operator.mul, lambda a, b, da, db: _op("+", _op("*", da, b), _op("*", a, db))),
+    "/": (operator.truediv, lambda a, b, da, db:
+          _op("/", _op("-", _op("*", da, b), _op("*", a, db)), _pow(b, 2))),
 }
 PRECEDENCE = ("+-", "*/")
 MAX_DEPTH = 50
@@ -438,60 +448,30 @@ def _is_const(e: Expr, v: float) -> bool:
     return isinstance(e, Num) and e.value == v
 
 
-def _literal(op: str, a: Expr, b: Expr) -> Num | None:
-    """``a op b`` as a literal if a and b are literals and it is finite;
-    a zero divisor is not folded."""
+def _op(op: str, a: Expr, b: Expr) -> Expr:
+    """The folded tree of ``a op b``: the literal of two literals where it
+    is finite and no divisor is zero; else ``a`` or ``b`` alone where the
+    other leaves it as it is (0 + b, a + 0, a - 0, 1 * b, a * 1, a / 1),
+    -b for 0 - b and 0 for 0 * b and a * 0, a literal counting as 0 when
+    it equals 0.0, of either sign; else the BinOp."""
     if isinstance(a, Num) and isinstance(b, Num) and (op != "/" or b.value != 0.0):
         value = OPERATORS[op][0](a.value, b.value)
         if math.isfinite(value):
             return _num(value)
-    return None
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if (folded := _literal("+", a, b)) is not None:
-        return folded
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if op == "*" and (_is_const(a, 0.0) or _is_const(b, 0.0)):
+        return _num(0.0)
+    unit = 0.0 if op in "+-" else 1.0  # the right operand that leaves a as it is
+    if _is_const(b, unit):
         return a
-    return BinOp("+", a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if (folded := _literal("-", a, b)) is not None:
-        return folded
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return _neg(b)
-    return BinOp("-", a, b)
+    if _is_const(a, unit) and op != "/":
+        return _neg(b) if op == "-" else b
+    return BinOp(op, a, b)
 
 
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Num):
         return _num(-a.value)
     return Neg(a)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if (folded := _literal("*", a, b)) is not None:
-        return folded
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _num(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return BinOp("*", a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if (folded := _literal("/", a, b)) is not None:
-        return folded
-    if _is_const(b, 1.0):
-        return a
-    return BinOp("/", a, b)
 
 
 def _pow(base: Expr, k: int) -> Expr:
@@ -549,7 +529,7 @@ def _diff(e: Expr, var: str, memo: dict) -> Expr:
         d = OPERATORS[e.op][1](e.left, e.right, _diff(e.left, var, memo), _diff(e.right, var, memo))
     elif isinstance(e, Pow):
         inner = _diff(e.base, var, memo)
-        d = _mul(_mul(_num(e.exponent), _pow(e.base, e.exponent - 1)), inner)
+        d = _op("*", _op("*", _num(e.exponent), _pow(e.base, e.exponent - 1)), inner)
     elif isinstance(e, Call):
         d = FUNCTIONS[e.func][1](e.arg, _diff(e.arg, var, memo))
     else:
@@ -564,11 +544,13 @@ def _diff(e: Expr, var: str, memo: dict) -> Expr:
 def to_string(e: Expr) -> str:
     """Fully parenthesized rendering; re-parses to an equivalent expression."""
     if isinstance(e, Num):
-        # A literal beyond the float range parses to inf, whose repr is no
-        # literal; a folded -inf is its negation.
-        if math.isinf(e.value):
-            return "1e999" if e.value > 0 else "(-1e999)"
-        return repr(e.value)
+        # A literal with its sign bit set prints as the negation of its
+        # magnitude, which keeps its value and the sign of its zero under
+        # any operator; a literal beyond the float range parses to inf,
+        # whose repr is no literal.
+        if math.copysign(1.0, e.value) < 0.0:
+            return f"(-{to_string(Num(-e.value))})"
+        return "1e999" if math.isinf(e.value) else repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):

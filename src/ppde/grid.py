@@ -287,6 +287,8 @@ def mixed_norm(f: GridFn, inner_exponent, outer_exponent) -> float:
     (x1, x2).  The discrete sup norm is the max over grid nodes.  A norm
     that overflows is taken as ``lp_norm``'s is.
     """
+    if len(f.grid.axes) != 2:
+        raise ValueError(f"mixed_norm needs a grid function on a Grid2D, got one on {f.grid!r}")
     pi = _check_exponent(inner_exponent)
     po = _check_exponent(outer_exponent)
 

@@ -22,6 +22,7 @@ import ppde.cli
 import ppde.expr
 import ppde.verify
 from ppde.cli import load_config, run
+from ppde.dirichlet import DirichletProblem, solve_dirichlet
 from ppde.grid import Grid2D, make_grid
 from ppde.problem import (
     CLASSICAL,
@@ -113,6 +114,24 @@ class TestSolve:
         assert payload["n1"] == 8
         assert "agreement_r1" not in payload  # nonclassical path
         assert "tol" not in payload and "max_iter" not in payload  # they have no effect
+
+    def test_diag_json_theta_c_is_the_library_s_c_and_indents_by_two(self, tmp_path):
+        cfg = write(tmp_path / "c.ini", BASE.format(n=4), """
+        [rhs]
+        expr = "1 + x1"
+
+        [data.nonclassical]
+        z00 = 0.0
+        """)
+        diag = tmp_path / "d.json"
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv"),
+                    "--diag", str(diag)]) == 0
+        conf = load_config(cfg)
+        theta = solve_dirichlet(DirichletProblem(conf.grid, conf.coeffs, conf.rhs,
+                                                 conf.nonclassical)).theta
+        assert theta[0] != theta[1]  # c, and g1 at x1 = 0
+        assert json.loads(diag.read_text())["theta_c"] == theta[0]
+        assert diag.read_text().startswith('{\n  "')
 
     def test_field_companions(self, tmp_path):
         cfg = quartic_solve_config(tmp_path, n=4)
@@ -664,6 +683,16 @@ class TestCsvReader:
         with pytest.raises(ppde.cli.ConfigError, match=f"edge.csv line {number}: {message}"):
             ppde.cli._read_csv("edge.csv", grid, tmp_path, "z20")
 
+    def test_a_coordinate_may_be_off_its_node_by_1e_12_of_the_axis_length(self, tmp_path):
+        # 4e-12 is that bound exactly on an axis of length 4, for the node 0;
+        # a file read again for a later fault accepts it too
+        grid = make_grid(4.0, 2)
+        (tmp_path / "edge.csv").write_text("x,value\n4e-12,1\n2,2\n4,3\n")
+        assert ppde.cli._read_csv("edge.csv", grid, tmp_path, "z20").tolist() == [1.0, 2.0, 3.0]
+        (tmp_path / "edge.csv").write_text("x,value\n4e-12,1\n2,2\n4,nan\n")
+        with pytest.raises(ppde.cli.ConfigError, match="edge.csv line 4: value nan is not finite"):
+            ppde.cli._read_csv("edge.csv", grid, tmp_path, "z20")
+
     @pytest.mark.parametrize("text, expected", [
         ("x,value\n0,0\n0.25,0,0.5\n0\n0.75,0\n1,0\n", "3: expected 2 fields (x,value), got 3"),
         ("x,value\n0,0\n\n0.25\n0,0.5,0\n0.75,0\n1,0\n", "4: expected 2 fields (x,value), got 1"),
@@ -814,6 +843,7 @@ class TestCheck:
         """)
         assert run(["check", "--config", cfg]) == 1
         assert run(["check", "--config", cfg, "--tol", "2.0"]) == 0
+        assert run(["check", "--config", cfg, "--tol", "1.0"]) == 0  # max |residual| is 1.0
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tol_is_a_config_error(self, tmp_path, capsys, tol):
@@ -1360,6 +1390,7 @@ class TestConfigLoading:
          "columns.csv line 4: expected 2 fields (x,value), got 3"),
         ('[data.nonclassical]\nz20 = "missing.csv"\n', "[data.nonclassical] z20: cannot read"),
         ("[solver]\ntol = 0\n[data.nonclassical]\nz00 = 0.0\n", "[solver] tol must be positive"),
+        ('[solver]\ntol = ""\n[data.nonclassical]\nz00 = 0.0\n', "[solver] tol: not a number: ''"),
         ("[solver]\nmax_iter = 0\n[data.nonclassical]\nz00 = 0.0\n", "[solver] max_iter must be >= 1"),
         ("[solver]\nmax_iter = 1.5\n[data.nonclassical]\nz00 = 0.0\n",
          "[solver] max_iter: not an integer"),
@@ -1369,7 +1400,8 @@ class TestConfigLoading:
     ], ids=["scalar", "edge_csv", "coefficient", "coefficient_pole", "rhs", "tol", "ridge",
             "coefficient_overflow", "edge_expr_overflow", "power_overflow", "csv_header",
             "csv_rows",
-            "csv_columns", "csv_unreadable", "tol_zero", "max_iter_zero", "max_iter_not_int",
+            "csv_columns", "csv_unreadable", "tol_zero", "tol_empty", "max_iter_zero",
+            "max_iter_not_int",
             "ridge_negative", "scalar_not_number", "csv_not_utf8"])
     def test_non_finite_input_is_a_config_error(self, tmp_path, capsys, body, expected):
         (tmp_path / "edge.csv").write_text("x,value\n0,0\n0.25,0\n0.5,nan\n0.75,0\n1,0\n")
@@ -1517,6 +1549,16 @@ class TestConfigLoading:
         """)
         conf = load_config(cfg)
         assert (conf.tol, conf.max_iter, conf.ridge) == (1e-10, 99, 0.5)
+
+    def test_solver_section_at_its_smallest_values(self, tmp_path):
+        cfg = write(tmp_path / "c.ini", BASE.format(n=4), """
+        [solver]
+        tol = 5e-324
+        max_iter = 1
+        ridge = 0
+        """)
+        conf = load_config(cfg)
+        assert (conf.tol, conf.max_iter, conf.ridge) == (5e-324, 1, 0.0)
 
 
 class TestEntryPoint:

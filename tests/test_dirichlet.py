@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _oracle
 from _families import coefficient_subsets, random_coefficient_exprs
 from _memory import traced_peak
 from ppde.dirichlet import (
@@ -550,6 +551,32 @@ class TestMirror:
         same = ("a11", "a10", "a01", "a00")
         close([sd.coefficient_norms[k] for k in same],
               [md.coefficient_norms[MIRROR[k]] for k in same])
+
+
+class TestOracle:
+    """The solver against ``_oracle``: the same discrete problem, stated
+    as one dense system that shares only the order tables with it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n1=st.integers(1, 10), n2=st.integers(1, 10),
+           h1=st.floats(0.3, 1.5), h2=st.floats(0.3, 1.5), seed=st.integers(0, 2**32 - 1))
+    def test_theta_and_the_nine_grids_are_the_oracle_s(self, n1, n2, h1, h2, seed):
+        # The coefficients of random_coefficient_exprs are at most 0.75 in
+        # size on sides of at most 1.5, so both margins of goursat.margins
+        # stay below 0.57, away from their resonance at 1.
+        rng = np.random.default_rng(seed)
+        grid = Grid2D(make_grid(h1, n1), make_grid(h2, n2))
+        coeffs = Coefficients.from_exprs(grid, random_coefficient_exprs(rng))
+        rhs = GridFn(grid, rng.normal(size=grid.shape))
+        data = NonClassicalData(
+            **{k: float(rng.normal()) for k in NonClassicalData.SCALARS},
+            **{k: GridFn(g, rng.normal(size=g.n + 1))
+               for k, g in NonClassicalData.edge_grids(grid).items()})
+        sol = solve_dirichlet(DirichletProblem(grid, coeffs, rhs, data))
+        theta, d = _oracle.solve(grid, coeffs, rhs, data)
+        for got, want in [(sol.theta, theta)] + [(sol.field.values[i][j], d[i][j])
+                                                 for i in range(3) for j in range(3)]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestExactSpace:

@@ -282,6 +282,30 @@ class TestDifferentiate:
         # pytest turns a numpy divide-by-zero warning into an error (pyproject)
         assert d("x1 + 0^0", "x1") == Num(1.0)
 
+    @pytest.mark.parametrize("text, times, folded", [
+        # two literals fold where the result is finite and no divisor is zero
+        ("(2*x1)*(3*x1)", 2, "12.0"),  # 2 * 3 + 2 * 3
+        ("1e999*x1*0", 1, "0.0"),  # inf * 0 is nan, so a * 0 makes the 0
+        ("1e200*x1*1e200", 1, "(1e+200 * 1e+200)"),  # inf is no literal
+        ("x1/0", 1, "(0.0 / 0.0)"),  # a zero divisor is left to evaluation
+        # one identity each: 0 + b, a + 0, a - 0, 0 - b, 0 * b and a * 0,
+        # 1 * b, a * 1, a / 1, and no identity for 1 / b
+        ("x2 + x1^2", 1, "(2.0 * x1)"),
+        ("x1^2 + x2", 1, "(2.0 * x1)"),
+        ("x1^2 - x2", 1, "(2.0 * x1)"),
+        ("x2 - x1^2", 1, "(-(2.0 * x1))"),
+        ("x2*x1^2", 1, "(x2 * (2.0 * x1))"),
+        ("x1*sin(x2)", 1, "sin(x2)"),
+        ("sin(x2)*x1", 1, "sin(x2)"),
+        ("x1^2/1", 1, "(2.0 * x1)"),
+        ("1/(1-x1)", 1, "(1.0 / ((1.0 - x1)^2))"),
+    ])
+    def test_derivatives_fold_literals_and_drop_0_and_1_operands(self, text, times, folded):
+        e = parse(text)
+        for _ in range(times):
+            e = differentiate(e, "x1")
+        assert to_string(e) == folded
+
     def test_power_rule(self):
         e = d("x1^2*x2", "x1")
         assert evaluate(e, 1.0, 1.0) == 2.0
@@ -300,7 +324,7 @@ class TestDifferentiate:
             assert evaluate(e, x1, x2) == 4.0
 
     def test_quotient_by_one_is_the_numerator(self):
-        # the quotient rule's denominator b^2 folds to 1, which _div drops
+        # the quotient rule's denominator b^2 folds to 1, which _op drops
         assert differentiate(parse("x1*x1/1"), "x1") == differentiate(parse("x1*x1"), "x1")
 
     def test_quotient_rule(self):
@@ -339,10 +363,12 @@ DEEPEST = {
     "powers": lambda k: "x1" + "^1" * k,
     "quotients": lambda k: "x1*x2" + "/2" * k,
     "parentheses": lambda k: "(" * k + "x1*x2" + ")" * k,
+    "parentheses after a group": lambda k: "(x1)+" + "(" * k + "x1*x2" + ")" * k,
     "calls": lambda k: "exp(" * k + "x1" + ")" * k,
 }
 STEPS = {"signs": MAX_DEPTH - 1, "sum": MAX_DEPTH - 1, "powers": MAX_DEPTH - 1,
-         "quotients": MAX_DEPTH - 2, "parentheses": MAX_DEPTH, "calls": MAX_DEPTH - 1}
+         "quotients": MAX_DEPTH - 2, "parentheses": MAX_DEPTH,
+         "parentheses after a group": MAX_DEPTH, "calls": MAX_DEPTH - 1}
 
 
 class TestDepthBound:
@@ -464,3 +490,15 @@ class TestPrinting:
     def test_negative_literal(self):
         e = differentiate(parse("cos(x1)"), "x1")  # folds to -sin(x1) shape
         assert evaluate(parse(to_string(e)), 0.7, 0.0) == pytest.approx(-np.sin(0.7))
+
+    @pytest.mark.parametrize("e, text", [
+        (Pow(Num(-2.0), 2), "((-2.0)^2)"),
+        (Pow(Num(-0.0), 2), "((-0.0)^2)"),
+        (Pow(Num(-1e200), 2), "((-1e+200)^2)"),
+        (BinOp("-", Var("x1"), Num(-2.0)), "(x1 - (-2.0))"),
+    ])
+    def test_a_literal_with_its_sign_bit_set_prints_as_a_negation(self, e, text):
+        assert to_string(e) == text
+        with np.errstate(over="ignore"):
+            want, got = evaluate(e, 0.3, 0.4), evaluate(parse(text), 0.3, 0.4)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))

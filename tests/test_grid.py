@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppde
 from ppde.goursat import MarchingError
@@ -227,14 +229,18 @@ class TestCumulativeIntegrals2D:
 
 @pytest.mark.parametrize("length, n", [(1.0, 1), (1.0, 2), (0.7, 5), (1.3, 16), (2.0, 33)])
 class TestOrderTable:
-    def test_exact_for_affine_and_constant_integrands(self, length, n):
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0))
+    def test_exact_for_affine_and_constant_integrands(self, length, n, a, b):
+        # C[a + b t](x) = a x + b x^2 / 2 and R[a](x) = a x^2 / 2
         g = make_grid(length, n)
         R, C, I = order_table(g)
         x = g.nodes
         np.testing.assert_array_equal(I, np.eye(n + 1))
-        np.testing.assert_allclose(C @ (3.0 - 2.0 * x), 3.0 * x - x**2, rtol=0, atol=1e-14)
+        scale = 1e-15 * (abs(a) + abs(b)) * (1.0 + length) ** 2 + 1e-300  # subnormal results
+        np.testing.assert_allclose(C @ (a + b * x), a * x + b * x**2 / 2, rtol=0, atol=scale)
         np.testing.assert_allclose(C @ np.ones(n + 1), x, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(R @ np.full(n + 1, 2.0), x**2, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(R @ np.full(n + 1, a), a * x**2 / 2, rtol=0, atol=scale)
 
     def test_lower_triangular_with_an_empty_first_row(self, length, n):
         table = order_table(make_grid(length, n))
@@ -409,6 +415,10 @@ class TestMixedNorm:
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             mixed_norm(GridFn.zeros(unit_square(4)), 0.5, 2)
+
+    def test_a_function_on_a_grid1d_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"Grid2D, got one on Grid1D\(length=1.0, n=4\)"):
+            mixed_norm(GridFn.zeros(make_grid(1.0, 4)), np.inf, 2)
 
     @pytest.mark.parametrize("exponents", [(np.inf, 2), (2, np.inf), (2, 3)])
     def test_grid_whose_power_overflows(self, exponents):
