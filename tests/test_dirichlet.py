@@ -594,9 +594,9 @@ class TestExactSpace:
     def test_biquadratic_u_is_solved_exactly_in_both_formulations(self, c, signs, n1, n2,
                                                                    h1, h2, seed):
         # |c_ab| >= 0.5 keeps every grid's scale, max |D1^i D2^j u|, at least
-        # 0.5.  The coefficients of random_coefficient_exprs are at most 0.5
-        # in size, so on sides of at most 1.5 both margins of
-        # goursat.margins stay below 0.375, away from their resonance at 1.
+        # 0.5.  The coefficients of random_coefficient_exprs are at most 0.75
+        # in size on sides of at most 1.5, so both margins of goursat.margins
+        # stay below 0.57, away from their resonance at 1.
         terms = itertools.product(range(3), repeat=2)
         u = " + ".join(f"({-v if neg else v!r})*x1^{a}*x2^{b}"
                        for v, neg, (a, b) in zip(c, signs, terms))
