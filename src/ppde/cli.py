@@ -144,33 +144,53 @@ def _header(grid) -> str:
     return "x,value" if len(grid.shape) == 1 else "x1,x2,value"
 
 
+def _misfit(data: np.ndarray, grid, nodes):
+    """How CSV rows on ``grid``, parsed by ``np.loadtxt`` with their fields
+    on the last axis of ``data``, fail to fit the grid nodes ``nodes`` (one
+    array per axis, broadcast against the rows): None when a row does not
+    hold one field per axis and a value, and otherwise the masks (off,
+    nonfinite) of the rows with a coordinate off its node by more than 1e-12
+    of the axis length and of those whose value is not finite.
+
+    These are the row rules of the file, and both ``_read_csv``'s whole-file
+    check and ``_first_fault``'s line-by-line one apply them.
+    """
+    if data.shape[-1] != len(grid.axes) + 1:
+        return None
+    on = [np.abs(data[..., axis] - x) <= 1e-12 * g.length
+          for axis, (g, x) in enumerate(zip(grid.axes, nodes))]
+    return ~np.logical_and.reduce(on), ~np.isfinite(data[..., -1])
+
+
 def _first_fault(path: Path, grid, header: str) -> str:
     """Why the CSV file at ``path``, which ``_read_csv`` rejected, does not
     fit ``grid``: ``line <number>: <fault>`` for its first faulty row in
     file order, or else its row count.
 
     The file is read again line by line, and each row is parsed by the same
-    ``np.loadtxt`` as the whole file was, so the two readings agree.
+    ``np.loadtxt`` as the whole file was and checked by the same
+    ``_misfit``, so the two readings agree.  A row's field count is
+    checked before it is parsed.
     """
     grids, shape = grid.axes, grid.shape
-    width = len(grids) + 1
     with open(path, encoding="utf-8-sig") as fh:
         rows = ((number, line.removesuffix("\n"))
                 for number, line in enumerate(fh, 1) if line.strip())
         next(rows)  # the header, checked already
         for index, (number, line) in zip(np.ndindex(shape), rows):
+            node = [g.nodes[i].item() for g, i in zip(grids, index)]
             fields = line.count(",") + 1
-            if fields != width:
-                return f"line {number}: expected {width} fields ({header}), got {fields}"
+            if _misfit(np.zeros(fields), grid, node) is None:  # a row of the line's field count
+                return f"line {number}: expected {len(grids) + 1} fields ({header}), got {fields}"
             try:
-                *coords, value = np.loadtxt([line], delimiter=",", comments=None).tolist()
+                row = np.loadtxt([line], delimiter=",", comments=None)
             except ValueError:
                 return f"line {number}: bad numeric row {line!r}"
-            node = [g.nodes[i].item() for g, i in zip(grids, index)]
-            if not all(abs(x - y) <= 1e-12 * g.length for x, y, g in zip(coords, node, grids)):
-                return f"line {number}: coordinates {coords} are not the grid node {node}"
-            if not math.isfinite(value):
-                return f"line {number}: value {value!r} is not finite"
+            off, nonfinite = _misfit(row, grid, node)
+            if off:
+                return f"line {number}: coordinates {row[:-1].tolist()} are not the grid node {node}"
+            if nonfinite:
+                return f"line {number}: value {row[-1].item()!r} is not finite"
     return f"must have {math.prod(shape)} {header} rows"
 
 
@@ -183,9 +203,9 @@ def _read_csv(raw: str, grid, base_dir: Path, where: str) -> np.ndarray:
     row-major order, x2 varying fastest.  The file is UTF-8 text, with or
     without a byte-order mark, whose lines end in LF, CRLF or CR; blank and
     whitespace-only lines are skipped.  Every field is read by numpy's
-    parser, so spaces around a field are allowed.  Each coordinate must be
-    its grid node to within 1e-12 of the axis length, and each value must
-    be finite.
+    parser, so spaces around a field are allowed.  Each row must meet the
+    rules of ``_misfit``: a coordinate per axis, each its grid node to
+    within 1e-12 of the axis length, and a finite value.
 
     The rows after the header are read by one ``np.loadtxt`` call and
     checked as whole columns.  Only a file that fails is read again, by
@@ -194,7 +214,7 @@ def _read_csv(raw: str, grid, base_dir: Path, where: str) -> np.ndarray:
     """
     path = base_dir / raw
     header = _header(grid)
-    grids, shape = grid.axes, grid.shape
+    shape = grid.shape
     try:
         with open(path, encoding="utf-8-sig") as fh:
             rows = filter(str.strip, fh)
@@ -205,13 +225,12 @@ def _read_csv(raw: str, grid, base_dir: Path, where: str) -> np.ndarray:
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                     data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
             except ValueError:
-                data = np.empty((0, 0))  # fails the shape check below
-        nodes = np.ix_(*(g.nodes for g in grids))  # each axis's nodes, on its own axis
-        if (data.shape == (math.prod(shape), len(grids) + 1)
-                and all(np.all(np.abs(data[:, axis].reshape(shape) - x) <= 1e-12 * g.length)
-                        for axis, (g, x) in enumerate(zip(grids, nodes)))
-                and np.all(np.isfinite(data[:, -1]))):
-            return data[:, -1].reshape(shape)
+                data = np.empty((0, 0))  # fails the row count below
+        if len(data) == math.prod(shape):
+            nodes = np.ix_(*(g.nodes for g in grid.axes))  # each axis's nodes, on its own axis
+            misfit = _misfit(data.reshape(*shape, -1), grid, nodes)
+            if misfit is not None and not any(mask.any() for mask in misfit):
+                return data[:, -1].reshape(shape)
         raise ConfigError(f"{where}: {path} {_first_fault(path, grid, header)}")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{where}: cannot read {path}: {err}") from err

@@ -373,21 +373,24 @@ def _compile(trees) -> list:
 def _run(program, x1, x2, emit) -> None:
     """Run ``program`` at (x1, x2), passing each tree's value to ``emit`` in
     tree order.  A value is dropped after its last use, and before the
-    outputs of that step if it is none of them."""
+    outputs of that step if it is none of them.  An overflow gives inf or
+    nan without a numpy warning: the caller that needs finite values checks
+    them, and names the input."""
     values = [None] * len(program)
-    for k, (node, args, dead, outputs, spent) in enumerate(program):
-        if isinstance(node, Num):
-            values[k] = node.value
-        elif isinstance(node, Var):
-            values[k] = x1 if node.name == "x1" else x2
-        else:
-            values[k] = _apply(node, *[values[i] for i in args])
-        for i in dead:
-            values[i] = None
-        for i in outputs:
-            emit(values[i])
-        for i in spent:
-            values[i] = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (node, args, dead, outputs, spent) in enumerate(program):
+            if isinstance(node, Num):
+                values[k] = node.value
+            elif isinstance(node, Var):
+                values[k] = x1 if node.name == "x1" else x2
+            else:
+                values[k] = _apply(node, *[values[i] for i in args])
+            for i in dead:
+                values[i] = None
+            for i in outputs:
+                emit(values[i])
+            for i in spent:
+                values[i] = None
 
 
 def _apply(node: Expr, a, b=None):
@@ -417,11 +420,11 @@ def sample(e, grid):
     list, which keeps them alive through the call, it returns their GridFns
     in order, computed by one program.
 
-    A zero divisor raises EvalDomainError.  An overflow gives inf or nan,
-    which the grid function rejects with a ValueError that the caller
-    reports under the input's name; numpy's overflow warning would only
-    repeat it, so none is given.  The error carries ``index``, the position
-    of its tree: the first that fails, as if the trees were sampled in turn.
+    A zero divisor raises EvalDomainError.  An overflow gives inf or nan
+    (``_run``), which the grid function rejects with a ValueError that the
+    caller reports under the input's name.  The error carries ``index``,
+    the position of its tree: the first that fails, as if the trees were
+    sampled in turn.
     """
     fns = []
 
@@ -429,8 +432,7 @@ def sample(e, grid):
         fns.append(GridFn(grid, np.broadcast_to(values, grid.shape)))
 
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _run(_compile([e] if isinstance(e, Expr) else e), *grid.coordinates, emit)
+        _run(_compile([e] if isinstance(e, Expr) else e), *grid.coordinates, emit)
     except (EvalDomainError, ValueError) as err:
         err.index = len(fns)
         raise

@@ -30,7 +30,8 @@ and, in the least-squares sense, the four far-edge conditions
     D2 u(h1, 0) = z01_h1,          D1 u(0, h2) = z10_h2,
     D1^2 u(x1, h2) = z20_h2(x1),   D2^2 u(h1, x2) = z02_h1(x2).
 
-``solve`` eliminates W densely and solves for theta by ``lstsq``.
+``system`` eliminates W densely, which leaves the four conditions in theta
+alone, and ``solve`` solves them by ``lstsq``.
 """
 
 import numpy as np
@@ -42,8 +43,13 @@ TERMS = {"a21": (2, 1), "a12": (1, 2), "a20": (2, 0), "a02": (0, 2),
          "a11": (1, 1), "a10": (1, 0), "a01": (0, 1), "a00": (0, 0)}
 
 
-def solve(grid, coeffs, rhs, data):
-    """theta and the nine grids d[i][j] = D1^i D2^j u of the discrete problem."""
+def system(grid, coeffs, rhs, data):
+    """(matrix, offset, field) of the discrete problem.
+
+    The far-edge residual of theta is matrix @ theta - offset, one row per
+    condition node in the order above, as in ``dirichlet.ClosureSystem``;
+    field(theta) gives the nine grids d[i][j] = D1^i D2^j u at theta.
+    """
     F1, F2 = order_table(grid.g1), order_table(grid.g2)
     (m1, m2), x1, x2 = grid.shape, grid.g1.nodes, grid.g2.nodes
     const1, const2 = ([np.ones(m), np.zeros(m), np.zeros(m)] for m in (m1, m2))
@@ -73,8 +79,17 @@ def solve(grid, coeffs, rhs, data):
     n = m1 * m2
     # W = A_w^-1 (b - A_theta theta), and the conditions in theta alone
     solved = np.linalg.solve(A[:, :n], np.column_stack([b, A[:, n:]]))
-    theta = np.linalg.lstsq(Q[:, n:] - Q[:, :n] @ solved[:, 1:], z - Q[:, :n] @ solved[:, 0],
-                            rcond=None)[0]
-    v = np.concatenate([solved[:, 0] - solved[:, 1:] @ theta, theta])
-    return theta, [[(d[i, j][0] @ v + d[i, j][1]).reshape(m1, m2) for j in range(3)]
-                   for i in range(3)]
+
+    def field(theta):
+        v = np.concatenate([solved[:, 0] - solved[:, 1:] @ theta, theta])
+        return [[(d[i, j][0] @ v + d[i, j][1]).reshape(m1, m2) for j in range(3)]
+                for i in range(3)]
+
+    return Q[:, n:] - Q[:, :n] @ solved[:, 1:], z - Q[:, :n] @ solved[:, 0], field
+
+
+def solve(grid, coeffs, rhs, data):
+    """theta by least squares, and the nine grids d[i][j] = D1^i D2^j u at theta."""
+    matrix, offset, field = system(grid, coeffs, rhs, data)
+    theta = np.linalg.lstsq(matrix, offset, rcond=None)[0]
+    return theta, field(theta)

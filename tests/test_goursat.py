@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -5,17 +6,18 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _oracle
 from _families import coefficient_subsets
 from _memory import RowLog
 from ppde import goursat
 from ppde.expr import parse
 from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
 from ppde.grid import Grid2D, GridFn, NumericalError, make_grid, order_table, order_tables, orders
-from ppde.problem import Coefficients, apply_operator, lower_order
-from ppde.representation import TraceSet, extract_traces, line, reconstruct_field
+from ppde.problem import Coefficients, NonClassicalData, apply_operator
+from ppde.representation import TraceSet, extract_traces, line
 
 
 def unit_square(n):
@@ -26,19 +28,16 @@ def constant_rhs(grid, v):
     return GridFn(grid, v * np.ones(grid.shape))
 
 
-def picard(gp, tol=1e-14, max_iter=100):
-    """Successive substitution for the discrete Volterra equation (the oracle)."""
-    grid = gp.grid
-    known = gp.rhs.values - lower_order(reconstruct_field(gp.traces, GridFn.zeros(grid)).values,
-                                       gp.coeffs)
-    w = known
-    for _ in range(max_iter):
-        feedback = reconstruct_field(TraceSet.zeros(grid), GridFn(grid, w))
-        w_next = known - lower_order(feedback.values, gp.coeffs)
-        if np.max(np.abs(w_next - w)) <= tol:
-            return w_next
-        w = w_next
-    raise AssertionError("Picard iteration did not converge")
+ALL_COEFFICIENTS = {"a21": "x1", "a12": "1+x2", "a20": "0.3", "a02": "x2",
+                    "a11": "sin(x1*x2)", "a10": "x1*x2", "a01": "-0.5", "a00": "1"}
+SUBSETS = coefficient_subsets(ALL_COEFFICIENTS, seed=2)
+
+
+def with_each_subset(test):
+    """``test`` with one explicit example per entry of SUBSETS, on a 10 x 7 grid."""
+    for exprs in SUBSETS:
+        test = example(n1=10, n2=7, h1=1.0, h2=0.7, exprs=exprs, seed=1)(test)
+    return test
 
 
 class TestSolveGoursat:
@@ -141,19 +140,30 @@ class TestSolveGoursat:
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 1.8)
 
-    def test_matches_picard_oracle(self):
-        g = Grid2D(make_grid(1.0, 12), make_grid(0.7, 12))
-        exprs = {"a21": "x1", "a12": "1+x2", "a20": "0.3", "a02": "x2",
-                 "a11": "sin(x1*x2)", "a10": "x1*x2", "a01": "-0.5", "a00": "1"}
-        rng = np.random.default_rng(1)
-        traces = TraceSet(*rng.normal(size=4),
-                          GridFn(g.g1, rng.normal(size=13)), GridFn(g.g1, rng.normal(size=13)),
-                          GridFn(g.g2, rng.normal(size=13)), GridFn(g.g2, rng.normal(size=13)))
-        rhs = GridFn(g, rng.normal(size=g.shape))
-        for subset in coefficient_subsets(exprs, seed=2):
-            gp = GoursatProblem(traces, Coefficients.from_exprs(g, subset), rhs)
-            w = solve_goursat(gp).w.values
-            assert np.max(np.abs(w - picard(gp))) <= 1e-12, subset
+    @with_each_subset
+    @settings(max_examples=100, deadline=None)
+    @given(n1=st.integers(1, 10), n2=st.integers(1, 10), h1=st.floats(0.3, 1.5),
+           h2=st.floats(0.3, 1.5), exprs=st.sampled_from(SUBSETS), seed=st.integers(0, 2**32 - 1))
+    def test_the_nine_grids_are_the_oracle_s(self, n1, n2, h1, h2, exprs, seed):
+        # The oracle's field at theta = [c, g1, g2] of random traces, with
+        # the data taken from the other traces (z00, z10, z01, z20, z02);
+        # the far-edge data do not enter the field.  On sides of at most 1.5
+        # the coefficients of ALL_COEFFICIENTS that enter a pivot of the
+        # march (a21, a12, a11) are nonnegative, so every pivot is at least 1.
+        rng = np.random.default_rng(seed)
+        grid = Grid2D(make_grid(h1, n1), make_grid(h2, n2))
+        coeffs = Coefficients.from_exprs(grid, exprs)
+        rhs = GridFn(grid, rng.normal(size=grid.shape))
+        traces = TraceSet(*rng.normal(size=4), *(GridFn(g, rng.normal(size=g.n + 1))
+                                                 for g in (grid.g1, grid.g1, grid.g2, grid.g2)))
+        data = NonClassicalData(traces.u00, traces.u10, traces.u01, 0.0, 0.0, 0.0, 0.0,
+                                z20=traces.p, z02=traces.q, z20_h2=GridFn.zeros(grid.g1),
+                                z02_h1=GridFn.zeros(grid.g2))
+        theta = np.concatenate([[traces.c], traces.g1.values, traces.g2.values])
+        d = _oracle.system(grid, coeffs, rhs, data)[2](theta)
+        got = solve_goursat(GoursatProblem(traces, coeffs, rhs)).field.values
+        for i, j in itertools.product(range(3), repeat=2):
+            assert np.max(np.abs(got[i][j] - d[i][j])) <= 1e-12 * np.max(np.abs(d[i][j])), (i, j)
 
     def test_vanishing_pivot_names_node(self):
         # a21 = -2/h2 cancels the pivot 1 + a21 h2/2 from the second x2 node
@@ -194,10 +204,6 @@ class TestSolveGoursat:
         with pytest.raises(ValueError, match=r"^the right-hand side must live on a Grid2D, "
                                              r"got Grid1D\(length=1.0, n=4\)$"):
             GoursatProblem(TraceSet.zeros(g), Coefficients.zeros(g), edge)
-
-
-ALL_COEFFICIENTS = {"a21": "x1", "a12": "1+x2", "a20": "0.3", "a02": "x2",
-                    "a11": "sin(x1*x2)", "a10": "x1*x2", "a01": "-0.5", "a00": "1"}
 
 
 @settings(max_examples=25, deadline=None)

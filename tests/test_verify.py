@@ -9,9 +9,11 @@ from ppde.representation import DerivativeField, extract_traces
 from ppde.verify import (
     ConvergenceRow,
     ConvergenceTable,
+    check_doubling,
     convergence_study,
     convergence_table,
     manufactured_problem,
+    node_errors,
     sobolev_norm,
 )
 
@@ -114,13 +116,30 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="doubling"):
             convergence_study("x1", {}, (1.0, 1.0), ns)
 
-    def test_table_of_cases_equals_the_study_table(self):
+    @pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.3, 0.6)])
+    def test_table_of_cases_equals_the_study_table(self, lengths):
         exprs = {"a00": "1", "a21": "0.25*x2"}
         ns = [4, 8]
-        cases = [manufactured_problem("sin(x1)*x2", Coefficients.from_exprs(unit_square(n), exprs),
-                                      unit_square(n)) for n in ns]
+        grids = [Grid2D(make_grid(lengths[0], n), make_grid(lengths[1], n)) for n in ns]
+        cases = [manufactured_problem("sin(x1)*x2", Coefficients.from_exprs(g, exprs), g)
+                 for g in grids]
         table = convergence_table(cases)
-        assert table.as_csv() == convergence_study("sin(x1)*x2", exprs, (1.0, 1.0), ns).as_csv()
+        assert table.as_csv() == convergence_study("sin(x1)*x2", exprs, lengths, ns).as_csv()
+
+    def test_sizes_may_double_from_one_interval(self):
+        assert check_doubling((1, 2, 4)) == [1, 2, 4]
+
+    def test_order_between_two_zero_errors_is_not_a_number(self):
+        # u = 0 is solved exactly, so both errors are 0.0, and no order is written
+        table = convergence_study("0", {}, (1.0, 1.0), [2, 4])
+        assert [row.max_error for row in table.rows] == [0.0, 0.0]
+        assert np.isnan(table.rows[1].observed_order)
+        assert table.as_csv().splitlines()[2] == "4,0.0000000000000000e+00,0.0000000000000000e+00,"
+
+    def test_node_errors_are_the_max_and_the_trapezoid_l2_norm(self):
+        # |diff| = (0, 1) on [0, 1]: the trapezoid integral of diff^2 is 1/2
+        g = make_grid(1.0, 1)
+        assert node_errors(GridFn(g, [0.0, 1.0]), GridFn.zeros(g)) == (1.0, pytest.approx(0.5 ** 0.5))
 
     @pytest.mark.parametrize("sizes, message", [
         ([(4, 4), (4, 4)], "doubling"),
