@@ -191,8 +191,8 @@ def assemble_closure_system(p: DirichletProblem) -> ClosureSystem:
     with.  The march updates its rows on whole C-ordered arrays, since
     numpy buffers a ufunc operand that is a column slice (64 KB a buffer);
     the loop here sums into its fresh product, so that its column-prefix
-    sum has one such operand, not two.  So at n1 = n2 = 64 with the
-    benchmark's four-coefficient mix the assembly peaks at 0.67 MB.
+    sum has one such operand, not two.  So the assembly peaks in the march,
+    at the peak that the README's memory paragraph states.
     """
     g1, g2 = p.grid.g1, p.grid.g2
     n1, n2 = g1.n, g2.n
@@ -314,12 +314,11 @@ def solve_dirichlet(p: DirichletProblem) -> Solution:
     are known, so the final solve starts with theta alone.  A solve's
     memory peaks in one of two stages: with a live coefficient, in the
     closure march, which holds the closure rows, the order tables, the
-    running sums and one march row with its kernels and one scratch row
-    (0.67 MB for the benchmark's four-coefficient mix at n1 = n2 = 64);
+    running sums and one march row with its kernels and one scratch row;
     with none, in the final solve's ``reconstruct_field``, which makes the
     nine output grids while w, the first sweeps of w and one trace-part
-    entry are alive (1.55 MB at n1 = n2 = 128, of which the nine grids are
-    1.20 MB).
+    entry are alive.  The README's memory paragraph states both peaks and
+    the tests that bound them.
     """
     compat = check_compatibility(p.data)
     system = assemble_closure_system(p)

@@ -39,14 +39,22 @@ node, whichever tree it comes from (a literal is told by its bits, so 0.0
 and -0.0 stay apart), in evaluation order, with the step after which each
 value is read no more.  The program runs as one flat loop that computes
 each step once and drops its value after its last use; neither it nor
-any memo outlives the call.  Differentiation and printing recurse once
-per level of the tree, so ``parse`` rejects a tree deeper than
-``MAX_DEPTH`` levels, or with more than ``MAX_DEPTH`` parentheses open at
-once.  A derivative turns each level into at most three (a quotient's
-into '/', '-' and '*'), and four turn it into at most 15 (3, 6, 10, 15),
-so the fourth derivatives that ``representation.extract_traces`` samples
-stay within 15 * MAX_DEPTH = 750 levels, below Python's default recursion
-limit of 1000.
+any memo outlives the call.
+
+``_parts`` is the one description of a node: its label and its operands.
+Compiling reads it, ``parse``'s depth check walks its operands, and
+``to_string`` prints an inner node by filling its type's row of
+``_FORMATS`` with the label and the printed operands; a literal keeps its
+sign rule and a variable prints its name.  Differentiation and evaluation
+keep their rules per type, in ``OPERATORS`` and ``FUNCTIONS``.
+Differentiation and printing still recurse once per level of the tree
+(printing a leaf calls nothing more), so ``parse`` rejects a tree deeper
+than ``MAX_DEPTH`` levels, or with more than ``MAX_DEPTH`` parentheses
+open at once.  A derivative turns each level into at most three (a
+quotient's into '/', '-' and '*'), and four turn it into at most 15 (3,
+6, 10, 15), so the fourth derivatives that
+``representation.extract_traces`` samples stay within 15 * MAX_DEPTH =
+750 levels, below Python's default recursion limit of 1000.
 """
 
 from __future__ import annotations
@@ -79,6 +87,49 @@ __all__ = [
     "to_string",
 ]
 
+
+@dataclass(frozen=True)
+class Expr:
+    """Base class for expression nodes.  ``pos`` is the node's offset in the
+    text it was parsed from (-1 if built); it takes no part in comparison."""
+
+    pos: int = field(default=-1, compare=False, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Num(Expr):
+    value: float
+
+
+@dataclass(frozen=True)
+class Var(Expr):
+    name: str
+
+
+@dataclass(frozen=True)
+class Neg(Expr):
+    arg: Expr
+
+
+@dataclass(frozen=True)
+class BinOp(Expr):
+    op: str
+    left: Expr
+    right: Expr
+
+
+@dataclass(frozen=True)
+class Pow(Expr):
+    base: Expr
+    exponent: int
+
+
+@dataclass(frozen=True)
+class Call(Expr):
+    func: str
+    arg: Expr
+
+
 VARIABLES = ("x1", "x2")
 # The grammar's functions: name -> (numpy function, derivative rule).  The
 # rule maps the argument a and its derivative da to the derivative of the call.
@@ -98,6 +149,9 @@ OPERATORS = {
           _op("/", _op("-", _op("*", da, b), _op("*", a, db)), _pow(b, 2))),
 }
 PRECEDENCE = ("+-", "*/")
+# How an inner node prints: its label ({0}) and its printed operands ({1},
+# {2}) in the format of its type.
+_FORMATS = {Neg: "(-{1})", BinOp: "({1} {0} {2})", Pow: "({1}^{0})", Call: "{0}({1})"}
 MAX_DEPTH = 50
 
 
@@ -115,51 +169,6 @@ class EvalDomainError(ArithmeticError):
     def __init__(self, message: str, position: int):
         super().__init__(message)
         self.position = position
-
-
-@dataclass(frozen=True)
-class Expr:
-    """Base class for expression nodes."""
-
-
-@dataclass(frozen=True)
-class Num(Expr):
-    value: float
-    pos: int = field(default=-1, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-    pos: int = field(default=-1, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-    pos: int = field(default=-1, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-    pos: int = field(default=-1, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-    pos: int = field(default=-1, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    func: str
-    arg: Expr
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +304,7 @@ def parse(text: str) -> Expr:
         e, depth = stack.pop()
         if depth > MAX_DEPTH:
             raise ParseError(f"expression deeper than {MAX_DEPTH} levels", e.pos)
-        stack += [(child, depth + 1) for child in vars(e).values() if isinstance(child, Expr)]
+        stack += [(child, depth + 1) for child in _parts(e)[1]]
     return node
 
 
@@ -312,7 +321,9 @@ def evaluate(e: Expr, x1, x2):
 def _parts(e: Expr) -> tuple:
     """(label, operands) of ``e``: what tells it from other nodes of its
     type with the same operands (a literal by its bits, so 0.0 and -0.0
-    differ), and its operand nodes in evaluation order."""
+    differ), and its operand nodes in evaluation order.  This is the one
+    description of a node that compiling, printing and ``parse``'s depth
+    check read; anything else is a TypeError."""
     if isinstance(e, BinOp):
         return e.op, (e.left, e.right)
     if isinstance(e, Call):
@@ -545,6 +556,8 @@ def _diff(e: Expr, var: str, memo: dict) -> Expr:
 
 def to_string(e: Expr) -> str:
     """Fully parenthesized rendering; re-parses to an equivalent expression."""
+    if isinstance(e, Var):
+        return e.name
     if isinstance(e, Num):
         # A literal with its sign bit set prints as the negation of its
         # magnitude, which keeps its value and the sign of its zero under
@@ -553,14 +566,8 @@ def to_string(e: Expr) -> str:
         if math.copysign(1.0, e.value) < 0.0:
             return f"(-{to_string(Num(-e.value))})"
         return "1e999" if math.isinf(e.value) else repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{to_string(e.arg)})"
-    if isinstance(e, BinOp):
-        return f"({to_string(e.left)} {e.op} {to_string(e.right)})"
-    if isinstance(e, Pow):
-        return f"({to_string(e.base)}^{e.exponent})"
-    if isinstance(e, Call):
-        return f"{e.func}({to_string(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    # The leaves are printed without a call of _parts, and map calls
+    # to_string with no frame of its own, so printing the deepest tree takes
+    # one frame per level, as differentiating it does.
+    label, operands = _parts(e)
+    return _FORMATS[type(e)].format(label, *map(to_string, operands))

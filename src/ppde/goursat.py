@@ -136,9 +136,9 @@ def march(coeffs: Coefficients, known_rows, K1, K2, g2_columns=None):
     comes keeps one row alive.  Every elementwise update of w and of the
     x1 sums runs on whole rows (``_on_rows``), since numpy would buffer an
     update of a column slice, 64 KB per strided operand; the scratch row
-    of w's updates is gone before the row solve.  At n1 = n2 = 64 with the
-    benchmark's four-coefficient mix the closure march peaks at 0.67 MB
-    with its caller's arrays.
+    of w's updates is gone before the row solve.  With its caller's arrays,
+    the closure march sets the memory peak of a solve with a live
+    coefficient, which the README's memory paragraph states.
 
     The slice ``g2_columns`` names the closure's columns of the unit traces
     g2 = e_m: g2 is the x1 = 0 value of D1 D2^2 u, of field line(x1) K2[., m],
@@ -201,18 +201,17 @@ def _row_kernel(K, terms, i: int) -> np.ndarray:
     """The sum of a[i][:, None] * K[q] over the (a, q) in terms, in their
     order; zero if there are none.
 
-    K[2] is the identity, so its terms go on the diagonal alone.  The first
-    term is stored rather than added to zero, so that its zeros keep their
-    signs.
+    K[2] is the identity, so its term is np.diag(a[i]).  The sum starts
+    from the first term rather than from zero, so that its zeros keep their
+    signs, as ``problem.lower_order``'s does.
     """
-    total = np.zeros(K[0].shape) if not terms or terms[0][1] == 2 else None
-    for n, (a, q) in enumerate(terms):
-        if q == 2:  # the identity: on the diagonal alone, in place
-            np.fill_diagonal(total, np.diagonal(total) + a[i] if n else a[i])
-        elif n:
-            total += a[i][:, None] * K[q]
-        else:
-            total = a[i][:, None] * K[q]
+    if not terms:
+        return np.zeros(K[0].shape)
+    parts = (np.diag(a[i]) if q == 2 else a[i][:, None] * K[q] for a, q in terms)
+    total = next(parts)
+    for part in parts:
+        total += part
+        del part  # gone before the next part is made
     return total
 
 

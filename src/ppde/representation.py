@@ -93,20 +93,18 @@ class TraceSet:
 
 
 class DerivativeField:
-    """All nine derivative grids D1^i D2^j u, i, j in {0, 1, 2}."""
+    """All nine derivative grids D1^i D2^j u, i, j in {0, 1, 2}: ``d`` is
+    three rows of three grids on ``grid``; anything else is a ValueError."""
 
     def __init__(self, grid: Grid2D, d):
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                fn = d[i][j]
+        if len(d) != 3 or any(len(row) != 3 for row in d):
+            raise ValueError("derivative grids must be three rows of three, d[i][j] for i, j < 3")
+        for i, row in enumerate(d):
+            for j, fn in enumerate(row):
                 if fn.grid != grid:
                     raise ValueError(f"derivative grid d[{i}][{j}] does not match the field grid")
-                row.append(fn)
-            rows.append(tuple(row))
         self.grid = grid
-        self.d = tuple(rows)
+        self.d = tuple(tuple(row) for row in d)
 
     @property
     def u(self) -> GridFn:
@@ -166,8 +164,7 @@ def reconstruct_field(t: TraceSet, w: GridFn) -> DerivativeField:
     part, the two x1 sweeps of w and the two x2 sweeps of the first are
     alive (``grid.cumtrapz`` makes each sweep in its output alone); the
     call ends holding the nine grids alone.  With no live coefficient this
-    is where a whole Dirichlet solve peaks: 1.55 MB at n1 = n2 = 128, of
-    which the nine grids are 1.20 MB.
+    is where a whole Dirichlet solve peaks (the README's memory paragraph).
     """
     grid = w.grid
     terms = _trace_terms(t, grid)

@@ -1,4 +1,5 @@
-"""Randomized expression families shared by the test modules.
+"""Randomized expression families and the unit-square grid shared by the
+test modules.
 
 The manufactured family keeps derivatives of every order comparable to the
 trace magnitudes (bounded factors, unit frequencies, mild exponentials), so
@@ -9,7 +10,14 @@ to spare.
 import numpy as np
 
 from ppde.expr import evaluate
+from ppde.grid import Grid2D, make_grid
 from ppde.problem import COEFFICIENT_NAMES
+
+
+def unit_square(n):
+    """The grid of n x n intervals on [0, 1] x [0, 1]."""
+    return Grid2D(make_grid(1.0, n), make_grid(1.0, n))
+
 
 _FACTORS = ("1", "{x}", "{x}^2", "{x}^3", "sin({x})", "cos({x})", "exp(0.5*{x})")
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle
-from _families import random_coefficient_exprs
+from _families import random_coefficient_exprs, unit_square
 from _memory import traced_peak
 from ppde.dirichlet import (
     ClosureSystem,
@@ -30,10 +30,6 @@ from ppde.problem import (
 )
 from ppde.representation import TraceSet, reconstruct_field
 from ppde.verify import manufactured_problem
-
-
-def unit_square(n):
-    return Grid2D(make_grid(1.0, n), make_grid(1.0, n))
 
 
 def poly_case(n):

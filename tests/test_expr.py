@@ -119,6 +119,26 @@ class TestParse:
         assert parse("x1\u00a0+\u2003x2") == BinOp("+", Var("x1"), Var("x2"))
         assert to_string(parse("\u0661\u0662 + x1")) == "(12.0 + x1)"
 
+    def test_a_node_keeps_its_offset_outside_comparison_hash_and_repr(self):
+        e = parse("x1 + sin(2)")
+        assert [e.pos, e.left.pos, e.right.pos, e.right.arg.pos] == [3, 0, 5, 9]
+        built = BinOp("+", Var("x1"), Call("sin", Num(2.0)))
+        assert built.pos == -1
+        assert (e, hash(e), repr(e)) == (built, hash(built), repr(built))
+        assert repr(Num(2.0, pos=4)) == "Num(value=2.0)"
+        with pytest.raises(TypeError):
+            Num(2.0, 4)  # the offset is keyword-only
+
+
+@pytest.mark.parametrize("call", [to_string, lambda e: evaluate(e, 0.0, 0.0),
+                                  lambda e: differentiate(e, "x1")],
+                         ids=["to_string", "evaluate", "differentiate"])
+@pytest.mark.parametrize("e", [Expr(), 2.0, BinOp("+", Var("x1"), "x2")],
+                         ids=["base_node", "float", "operand"])
+def test_a_non_node_is_a_type_error(call, e):
+    with pytest.raises(TypeError, match=r"^not an expression node: "):
+        call(e)
+
 
 class TestOperators:
     @pytest.mark.parametrize("op", OPERATORS)
@@ -394,6 +414,15 @@ class TestDepthBound:
         g = Grid2D(make_grid(1.0, 3), make_grid(0.7, 2))
         traces, w, field = extract_traces(parse(DEEPEST[shape](STEPS[shape])), g)
         assert w.values.shape == g.shape
+
+    def test_a_tree_as_deep_as_a_fourth_derivative_may_be_prints(self):
+        # Printing takes one frame per level, so the 15 * MAX_DEPTH levels
+        # of the module docstring's bound print within the recursion limit.
+        k = 15 * MAX_DEPTH
+        e = Var("x1")
+        for _ in range(k):
+            e = Neg(e)
+        assert to_string(e) == "(-" * k + "x1" + ")" * k
 
 
 class TestSharedSubtrees:

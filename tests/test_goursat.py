@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle
-from _families import coefficient_subsets
+from _families import coefficient_subsets, unit_square
 from _memory import RowLog
 from ppde import goursat
 from ppde.expr import parse
@@ -18,10 +18,6 @@ from ppde.goursat import GoursatProblem, MarchingError, march, solve_goursat
 from ppde.grid import Grid2D, GridFn, NumericalError, make_grid, order_table, order_tables, orders
 from ppde.problem import Coefficients, NonClassicalData, apply_operator
 from ppde.representation import TraceSet, extract_traces, line
-
-
-def unit_square(n):
-    return Grid2D(make_grid(1.0, n), make_grid(1.0, n))
 
 
 def constant_rhs(grid, v):
@@ -260,6 +256,16 @@ def test_march_supplies_the_g2_known_rows(n1, n2, seed):
             assert w.flags.c_contiguous and full.flags.c_contiguous
             np.testing.assert_allclose(w, full, rtol=0, atol=1e-13, err_msg=f"{subset} row {i}")
         assert len(supplied) == n1 + 1
+
+
+def test_the_identity_term_comes_first_in_each_x1_order():
+    # goursat._row_kernel sums each row kernel from its first term and
+    # writes the identity term (q = 2) as the full matrix np.diag(a[i]).
+    # As the first term that matrix starts the sum; as a later one, its
+    # +0.0 entries would turn the sum's -0.0 entries to +0.0.
+    live = Coefficients.from_exprs(unit_square(2), ALL_COEFFICIENTS).live
+    x2_orders = {p: [q for _, (pp, q) in live if pp == p] for p in range(3)}
+    assert x2_orders == {0: [2, 1, 0], 1: [2, 1, 0], 2: [1, 0]}
 
 
 @pytest.mark.parametrize("exprs", [{}, ALL_COEFFICIENTS], ids=["no_coefficient", "all_eight"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _families import unit_square
 import ppde
 from ppde.goursat import MarchingError
 from ppde.grid import (
@@ -46,14 +47,14 @@ def remainder(f):
     return orders(f.values, f.grid)[0]
 
 
-def unit_square(n):
-    return Grid2D(make_grid(1.0, n), make_grid(1.0, n))
-
-
 class TestMakeGrid:
     def test_nodes(self):
         g = make_grid(1.0, 4)
         np.testing.assert_array_equal(g.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    def test_repr_names_both_axes(self):
+        g = Grid2D(make_grid(1.5, 3), make_grid(0.7, 2))
+        assert repr(g) == "Grid2D(Grid1D(length=1.5, n=3), Grid1D(length=0.7, n=2))"
 
     def test_single_interval(self):
         g = make_grid(2.0, 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _families import coefficient_subsets
+from _families import coefficient_subsets, unit_square
 from ppde.dirichlet import solve_dirichlet
 from ppde.expr import differentiate, evaluate, parse
 from ppde.grid import Grid2D, GridFn, NonFiniteError, lp_norm, make_grid, mixed_norm
@@ -32,10 +32,6 @@ from ppde.problem import (
 )
 from ppde.representation import extract_traces
 from ppde.verify import manufactured_problem
-
-
-def unit_square(n):
-    return Grid2D(make_grid(1.0, n), make_grid(1.0, n))
 
 
 def const_fn(grid, v):

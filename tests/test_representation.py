@@ -3,13 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _families import unit_square
 from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn, NonFiniteError, make_grid
 from ppde.representation import DerivativeField, TraceSet, extract_traces, reconstruct_field, trace_part
-
-
-def unit_square(n):
-    return Grid2D(make_grid(1.0, n), make_grid(1.0, n))
 
 
 def bilinear_traces(grid):
@@ -152,6 +149,15 @@ class TestValidation:
         d = [[GridFn.zeros(self.g) for _ in range(3)] for _ in range(3)]
         d[1][2] = wrong(self.g)
         with pytest.raises(ValueError, match=r"^derivative grid d\[1\]\[2\] does not match the field grid$"):
+            DerivativeField(self.g, d)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 3), (3, 4), (3, 2)],
+                             ids=["four_rows", "two_rows", "row_of_four", "row_of_two"])
+    def test_derivative_grids_not_three_rows_of_three(self, shape):
+        rows, columns = shape
+        d = [[GridFn.zeros(self.g) for _ in range(3)] for _ in range(rows)]
+        d[-1] = d[-1][:columns] + [GridFn.zeros(self.g)] * (columns - 3)
+        with pytest.raises(ValueError, match=r"^derivative grids must be three rows of three"):
             DerivativeField(self.g, d)
 
 

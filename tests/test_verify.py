@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _families import unit_square
 import ppde.verify
 from ppde.expr import parse
 from ppde.grid import Grid2D, GridFn, make_grid
@@ -16,10 +17,6 @@ from ppde.verify import (
     node_errors,
     sobolev_norm,
 )
-
-
-def unit_square(n):
-    return Grid2D(make_grid(1.0, n), make_grid(1.0, n))
 
 
 def scaled_field(field, alpha):
